@@ -14,6 +14,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -221,22 +222,19 @@ func (v V288) SetBeat(b int, w V72) V288 {
 	return v
 }
 
-// Byte extracts aligned byte i (0..35) from the entry.
+// Byte extracts aligned byte i (0..35) from the entry. A beat starts at
+// bit 72b ≡ 8b (mod 64), so every aligned byte starts at a multiple of 8
+// within one packed word and never straddles two: one shift reads it.
 func (v V288) Byte(i int) byte {
 	base := ByteBase(i)
-	var b byte
-	for k := 0; k < 8; k++ {
-		b |= byte(v.Bit(base+k)) << uint(k)
-	}
-	return b
+	return byte(v[base>>6] >> uint(base&63))
 }
 
 // SetByte returns v with aligned byte i replaced.
 func (v V288) SetByte(i int, val byte) V288 {
 	base := ByteBase(i)
-	for k := 0; k < 8; k++ {
-		v = v.SetBit(base+k, uint(val>>uint(k))&1)
-	}
+	s := uint(base & 63)
+	v[base>>6] = v[base>>6]&^(0xFF<<s) | uint64(val)<<s
 	return v
 }
 
@@ -268,43 +266,50 @@ func WordOfBit(i int) int {
 	return i / BeatBits
 }
 
+// FromBeats packs four beats into an entry, beat b at bits [72b, 72b+72)
+// exactly as SetBeat places it.
+func FromBeats(b0, b1, b2, b3 V72) V288 {
+	return V288{
+		b0.Lo,
+		b0.Hi&hiMask | b1.Lo<<8,
+		b1.Lo>>56 | (b1.Hi&hiMask)<<8 | b2.Lo<<16,
+		b2.Lo>>48 | (b2.Hi&hiMask)<<16 | b3.Lo<<24,
+		b3.Lo>>40 | (b3.Hi&hiMask)<<24,
+	}
+}
+
 // FromDataECC assembles an entry from 32B of data and 4B of check bytes.
 // Data byte d lands in beat d/8 at in-beat byte d%8; check byte c lands in
-// beat c as the beat's 9th byte (pins 64..71).
+// beat c as the beat's 9th byte (pins 64..71). Each beat's data pins are
+// therefore the little-endian 64b word data[8b:8b+8].
 func FromDataECC(data [DataBytes]byte, ecc [4]byte) V288 {
-	var v V288
-	for d, val := range data {
-		beat, pos := d/8, d%8
-		v = v.SetByte(beat*BytesPer72+pos, val)
+	beat := func(b int) V72 {
+		return V72{Lo: binary.LittleEndian.Uint64(data[8*b:]), Hi: uint64(ecc[b])}
 	}
-	for c, val := range ecc {
-		v = v.SetByte(c*BytesPer72+8, val)
-	}
-	return v
+	return FromBeats(beat(0), beat(1), beat(2), beat(3))
+}
+
+// Beats splits an entry into its four beats, inverting FromBeats.
+func (v V288) Beats() (b0, b1, b2, b3 V72) {
+	return V72{Lo: v[0], Hi: v[1] & hiMask},
+		V72{Lo: v[1]>>8 | v[2]<<56, Hi: (v[2] >> 8) & hiMask},
+		V72{Lo: v[2]>>16 | v[3]<<48, Hi: (v[3] >> 16) & hiMask},
+		V72{Lo: v[3]>>24 | v[4]<<40, Hi: (v[4] >> 24) & hiMask}
 }
 
 // DataECC splits an entry back into 32B of data and 4B of check bytes,
 // inverting FromDataECC.
 func (v V288) DataECC() (data [DataBytes]byte, ecc [4]byte) {
-	for d := range data {
-		beat, pos := d/8, d%8
-		data[d] = v.Byte(beat*BytesPer72 + pos)
-	}
-	for c := range ecc {
-		ecc[c] = v.Byte(c*BytesPer72 + 8)
+	b0, b1, b2, b3 := v.Beats()
+	for i, b := range [4]V72{b0, b1, b2, b3} {
+		binary.LittleEndian.PutUint64(data[8*i:], b.Lo)
+		ecc[i] = byte(b.Hi)
 	}
 	return data, ecc
 }
 
 // DataWord returns the 64b data word of beat b (pins 0..63).
-func (v V288) DataWord(b int) uint64 {
-	var w uint64
-	base := b * BeatBits
-	for i := 0; i < DataBits; i++ {
-		w |= uint64(v.Bit(base+i)) << uint(i)
-	}
-	return w
-}
+func (v V288) DataWord(b int) uint64 { return v.Beat(b).Lo }
 
 // SameByte reports whether all set bits of v lie in one aligned byte.
 // The zero vector reports false.

@@ -277,3 +277,27 @@ func BenchmarkBeatExtract(b *testing.B) {
 	}
 	_ = sink
 }
+
+var sinkV288 V288
+
+func BenchmarkFromDataECC(b *testing.B) {
+	var data [DataBytes]byte
+	for i := range data {
+		data[i] = byte(i*17 + 3)
+	}
+	ecc := [4]byte{0x11, 0x22, 0x33, 0x44}
+	for i := 0; i < b.N; i++ {
+		data[0] = byte(i)
+		sinkV288 = FromDataECC(data, ecc)
+	}
+}
+
+var sinkData [DataBytes]byte
+
+func BenchmarkDataECC(b *testing.B) {
+	v := V288{0xDEADBEEFCAFEF00D, 0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x55AA55AA55AA55AA, 0xC3C3C3C3}
+	for i := 0; i < b.N; i++ {
+		v[0] = uint64(i)
+		sinkData, _ = v.DataECC()
+	}
+}

@@ -34,13 +34,7 @@ var sinkStatus int
 // decode paths per scheme and sampled error class; cmd/bench aggregates
 // the same measurements into BENCH_decode.json.
 func BenchmarkDecode(b *testing.B) {
-	schemes := []Scheme{
-		NewSECDED(false, false),
-		NewDuetECC(),
-		NewTrioECC(),
-		NewSSC(true),
-		NewSSCDSDPlus(),
-	}
+	schemes := benchSchemes()
 	classes := []errormodel.Pattern{errormodel.Bits3, errormodel.Beat1, errormodel.Entry1}
 	const n = 4096
 	for _, s := range schemes {
@@ -66,5 +60,70 @@ func BenchmarkDecode(b *testing.B) {
 				sinkStatus += int(out[0].Status)
 			})
 		}
+	}
+}
+
+var sinkWire bitvec.V288
+
+// benchSchemes are the schemes the benchmarks cover: the baseline, both
+// interleaved binary organizations and both symbol layouts.
+func benchSchemes() []Scheme {
+	return []Scheme{
+		NewSECDED(false, false),
+		NewDuetECC(),
+		NewTrioECC(),
+		NewSSC(true),
+		NewSSCDSDPlus(),
+	}
+}
+
+// BenchmarkEncode compares Encode with the reference bit-at-a-time
+// encoder per scheme.
+func BenchmarkEncode(b *testing.B) {
+	for _, s := range benchSchemes() {
+		ref := asRefCodec(b, s)
+		var data [bitvec.DataBytes]byte
+		for i := range data {
+			data[i] = byte(i*17 + 3)
+		}
+		b.Run(s.Name()+"/ref", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				data[0] = byte(i)
+				sinkWire = ref.encodeRef(data)
+			}
+		})
+		b.Run(s.Name()+"/fast", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				data[0] = byte(i)
+				sinkWire = s.Encode(data)
+			}
+		})
+	}
+}
+
+var sinkData [bitvec.DataBytes]byte
+
+// BenchmarkExtractData compares ExtractData with the reference
+// bit-at-a-time extractor per scheme.
+func BenchmarkExtractData(b *testing.B) {
+	for _, s := range benchSchemes() {
+		ref := asRefCodec(b, s)
+		var data [bitvec.DataBytes]byte
+		for i := range data {
+			data[i] = byte(i*29 + 5)
+		}
+		wire := s.Encode(data)
+		b.Run(s.Name()+"/ref", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				wire[0] ^= uint64(i)
+				sinkData = ref.extractRef(wire)
+			}
+		})
+		b.Run(s.Name()+"/fast", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				wire[0] ^= uint64(i)
+				sinkData = s.ExtractData(wire)
+			}
+		})
 	}
 }

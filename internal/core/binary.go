@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -147,36 +148,28 @@ func (b *Binary) Name() string { return b.name }
 func (b *Binary) CorrectsPins() bool { return true }
 
 // Encode implements Scheme. User data byte 8c+k is carried by data bits
-// [8k, 8k+8) of codeword c.
+// [8k, 8k+8) of codeword c. Codeword c is built on beat c of the standard
+// layout (data word plus check byte) and, when interleaved, the entry is
+// then permuted onto the wire by interleave.Scatter.
 func (b *Binary) Encode(data [bitvec.DataBytes]byte) bitvec.V288 {
-	var wire bitvec.V288
-	for c := 0; c < 4; c++ {
-		var word uint64
-		for k := 0; k < 8; k++ {
-			word |= uint64(data[c*8+k]) << uint(8*k)
-		}
-		cw := b.h.Codeword(word)
-		for j := 0; j < gf2.N; j++ {
-			if cw.Bit(j) != 0 {
-				wire = wire.FlipBit(int(b.physOf[c][j]))
-			}
-		}
+	var checks [4]byte
+	for c := range checks {
+		checks[c] = b.h.EncodeData(binary.LittleEndian.Uint64(data[8*c:]))
+	}
+	wire := bitvec.FromDataECC(data, checks)
+	if b.interleaved {
+		wire = interleave.Scatter(wire)
 	}
 	return wire
 }
 
-// ExtractData implements Scheme.
+// ExtractData implements Scheme: the inverse permutation of Encode,
+// keeping only the data words.
 func (b *Binary) ExtractData(wire bitvec.V288) [bitvec.DataBytes]byte {
-	var data [bitvec.DataBytes]byte
-	for c := 0; c < 4; c++ {
-		for k := 0; k < 8; k++ {
-			var v byte
-			for bit := 0; bit < 8; bit++ {
-				v |= byte(wire.Bit(int(b.physOf[c][8*k+bit]))) << uint(bit)
-			}
-			data[c*8+k] = v
-		}
+	if b.interleaved {
+		wire = interleave.Gather(wire)
 	}
+	data, _ := wire.DataECC()
 	return data
 }
 

@@ -81,6 +81,8 @@ type Symbol struct {
 
 	// fast holds the table-driven decode path (fastpath.go).
 	fast symFast
+	// ecc is the linear check-byte table (linear.go).
+	ecc eccTab
 }
 
 // NewSSC builds the interleaved (18,16)×2 single-symbol-correct scheme,
@@ -96,6 +98,7 @@ func NewSSC(csc bool) *Symbol {
 	}
 	s := &Symbol{name: name, rs: rs, layout: sscLayout(), csc: csc, pinOK: true}
 	s.buildFast()
+	s.buildLinear()
 	return s
 }
 
@@ -108,6 +111,7 @@ func NewSSCDSDPlus() *Symbol {
 	}
 	s := &Symbol{name: "SSC-DSD+", rs: rs, layout: dsdLayout(), dsdPlus: true}
 	s.buildFast()
+	s.buildLinear()
 	return s
 }
 
@@ -123,6 +127,7 @@ func NewDSC() *Symbol {
 	}
 	s := &Symbol{name: "DSC", rs: rs, layout: dsdLayout(), boundedT: 2}
 	s.buildFast()
+	s.buildLinear()
 	return s
 }
 
@@ -137,6 +142,7 @@ func NewSSCTSD() *Symbol {
 	}
 	s := &Symbol{name: "SSC-TSD", rs: rs, layout: dsdLayout(), boundedT: 1}
 	s.buildFast()
+	s.buildLinear()
 	return s
 }
 
@@ -170,19 +176,10 @@ func (s *Symbol) scatterSymbol(cw, pos int, v uint8, wire bitvec.V288) bitvec.V2
 // for SSC-DSD+ data symbol d is user byte d; for I:SSC, user data bytes
 // are placed at their standard wire positions (FromDataECC layout) and the
 // codeword data symbols are the 4-pin×2-beat regroupings of those bits.
+// Every check symbol sits on the ECC pins, so the ECC bytes come from
+// the linear check-byte table (linear.go).
 func (s *Symbol) Encode(data [bitvec.DataBytes]byte) bitvec.V288 {
-	wire := bitvec.FromDataECC(data, [4]byte{})
-	nsym := s.rs.N
-	k := s.rs.K
-	symbols := make([]uint8, nsym)
-	for cw := range s.layout {
-		s.gatherSymbols(cw, wire, symbols)
-		s.rs.Encode(symbols[:k:k], symbols)
-		for t := k; t < nsym; t++ {
-			wire = s.scatterSymbol(cw, t, symbols[t], wire)
-		}
-	}
-	return wire
+	return bitvec.FromDataECC(data, s.ecc.ecc(&data))
 }
 
 // ExtractData implements Scheme: user data occupies the standard wire

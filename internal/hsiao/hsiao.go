@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/ecc"
@@ -22,9 +23,14 @@ import (
 // TargetRowWeight is the balanced per-row weight of the (72,64) Hsiao code.
 const TargetRowWeight = 27
 
+// columns memoizes the deterministic column search, which costs about a
+// millisecond per run; New still builds a fresh H72 from the result, so
+// no mutable state is shared between codes.
+var columns = sync.OnceValues(buildColumns)
+
 // New constructs the (72,64) minimum-odd-weight Hsiao code.
 func New() *Code {
-	cols, err := buildColumns()
+	cols, err := columns()
 	if err != nil {
 		panic(fmt.Sprintf("hsiao: construction failed: %v", err))
 	}

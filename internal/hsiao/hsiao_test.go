@@ -128,3 +128,19 @@ func BenchmarkDecodeSingleError(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestNewSharesColumnsNotState pins the memoized column search: every
+// New returns the same columns in a distinct H72 and Code.
+func TestNewSharesColumnsNotState(t *testing.T) {
+	a, b := New(), New()
+	if a.H.Cols != b.H.Cols {
+		t.Fatal("two New() calls built different columns")
+	}
+	if a == b || a.H == b.H {
+		t.Fatal("New() must return a fresh Code and H72 on every call")
+	}
+	a.H.Cols[0] ^= 1
+	if c := New(); c.H.Cols == a.H.Cols {
+		t.Fatal("mutating one code's H leaked into a later New()")
+	}
+}

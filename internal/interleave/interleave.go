@@ -41,29 +41,47 @@ func PhysicalOf(i int) int { return toPhysical[i] }
 // InterleavedOf returns the interleaved bit index of physical bit p.
 func InterleavedOf(p int) int { return fromPhysical[p] }
 
+// pinPhase[k] selects the pins j ≡ k (mod 4) of a beat. Since
+// 73(72c+j) ≡ 72((c+j) mod 4) + j (mod 288), bit j of interleaved
+// codeword c sits on pin j of beat (c+j) mod 4: every bit keeps its pin,
+// and the four codewords rotate across the beats by the pin's phase
+// j mod 4. Gather and Scatter therefore move whole beats under these four
+// masks instead of 288 single bits.
+var pinPhase = [4]bitvec.V72{
+	bitvec.V72FromUint64(0x1111111111111111, 0x11),
+	bitvec.V72FromUint64(0x2222222222222222, 0x22),
+	bitvec.V72FromUint64(0x4444444444444444, 0x44),
+	bitvec.V72FromUint64(0x8888888888888888, 0x88),
+}
+
+// phased returns the beat whose phase-k pins come from x_k.
+func phased(x0, x1, x2, x3 bitvec.V72) bitvec.V72 {
+	return x0.And(pinPhase[0]).Or(x1.And(pinPhase[1])).Or(x2.And(pinPhase[2])).Or(x3.And(pinPhase[3]))
+}
+
 // Gather produces the interleaved view of a physical entry:
 // out bit i = in bit (73·i mod 288). Codeword c is then beats c of the
-// result, i.e. out bits [72c, 72c+72).
+// result, i.e. out bits [72c, 72c+72); its phase-k pins come from
+// physical beat (c+k) mod 4.
 func Gather(in bitvec.V288) bitvec.V288 {
-	var out bitvec.V288
-	for i := 0; i < bitvec.EntryBits; i++ {
-		if in.Bit(toPhysical[i]) != 0 {
-			out = out.FlipBit(i)
-		}
-	}
-	return out
+	b0, b1, b2, b3 := in.Beats()
+	return bitvec.FromBeats(
+		phased(b0, b1, b2, b3),
+		phased(b1, b2, b3, b0),
+		phased(b2, b3, b0, b1),
+		phased(b3, b0, b1, b2))
 }
 
 // Scatter is the inverse of Gather: it places interleaved bits back into
-// their physical wire positions.
+// their physical wire positions. Physical beat b takes its phase-k pins
+// from codeword (b-k) mod 4.
 func Scatter(in bitvec.V288) bitvec.V288 {
-	var out bitvec.V288
-	for i := 0; i < bitvec.EntryBits; i++ {
-		if in.Bit(i) != 0 {
-			out = out.FlipBit(toPhysical[i])
-		}
-	}
-	return out
+	c0, c1, c2, c3 := in.Beats()
+	return bitvec.FromBeats(
+		phased(c0, c3, c2, c1),
+		phased(c1, c0, c3, c2),
+		phased(c2, c1, c0, c3),
+		phased(c3, c2, c1, c0))
 }
 
 // CodewordOfPhysical returns which interleaved codeword (0..3) receives

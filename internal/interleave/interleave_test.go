@@ -141,3 +141,51 @@ func TestGatherMovesBeats(t *testing.T) {
 		}
 	}
 }
+
+// gatherRef and scatterRef are the original bit-at-a-time permutations,
+// kept as the differential-testing baseline for the beat-level Gather
+// and Scatter.
+func gatherRef(in bitvec.V288) bitvec.V288 {
+	var out bitvec.V288
+	for i := 0; i < bitvec.EntryBits; i++ {
+		if in.Bit(PhysicalOf(i)) != 0 {
+			out = out.FlipBit(i)
+		}
+	}
+	return out
+}
+
+func scatterRef(in bitvec.V288) bitvec.V288 {
+	var out bitvec.V288
+	for i := 0; i < bitvec.EntryBits; i++ {
+		if in.Bit(i) != 0 {
+			out = out.FlipBit(PhysicalOf(i))
+		}
+	}
+	return out
+}
+
+// TestGatherScatterVsBitLoop checks both permutations against the bit
+// loops on every single-bit entry (which pins a linear map) and on random
+// dense words with garbage above bit 287.
+func TestGatherScatterVsBitLoop(t *testing.T) {
+	check := func(v bitvec.V288) {
+		if got, want := Gather(v), gatherRef(v); got != want {
+			t.Fatalf("Gather(%v) = %v, bit loop %v", v, got, want)
+		}
+		if got, want := Scatter(v), scatterRef(v); got != want {
+			t.Fatalf("Scatter(%v) = %v, bit loop %v", v, got, want)
+		}
+	}
+	for i := 0; i < bitvec.EntryBits; i++ {
+		check(bitvec.V288{}.FlipBit(i))
+	}
+	rng := rand.New(rand.NewSource(73))
+	for n := 0; n < 500; n++ {
+		var v bitvec.V288
+		for i := range v {
+			v[i] = rng.Uint64()
+		}
+		check(v)
+	}
+}

@@ -24,8 +24,11 @@ go test -race ./...
 echo "== chaos soak: go test -run Chaos -race -count=2 =="
 go test -run Chaos -race -count=2 ./internal/chaos/... ./internal/gpusim/... ./internal/healthd/...
 
-echo "== short fuzz: sliced kernels vs scalar reference =="
+echo "== short fuzz: fast paths vs their references =="
 go test -run '^$' -fuzz FuzzSlicedVsScalarBatch -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz FuzzDecodeFastVsRef -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz FuzzEncodeVsRef -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz FuzzLayoutVsBitLoop -fuzztime 10s ./internal/bitvec/
 go test -run '^$' -fuzz FuzzSynBitRowsVsSyndromes -fuzztime 10s ./internal/rscode/
 go test -run '^$' -fuzz FuzzOnDieDecodeVsRef -fuzztime 10s ./internal/ondie/
 
