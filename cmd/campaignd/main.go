@@ -30,9 +30,9 @@ import (
 	"sync"
 	"time"
 
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/cluster"
 	"hbm2ecc/internal/core"
-	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/httpx"
 )
@@ -112,38 +112,26 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 		Shards:       1,
 	}
 
-	ckptPath := checkpoint
-	var ckpt *evalmc.Checkpoint
-	if resume != "" {
-		env, err := cluster.LoadEnvelope(resume)
-		if err != nil {
-			return fmt.Errorf("loading envelope: %w", err)
-		}
-		if !env.Spec.Equal(&spec) {
-			return fmt.Errorf("envelope %s was taken under a different campaign spec", resume)
-		}
-		ckpt = env.Completed
-		if ckptPath == "" {
-			ckptPath = resume
-		}
-		log.Printf("resuming campaign from %s: %d cells complete", resume, ckpt.Cells())
-	} else if ckptPath != "" {
-		ckpt = evalmc.NewCheckpoint(spec.Options())
-	}
-
-	copts := cluster.CoordinatorOptions{Spec: spec, LeaseTTL: leaseTTL}
-	if ckpt != nil {
-		copts.Resume = ckpt.Lookup
-		copts.Progress = func(scheme string, p errormodel.Pattern, r evalmc.PatternResult) {
-			ckpt.Store(scheme, p, r)
-			if ckptPath != "" {
-				if err := cluster.NewEnvelope(spec, ckpt).Save(ckptPath); err != nil {
-					log.Fatalf("writing envelope: %v", err)
-				}
+	// The checkpoint file is a cluster envelope: the completed cells
+	// plus the spec they are valid for.
+	cli, err := campaign.OpenCLI(spec.Options().Echo(), checkpoint, resume,
+		func(path string) (*evalmc.Checkpoint, error) {
+			env, err := cluster.LoadEnvelope(path)
+			if err != nil {
+				return nil, err
 			}
-		}
+			if !env.Spec.Equal(&spec) {
+				return nil, fmt.Errorf("envelope %s was taken under a different campaign spec", path)
+			}
+			return env.Completed, nil
+		},
+		func(c *evalmc.Checkpoint, path string) error { return cluster.NewEnvelope(spec, c).Save(path) })
+	if err != nil {
+		return err
 	}
-	coord, err := cluster.NewCoordinator(copts)
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorOptions{
+		Spec: spec, LeaseTTL: leaseTTL, Resume: cli.Resume, Progress: cli.Progress,
+	})
 	if err != nil {
 		return err
 	}
@@ -209,11 +197,7 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 		cancel()
 		wg.Wait()
 		_ = srv.Wait()
-		if ckptPath != "" && ckpt != nil {
-			log.Printf("interrupted with %d cells complete; resume with -resume %s", ckpt.Cells(), ckptPath)
-		} else {
-			log.Printf("interrupted (no -checkpoint path; progress not saved)")
-		}
+		cli.Interrupted()
 		return nil
 	case <-coord.Done():
 	}

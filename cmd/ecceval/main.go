@@ -23,6 +23,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/cluster"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/errormodel"
@@ -35,7 +36,7 @@ func main() {
 	seed := flag.Int64("seed", 2021, "random seed")
 	samples := flag.Int("samples", 400_000, "Monte-Carlo samples per sampled pattern class (paper used 1e7/1e9)")
 	workers := flag.Int("workers", 0,
-		"run on the distributed campaign engine with this many in-process workers (0 = classic sequential evaluation)")
+		"run on the distributed campaign engine with this many in-process workers (0 = in-process evaluation, same results)")
 	withDSC := flag.Bool("dsc", false, "also evaluate the rejected (36,32) DSC organization (slow decoder)")
 	checkpoint := flag.String("checkpoint", "",
 		"snapshot each completed (scheme, pattern) cell to this file (atomic write)")
@@ -88,7 +89,7 @@ func main() {
 	if *workers > 0 {
 		results, err = runCluster(ctx, names, *workers, *seed, *samples, *checkpoint, *resume)
 	} else {
-		results, err = runSequential(ctx, names, *seed, *samples, *checkpoint, *resume, *metrics != "", stage)
+		results, err = runLocal(ctx, names, *seed, *samples, *checkpoint, *resume, *metrics != "", stage)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -121,42 +122,9 @@ func main() {
 	}
 }
 
-// loadOrNewCheckpoint wires the -checkpoint / -resume flags into a
-// checkpoint and the path it should be saved to (both nil/empty when
-// checkpointing is off).
-func loadOrNewCheckpoint(opts evalmc.Options, checkpoint, resume string) (*evalmc.Checkpoint, string, error) {
-	path := checkpoint
-	if resume != "" {
-		loaded, err := evalmc.LoadCheckpoint(resume)
-		if err != nil {
-			return nil, "", fmt.Errorf("loading checkpoint: %w", err)
-		}
-		if err := loaded.Compatible(opts); err != nil {
-			return nil, "", err
-		}
-		if path == "" {
-			path = resume
-		}
-		fmt.Printf("Resuming evaluation from %s: %d cells complete.\n", resume, loaded.Cells())
-		return loaded, path, nil
-	}
-	if path != "" {
-		return evalmc.NewCheckpoint(opts), path, nil
-	}
-	return nil, "", nil
-}
-
-func interrupted(ckpt *evalmc.Checkpoint, path string) {
-	if path != "" {
-		fmt.Printf("interrupted with %d cells complete; resume with -resume %s\n", ckpt.Cells(), path)
-	} else {
-		fmt.Println("interrupted (no -checkpoint path; progress not saved)")
-	}
-}
-
-// runSequential is the classic single-process evaluation (per-cell
-// parallelism via GOMAXPROCS worker streams).
-func runSequential(ctx context.Context, names []string, seed int64, samples int, checkpoint, resume string, instrument bool, stage *ondie.Stage) ([]evalmc.SchemeResult, error) {
+// runLocal is the in-process evaluation: (scheme, pattern) cells run in
+// parallel through the campaign engine, one sampler stream each.
+func runLocal(ctx context.Context, names []string, seed int64, samples int, checkpoint, resume string, instrument bool, stage *ondie.Stage) ([]evalmc.SchemeResult, error) {
 	schemes := make([]core.Scheme, len(names))
 	for i, name := range names {
 		s, err := core.SchemeByName(name)
@@ -176,34 +144,30 @@ func runSequential(ctx context.Context, names []string, seed int64, samples int,
 		opts.ErrTransform = stage.TransformMask
 		opts.OnDie = stage.Name()
 	}
-	ckpt, path, err := loadOrNewCheckpoint(opts, checkpoint, resume)
+	cli, err := openCheckpoint(opts, checkpoint, resume)
 	if err != nil {
 		return nil, err
 	}
-	if ckpt != nil {
-		opts.Resume = ckpt.Lookup
-		opts.Progress = func(scheme string, p errormodel.Pattern, r evalmc.PatternResult) {
-			ckpt.Store(scheme, p, r)
-			if path != "" {
-				if err := ckpt.Save(path); err != nil {
-					log.Fatalf("writing checkpoint: %v", err)
-				}
-			}
-		}
-	}
+	opts.Resume, opts.Progress = cli.Resume, cli.Progress
 	results, err := evalmc.EvaluateAllCtx(schemes, opts)
 	if err != nil {
-		interrupted(ckpt, path)
+		cli.Interrupted()
 		return nil, nil
 	}
 	return results, nil
 }
 
+// openCheckpoint wires -checkpoint/-resume to an evalmc checkpoint. The
+// local and -workers paths share the file format and the echo, so a
+// checkpoint written by either one resumes in the other.
+func openCheckpoint(opts evalmc.Options, checkpoint, resume string) (*campaign.CLI[evalmc.Echo, errormodel.Pattern, evalmc.PatternResult], error) {
+	return campaign.OpenCLI(opts.Echo(), checkpoint, resume, evalmc.LoadCheckpoint, (*evalmc.Checkpoint).Save)
+}
+
 // runCluster evaluates on the distributed campaign engine over loopback
-// HTTP. Shards is pinned to 1, so the result is bit-identical to a
-// sequential (non -workers) run regardless of worker count — and the
-// checkpoint format is shared with the sequential path, except that a
-// cluster checkpoint records shards=1.
+// HTTP. Shards is pinned to 1, the local path's one stream per cell, so
+// the result is bit-identical to a run without -workers regardless of
+// worker count.
 func runCluster(ctx context.Context, names []string, workers int, seed int64, samples int, checkpoint, resume string) ([]evalmc.SchemeResult, error) {
 	spec := cluster.Spec{
 		Schemes:      names,
@@ -213,26 +177,15 @@ func runCluster(ctx context.Context, names []string, workers int, seed int64, sa
 		SamplesEntry: samples,
 		Shards:       1,
 	}
-	copts := cluster.CoordinatorOptions{Spec: spec}
-	ckpt, path, err := loadOrNewCheckpoint(spec.Options(), checkpoint, resume)
+	cli, err := openCheckpoint(spec.Options(), checkpoint, resume)
 	if err != nil {
 		return nil, err
 	}
-	if ckpt != nil {
-		copts.Resume = ckpt.Lookup
-		copts.Progress = func(scheme string, p errormodel.Pattern, r evalmc.PatternResult) {
-			ckpt.Store(scheme, p, r)
-			if path != "" {
-				if err := ckpt.Save(path); err != nil {
-					log.Fatalf("writing checkpoint: %v", err)
-				}
-			}
-		}
-	}
+	copts := cluster.CoordinatorOptions{Spec: spec, Resume: cli.Resume, Progress: cli.Progress}
 	results, coord, err := cluster.RunLocal(ctx, copts, workers, cluster.WorkerOptions{ID: "ecceval"})
 	if err != nil {
 		if ctx.Err() != nil {
-			interrupted(ckpt, path)
+			cli.Interrupted()
 			return nil, nil
 		}
 		return nil, err

@@ -2,11 +2,10 @@ package main
 
 import (
 	"context"
-	"fmt"
-	"log"
 	"os"
 	"strings"
 
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/faults"
 	"hbm2ecc/internal/workload"
 )
@@ -28,58 +27,20 @@ func runWorkload(ctx context.Context, seed int64, runs int, schemeList, checkpoi
 		}
 	}
 
-	ckpt, path, err := loadOrNewWorkloadCheckpoint(opts, checkpoint, resume)
+	cli, err := campaign.OpenCLI(opts.Echo(), checkpoint, resume, workload.LoadCheckpoint, (*workload.Checkpoint).Save)
 	if err != nil {
 		return err
 	}
-	if ckpt != nil {
-		opts.Resume = ckpt.Lookup
-		opts.Progress = func(scheme string, k workload.Kernel, r workload.CellResult) {
-			ckpt.Store(scheme, k, r)
-			if path != "" {
-				if err := ckpt.Save(path); err != nil {
-					log.Fatalf("writing checkpoint: %v", err)
-				}
-			}
-		}
-	}
+	opts.Resume, opts.Progress = cli.Resume, cli.Progress
 
 	results, err := workload.Campaign(opts)
 	if err != nil {
 		if ctx.Err() != nil {
-			if path != "" {
-				fmt.Printf("interrupted with %d cells complete; resume with -resume %s\n", ckpt.Cells(), path)
-			} else {
-				fmt.Println("interrupted (no -checkpoint path; progress not saved)")
-			}
+			cli.Interrupted()
 			return nil
 		}
 		return err
 	}
 	workload.WriteReport(os.Stdout, results, faults.DefaultSourceFIT)
 	return nil
-}
-
-// loadOrNewWorkloadCheckpoint mirrors loadOrNewCheckpoint for the
-// workload campaign's checkpoint format.
-func loadOrNewWorkloadCheckpoint(opts workload.Options, checkpoint, resume string) (*workload.Checkpoint, string, error) {
-	path := checkpoint
-	if resume != "" {
-		loaded, err := workload.LoadCheckpoint(resume)
-		if err != nil {
-			return nil, "", fmt.Errorf("loading checkpoint: %w", err)
-		}
-		if err := loaded.Compatible(opts); err != nil {
-			return nil, "", err
-		}
-		if path == "" {
-			path = resume
-		}
-		fmt.Printf("Resuming workload campaign from %s: %d cells complete.\n", resume, loaded.Cells())
-		return loaded, path, nil
-	}
-	if path != "" {
-		return workload.NewCheckpoint(opts), path, nil
-	}
-	return nil, "", nil
 }

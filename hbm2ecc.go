@@ -221,7 +221,9 @@ type EvalOptions struct {
 	// Samples is the Monte-Carlo sample count for the non-enumerable
 	// pattern classes (3-bit, beat, entry); 0 selects 200k.
 	Samples int
-	// Parallel spreads sampling across CPUs.
+	// Parallel evaluates the pattern classes concurrently, one goroutine
+	// each. Every class draws from its own sampler stream, so the result
+	// is the same with or without it, on any machine.
 	Parallel bool
 }
 

@@ -57,8 +57,9 @@ const (
 	MaxWorkerID = 128
 )
 
-// CheckpointSchema tags coordinator checkpoint envelopes.
-const CheckpointSchema = "hbm2ecc/cluster_checkpoint/v1"
+// CheckpointSchema tags coordinator checkpoint envelopes. v2 wraps the
+// campaign engine's checkpoint format ({"config":…,"results":…}).
+const CheckpointSchema = "hbm2ecc/cluster_checkpoint/v2"
 
 // Spec describes one campaign: the scheme corpus and the exact
 // evaluation parameters. Two runs with equal specs produce bit-identical
@@ -389,8 +390,7 @@ func (e *Envelope) Validate() error {
 	if e.Completed == nil {
 		return errors.New("cluster: checkpoint envelope has no completed map")
 	}
-	opts := e.Spec.Options()
-	if err := e.Completed.Compatible(opts); err != nil {
+	if err := e.Completed.Compatible(e.Spec.Options().Echo()); err != nil {
 		return err
 	}
 	known := make(map[string]bool, len(e.Spec.Schemes))

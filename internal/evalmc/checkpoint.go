@@ -1,126 +1,40 @@
 package evalmc
 
 import (
-	"fmt"
-	"sync"
-
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/errormodel"
-	"hbm2ecc/internal/resilience"
 )
 
 // Checkpoint accumulates completed (scheme, pattern) cells of an
-// evaluation. Every cell is deterministic given (seed, sample counts,
-// data) and draws from its own sampler stream, so cells can be restored
-// in any order and the remaining ones are unaffected — a resumed
-// evaluation is bit-identical to an uninterrupted one.
-//
-// The maps are keyed by scheme name and pattern String() so the on-disk
-// JSON stays human-readable. Lookup and Store are safe for concurrent use.
-type Checkpoint struct {
-	Seed         int64 `json:"seed"`
-	Samples3b    int   `json:"samples_3b"`
-	SamplesBeat  int   `json:"samples_beat"`
-	SamplesEntry int   `json:"samples_entry"`
-	// Shards echoes Options.Shards: a nonzero value pins the sampler
-	// stream split, and a checkpoint taken under one split must not be
-	// resumed under another (the trial sequences differ). Zero means the
-	// legacy GOMAXPROCS-derived split; old checkpoints decode to zero.
-	Shards int `json:"shards,omitempty"`
-	// OnDie echoes Options.OnDie: cells evaluated through an on-die ECC
-	// error transform are not interchangeable with raw cells, so a
-	// checkpoint taken under one stage must not resume under another.
-	OnDie   string                              `json:"ondie,omitempty"`
-	Results map[string]map[string]PatternResult `json:"results"`
+// evaluation, keyed by scheme name and pattern String(). Lookup and
+// Store have the Options.Resume and Options.Progress signatures.
+type Checkpoint = campaign.Checkpoint[Echo, errormodel.Pattern, PatternResult]
 
-	mu sync.Mutex
+// Echo is the part of Options that shapes a cell's result: a checkpoint
+// taken under one echo is never resumed under another. Shards fixes the
+// sampler stream split and OnDie the error transform.
+type Echo struct {
+	Seed         int64  `json:"seed"`
+	Samples3b    int    `json:"samples_3b"`
+	SamplesBeat  int    `json:"samples_beat"`
+	SamplesEntry int    `json:"samples_entry"`
+	Shards       int    `json:"shards"`
+	OnDie        string `json:"ondie,omitempty"`
 }
 
-// NewCheckpoint builds an empty checkpoint echoing the (defaulted)
-// options it will be valid for.
+// Echo returns the (defaulted) options' checkpoint echo.
+func (o Options) Echo() Echo {
+	o.defaults()
+	return Echo{Seed: o.Seed, Samples3b: o.Samples3b, SamplesBeat: o.SamplesBeat,
+		SamplesEntry: o.SamplesEntry, Shards: o.Shards, OnDie: o.OnDie}
+}
+
+// NewCheckpoint builds an empty checkpoint valid for opts.
 func NewCheckpoint(opts Options) *Checkpoint {
-	opts.defaults()
-	return &Checkpoint{
-		Seed:         opts.Seed,
-		Samples3b:    opts.Samples3b,
-		SamplesBeat:  opts.SamplesBeat,
-		SamplesEntry: opts.SamplesEntry,
-		Shards:       opts.Shards,
-		OnDie:        opts.OnDie,
-		Results:      map[string]map[string]PatternResult{},
-	}
-}
-
-// Compatible reports whether the checkpoint's config echo matches opts.
-func (c *Checkpoint) Compatible(opts Options) error {
-	opts.defaults()
-	if c.Seed != opts.Seed || c.Samples3b != opts.Samples3b ||
-		c.SamplesBeat != opts.SamplesBeat || c.SamplesEntry != opts.SamplesEntry {
-		return fmt.Errorf("evalmc: checkpoint (seed=%d samples=%d/%d/%d) does not match options (seed=%d samples=%d/%d/%d)",
-			c.Seed, c.Samples3b, c.SamplesBeat, c.SamplesEntry,
-			opts.Seed, opts.Samples3b, opts.SamplesBeat, opts.SamplesEntry)
-	}
-	if c.Shards != opts.Shards {
-		return fmt.Errorf("evalmc: checkpoint shards=%d does not match options shards=%d (the sampler stream split differs)",
-			c.Shards, opts.Shards)
-	}
-	if c.OnDie != opts.OnDie {
-		return fmt.Errorf("evalmc: checkpoint on-die stage %q does not match options %q (the error transforms differ)",
-			c.OnDie, opts.OnDie)
-	}
-	return nil
-}
-
-// Lookup returns the cached result for one cell. It has the Options.Resume
-// signature: pass it directly as the resume hook.
-func (c *Checkpoint) Lookup(scheme string, p errormodel.Pattern) (PatternResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.Results[scheme][p.String()]
-	return r, ok
-}
-
-// Store records one completed cell. It has the Options.Progress signature:
-// pass it (or a wrapper that also saves to disk) as the progress hook.
-func (c *Checkpoint) Store(scheme string, p errormodel.Pattern, r PatternResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.Results == nil {
-		c.Results = map[string]map[string]PatternResult{}
-	}
-	m := c.Results[scheme]
-	if m == nil {
-		m = map[string]PatternResult{}
-		c.Results[scheme] = m
-	}
-	m[p.String()] = r
-}
-
-// Cells returns the number of completed cells.
-func (c *Checkpoint) Cells() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, m := range c.Results {
-		n += len(m)
-	}
-	return n
-}
-
-// Save atomically writes the checkpoint to path (write-temp-then-rename).
-func (c *Checkpoint) Save(path string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return resilience.SaveJSON(path, c)
+	return campaign.NewCheckpoint[Echo, errormodel.Pattern, PatternResult](opts.Echo())
 }
 
 // LoadCheckpoint reads a checkpoint written by Save.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := resilience.LoadJSON(path, &c); err != nil {
-		return nil, err
-	}
-	if c.Results == nil {
-		c.Results = map[string]map[string]PatternResult{}
-	}
-	return &c, nil
+	return campaign.Load[Echo, errormodel.Pattern, PatternResult](path)
 }

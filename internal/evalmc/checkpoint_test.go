@@ -60,7 +60,7 @@ func TestEvaluateResumeEqualsUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Compatible(opts); err != nil {
+	if err := loaded.Compatible(opts.Echo()); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Cells() != 2 {
@@ -80,12 +80,12 @@ func TestEvaluateResumeEqualsUninterrupted(t *testing.T) {
 func TestCheckpointCompatibility(t *testing.T) {
 	opts := smallOpts()
 	ckpt := NewCheckpoint(opts)
-	if err := ckpt.Compatible(opts); err != nil {
+	if err := ckpt.Compatible(opts.Echo()); err != nil {
 		t.Fatalf("self-compatibility failed: %v", err)
 	}
 	other := opts
 	other.Seed++
-	if err := ckpt.Compatible(other); err == nil {
+	if err := ckpt.Compatible(other.Echo()); err == nil {
 		t.Fatal("checkpoint accepted a different seed")
 	}
 }

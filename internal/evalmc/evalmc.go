@@ -18,12 +18,12 @@ import (
 	"fmt"
 	"math"
 	mbits "math/bits"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"hbm2ecc/internal/bitvec"
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/ecc"
 	"hbm2ecc/internal/errormodel"
@@ -61,16 +61,15 @@ type Options struct {
 	// Data is the payload to protect; the zero value is fine for linear
 	// codes.
 	Data [bitvec.DataBytes]byte
-	// Parallel enables evaluation across GOMAXPROCS goroutines (per
-	// pattern class; sampled classes are split into per-worker streams).
+	// Parallel evaluates the (scheme, pattern) cells concurrently
+	// through the campaign engine. Every cell draws from its own sampler
+	// streams, so the results are identical to a sequential run.
 	Parallel bool
-	// Shards, when positive, fixes the number of deterministic sampler
-	// streams a sampled pattern class is split into, independent of
-	// GOMAXPROCS — so results are machine-independent (Shards=1
-	// reproduces the sequential evaluation exactly). Zero keeps the
-	// legacy behavior: one stream, or GOMAXPROCS streams with Parallel.
-	// The distributed campaign engine pins Shards in its wire spec so
-	// every worker draws identical trial streams.
+	// Shards is the number of deterministic sampler streams a sampled
+	// pattern class is split into, each run by its own goroutine; zero
+	// means one stream. The streams, and therefore the results, depend
+	// only on Shards, never on GOMAXPROCS or Parallel. The distributed
+	// campaign engine pins Shards in its wire spec.
 	Shards int
 	// Ctx, when non-nil, makes the evaluation cancellable: EvaluateCtx
 	// stops between pattern classes and (for sampled classes) between
@@ -85,7 +84,7 @@ type Options struct {
 	Resume func(scheme string, p errormodel.Pattern) (PatternResult, bool)
 	// Progress, when set, is called after each (scheme, pattern) cell is
 	// evaluated — the checkpoint hook (see Checkpoint.Store). It is not
-	// called for cells satisfied by Resume.
+	// called for cells satisfied by Resume, and calls never overlap.
 	Progress func(scheme string, p errormodel.Pattern, r PatternResult)
 	// ErrTransform, when set, maps every raw error mask through a
 	// data-independent transformation before the scheme decodes it — the
@@ -110,6 +109,9 @@ func (o *Options) defaults() {
 	}
 	if o.SamplesEntry <= 0 {
 		o.SamplesEntry = 200_000
+	}
+	if o.Shards <= 0 {
+		o.Shards = 1
 	}
 }
 
@@ -196,37 +198,8 @@ func Evaluate(s core.Scheme, opts Options) SchemeResult {
 // only the pattern classes completed so far are populated (Progress has
 // been called for each, so a checkpoint already covers them).
 func EvaluateCtx(s core.Scheme, opts Options) (SchemeResult, error) {
-	opts.defaults()
-	wire := s.Encode(opts.Data)
-	res := SchemeResult{Scheme: s.Name()}
-
-	span := obs.DefaultTracer.Start("evalmc.evaluate")
-	span.SetAttr("scheme", s.Name())
-	defer span.Finish()
-	for p := errormodel.Bit1; p < errormodel.NumPatterns; p++ {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			return res, opts.Ctx.Err()
-		}
-		if opts.Resume != nil {
-			if r, ok := opts.Resume(s.Name(), p); ok {
-				res.PerPattern[p] = r
-				mResumedCells.Inc()
-				continue
-			}
-		}
-		ps := span.Child("pattern")
-		ps.SetAttr("pattern", p.String())
-		r, err := evaluateCell(s, wire, p, opts)
-		ps.Finish()
-		if err != nil {
-			return res, err
-		}
-		res.PerPattern[p] = r
-		if opts.Progress != nil {
-			opts.Progress(s.Name(), p, r)
-		}
-	}
-	return res, nil
+	res, err := EvaluateAllCtx([]core.Scheme{s}, opts)
+	return res[0], err
 }
 
 // EvaluateCell evaluates a single (scheme, pattern) cell. Each cell
@@ -446,21 +419,9 @@ const cancelCheckStride = 4096
 
 func evaluateSampled(s core.Scheme, wire bitvec.V288, p errormodel.Pattern, n int, opts Options) (PatternResult, bool) {
 	seed, ctx := opts.Seed, opts.Ctx
-	// The worker count fixes the sampler stream split, and therefore the
-	// exact trial sequence: Shards pins it explicitly (machine-
-	// independent); otherwise Parallel derives it from GOMAXPROCS.
-	workers := 1
-	if opts.Shards > 0 {
-		workers = opts.Shards
-		if workers > n {
-			workers = n
-		}
-	} else if opts.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = 1
-		}
-	}
+	// The shard count fixes the sampler stream split, and therefore the
+	// exact trial sequence.
+	workers := min(opts.Shards, n)
 	type counts struct{ n, dce, due, sdc int }
 	parts := make([]counts, workers)
 	var wg sync.WaitGroup
@@ -519,20 +480,47 @@ func EvaluateAll(schemes []core.Scheme, opts Options) []SchemeResult {
 	return out
 }
 
-// EvaluateAllCtx evaluates every scheme in order with cancellation and
-// checkpoint hooks. On cancellation it returns the completed prefix (the
-// scheme cancelled mid-way is included with the classes it finished) and
-// the context error.
+// EvaluateAllCtx evaluates the scheme x pattern grid through the
+// campaign engine, with cancellation and checkpoint hooks. It returns
+// one result per scheme, in order. On cancellation only the cells
+// completed so far are populated, and it returns the context error.
 func EvaluateAllCtx(schemes []core.Scheme, opts Options) ([]SchemeResult, error) {
-	out := make([]SchemeResult, 0, len(schemes))
-	for _, s := range schemes {
-		res, err := EvaluateCtx(s, opts)
-		out = append(out, res)
-		if err != nil {
-			return out, err
+	opts.defaults()
+	const np = int(errormodel.NumPatterns)
+	out := make([]SchemeResult, len(schemes))
+	wires := make([]bitvec.V288, len(schemes))
+	cells := make([]campaign.Cell[errormodel.Pattern], 0, len(schemes)*np)
+	for i, s := range schemes {
+		out[i].Scheme = s.Name()
+		wires[i] = s.Encode(opts.Data)
+		for p := errormodel.Bit1; p < errormodel.NumPatterns; p++ {
+			cells = append(cells, campaign.Cell[errormodel.Pattern]{Row: s.Name(), Col: p})
 		}
 	}
-	return out, nil
+	hooks := campaign.Hooks[errormodel.Pattern, PatternResult]{Progress: opts.Progress}
+	if opts.Resume != nil {
+		hooks.Resume = func(scheme string, p errormodel.Pattern) (PatternResult, bool) {
+			r, ok := opts.Resume(scheme, p)
+			if ok {
+				mResumedCells.Inc()
+			}
+			return r, ok
+		}
+	}
+
+	span := obs.DefaultTracer.Start("evalmc.evaluate")
+	defer span.Finish()
+	done, err := campaign.Run(opts.Ctx, cells, opts.Parallel, hooks, func(i int) (PatternResult, error) {
+		ps := span.Child("pattern")
+		ps.SetAttr("scheme", cells[i].Row)
+		ps.SetAttr("pattern", cells[i].Col.String())
+		defer ps.Finish()
+		return evaluateCell(schemes[i/np], wires[i/np], cells[i].Col, opts)
+	})
+	for _, d := range done {
+		out[d.Index/np].PerPattern[cells[d.Index].Col] = d.Result
+	}
+	return out, err
 }
 
 // Table2Row formats one scheme's SDC risk per pattern the way Table 2

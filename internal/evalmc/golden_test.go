@@ -46,14 +46,23 @@ type goldenFile struct {
 }
 
 // TestGoldenEvaluation locks the Table 2 / Fig. 8 outputs at a fixed
-// seed and sample count. Sequential evaluation keeps the per-worker RNG
-// split out of the picture, so the golden bytes are machine-independent.
+// seed and sample count. Every cell draws from its own sampler stream,
+// so the sequential and the cell-parallel evaluation must both
+// reproduce the same machine-independent golden bytes.
 func TestGoldenEvaluation(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		checkGolden(t, parallel)
+	}
+}
+
+func checkGolden(t *testing.T, parallel bool) {
+	t.Helper()
 	results := EvaluateAll(goldenSchemes(), Options{
 		Seed:         goldenSeed,
 		Samples3b:    goldenSamples,
 		SamplesBeat:  goldenSamples,
 		SamplesEntry: goldenSamples,
+		Parallel:     parallel,
 	})
 	got := goldenFile{Seed: goldenSeed, Samples: goldenSamples, Results: results, Table2: FormatTable2(results)}
 	for _, r := range results {
@@ -65,7 +74,7 @@ func TestGoldenEvaluation(t *testing.T) {
 	}
 	raw = append(raw, '\n')
 
-	if *update {
+	if *update && !parallel {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -94,6 +103,6 @@ func TestGoldenEvaluation(t *testing.T) {
 				}
 			}
 		}
-		t.Fatalf("evaluation diverged from %s; if the change is intentional, regenerate with -update", goldenPath)
+		t.Fatalf("evaluation (Parallel=%v) diverged from %s; if the change is intentional, regenerate with -update", parallel, goldenPath)
 	}
 }

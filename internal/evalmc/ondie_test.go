@@ -82,15 +82,15 @@ func TestCheckpointOnDieGuard(t *testing.T) {
 	opts := ondieOpts()
 	opts.OnDie = "hamming64"
 	ckpt := evalmc.NewCheckpoint(opts)
-	if err := ckpt.Compatible(opts); err != nil {
+	if err := ckpt.Compatible(opts.Echo()); err != nil {
 		t.Fatalf("matching options rejected: %v", err)
 	}
 	other := ondieOpts()
-	if err := ckpt.Compatible(other); err == nil {
+	if err := ckpt.Compatible(other.Echo()); err == nil {
 		t.Error("raw resume of an on-die checkpoint did not error")
 	}
 	other.OnDie = "sec128"
-	if err := ckpt.Compatible(other); err == nil {
+	if err := ckpt.Compatible(other.Echo()); err == nil {
 		t.Error("cross-stage resume did not error")
 	}
 }

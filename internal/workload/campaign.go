@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 
+	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/faults"
 	"hbm2ecc/internal/gpusim"
@@ -47,15 +47,9 @@ type Options struct {
 	// DefaultSchemes and all kernels.
 	Schemes []string
 	Kernels []Kernel
-	// SourceFIT weights the fault-source mixture and scales the
-	// end-to-end FIT arithmetic; the zero value selects
-	// faults.DefaultSourceFIT.
-	SourceFIT [faults.NumSources]float64
-	// Profiles sets the conditional behavior of non-DRAM sources; the
-	// zero value selects faults.DefaultProfiles.
-	Profiles [faults.NumSources]faults.SourceProfile
-	// Parallel evaluates cells concurrently (each cell's stream is
-	// independent, so results are identical to a sequential run).
+	// Parallel evaluates cells concurrently through the campaign engine
+	// (each cell's stream is independent, so results are identical to a
+	// sequential run).
 	Parallel bool
 	// Ctx, when non-nil, makes the campaign cancellable between cells
 	// and (inside a cell) between runs; partial cells are dropped, so a
@@ -65,7 +59,8 @@ type Options struct {
 	// the cached result (see Checkpoint.Lookup).
 	Resume func(scheme string, k Kernel) (CellResult, bool)
 	// Progress is called after each evaluated cell (the checkpoint
-	// hook); not called for cells satisfied by Resume.
+	// hook); not called for cells satisfied by Resume. Calls never
+	// overlap.
 	Progress func(scheme string, k Kernel, r CellResult)
 }
 
@@ -78,26 +73,6 @@ func (o *Options) defaults() {
 	}
 	if len(o.Kernels) == 0 {
 		o.Kernels = Kernels()
-	}
-	zero := true
-	for _, f := range o.SourceFIT {
-		if f != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
-		o.SourceFIT = faults.DefaultSourceFIT
-	}
-	zero = true
-	for _, p := range o.Profiles {
-		if p != (faults.SourceProfile{}) {
-			zero = false
-			break
-		}
-	}
-	if zero {
-		o.Profiles = faults.DefaultProfiles
 	}
 }
 
@@ -209,7 +184,7 @@ func RunCell(scheme string, k Kernel, opts Options) (CellResult, error) {
 			return CellResult{}, opts.Ctx.Err()
 		}
 		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + uint64(r)))))
-		outcome, src := runOne(sch, k, rng, totalOps, opts)
+		outcome, src := runOne(sch, k, rng, totalOps)
 		res.Runs++
 		res.Outcomes[outcome]++
 		res.BySource[src][outcome]++
@@ -248,8 +223,10 @@ func dryRun(sch core.Scheme, k Kernel, seed int64) (int64, error) {
 	return m.Ops(), nil
 }
 
-// drawSource picks the run's fault source from the FIT-weighted mixture.
-func drawSource(rng *rand.Rand, fit [faults.NumSources]float64) faults.Source {
+// drawSource picks the run's fault source from the FIT-weighted mixture
+// faults.DefaultSourceFIT.
+func drawSource(rng *rand.Rand) faults.Source {
+	fit := &faults.DefaultSourceFIT
 	total := 0.0
 	for _, f := range fit {
 		total += f
@@ -270,13 +247,13 @@ func drawSource(rng *rand.Rand, fit [faults.NumSources]float64) faults.Source {
 // else — DRAM events through the device and ECC decode path, cache
 // poison through a post-decode bit flip — classifying the output against
 // the golden result.
-func runOne(sch core.Scheme, k Kernel, rng *rand.Rand, totalOps int64, opts Options) (Outcome, faults.Source) {
-	src := drawSource(rng, opts.SourceFIT)
+func runOne(sch core.Scheme, k Kernel, rng *rand.Rand, totalOps int64) (Outcome, faults.Source) {
+	src := drawSource(rng)
 	strikeOp := rng.Int63n(totalOps)
 
 	poisonBit := -1
 	if src != faults.SourceDRAM {
-		p := opts.Profiles[src]
+		p := faults.DefaultProfiles[src]
 		x := rng.Float64()
 		switch {
 		case x < p.PDetected:
@@ -305,76 +282,26 @@ func runOne(sch core.Scheme, k Kernel, rng *rand.Rand, totalOps int64, opts Opti
 	return classifyOutput(k, inst.golden, got), src
 }
 
-// Campaign evaluates the full scheme x kernel grid in spec order. With
-// Parallel, cells evaluate concurrently; each draws from its own stream,
-// so the merged result is identical to a sequential run. On cancellation
-// it returns the completed cells (every one already passed to Progress)
-// and the context error.
+// Campaign evaluates the full scheme x kernel grid in spec order
+// through the campaign engine. With Parallel, cells evaluate
+// concurrently; each draws from its own stream, so the merged result is
+// identical to a sequential run. On cancellation it returns the
+// completed cells (every one already passed to Progress) and the
+// context error.
 func Campaign(opts Options) ([]CellResult, error) {
 	opts.defaults()
-	type cellKey struct {
-		scheme string
-		kernel Kernel
-	}
-	var keys []cellKey
+	var cells []campaign.Cell[Kernel]
 	for _, s := range opts.Schemes {
 		for _, k := range opts.Kernels {
-			keys = append(keys, cellKey{s, k})
+			cells = append(cells, campaign.Cell[Kernel]{Row: s, Col: k})
 		}
 	}
-	results := make([]CellResult, len(keys))
-	done := make([]bool, len(keys))
-	errs := make([]error, len(keys))
-
-	eval := func(i int) {
-		key := keys[i]
-		if opts.Resume != nil {
-			if r, ok := opts.Resume(key.scheme, key.kernel); ok {
-				results[i], done[i] = r, true
-				return
-			}
-		}
-		r, err := RunCell(key.scheme, key.kernel, opts)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i], done[i] = r, true
-		if opts.Progress != nil {
-			opts.Progress(key.scheme, key.kernel, r)
-		}
+	done, err := campaign.Run(opts.Ctx, cells, opts.Parallel,
+		campaign.Hooks[Kernel, CellResult]{Resume: opts.Resume, Progress: opts.Progress},
+		func(i int) (CellResult, error) { return RunCell(cells[i].Row, cells[i].Col, opts) })
+	out := make([]CellResult, len(done))
+	for i, d := range done {
+		out[i] = d.Result
 	}
-
-	if opts.Parallel {
-		var wg sync.WaitGroup
-		for i := range keys {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eval(i)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range keys {
-			eval(i)
-			if errs[i] != nil {
-				break
-			}
-		}
-	}
-
-	out := make([]CellResult, 0, len(keys))
-	for i := range keys {
-		if done[i] {
-			out = append(out, results[i])
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return out, err
 }

@@ -122,19 +122,21 @@ func TestCampaignCancel(t *testing.T) {
 func TestCheckpointCompatible(t *testing.T) {
 	opts := Options{Seed: 5, Runs: 10}
 	c := NewCheckpoint(opts)
-	if err := c.Compatible(opts); err != nil {
+	if err := c.Compatible(opts.Echo()); err != nil {
 		t.Fatalf("self-compatibility: %v", err)
 	}
-	if err := c.Compatible(Options{Seed: 6, Runs: 10}); err == nil {
+	if err := c.Compatible(Options{Seed: 6, Runs: 10}.Echo()); err == nil {
 		t.Error("seed mismatch accepted")
 	}
-	if err := c.Compatible(Options{Seed: 5, Runs: 11}); err == nil {
+	if err := c.Compatible(Options{Seed: 5, Runs: 11}.Echo()); err == nil {
 		t.Error("runs mismatch accepted")
 	}
-	other := Options{Seed: 5, Runs: 10}
-	other.SourceFIT = [faults.NumSources]float64{faults.SourceDRAM: 1}
-	if err := c.Compatible(other); err == nil {
-		t.Error("source-FIT mismatch accepted")
+	// The fault-source mixture is fixed (faults.DefaultSourceFIT), so the
+	// echo is {Seed, Runs}: the grid and Parallel do not shape a cell's
+	// result and must not make a checkpoint incompatible.
+	other := Options{Seed: 5, Runs: 10, Schemes: []string{NoECC}, Kernels: []Kernel{DNN}, Parallel: true}
+	if err := c.Compatible(other.Echo()); err != nil {
+		t.Errorf("grid or Parallel change refused: %v", err)
 	}
 }
 

@@ -1,110 +1,31 @@
 package workload
 
-import (
-	"fmt"
-	"sync"
-
-	"hbm2ecc/internal/faults"
-	"hbm2ecc/internal/resilience"
-)
+import "hbm2ecc/internal/campaign"
 
 // Checkpoint accumulates completed (scheme, kernel) cells of a workload
-// campaign. Every cell draws from its own seed stream, so cells restore
-// in any order and a resumed campaign is byte-identical to an
-// uninterrupted one — the same discipline as evalmc's checkpoint.
-//
-// The maps are keyed by scheme name and kernel name so the on-disk JSON
-// stays human-readable. Lookup and Store are safe for concurrent use.
-type Checkpoint struct {
+// campaign, keyed by scheme name and kernel name. Lookup and Store have
+// the Options.Resume and Options.Progress signatures.
+type Checkpoint = campaign.Checkpoint[Echo, Kernel, CellResult]
+
+// Echo is the part of Options that shapes a cell's result: a checkpoint
+// taken under one echo is never resumed under another.
+type Echo struct {
 	Seed int64 `json:"seed"`
 	Runs int   `json:"runs"`
-	// SourceFIT echoes the fault-source mixture: it shapes the per-run
-	// source draws, so a checkpoint taken under one mixture must not be
-	// resumed under another.
-	SourceFIT [faults.NumSources]float64       `json:"source_fit"`
-	Results   map[string]map[string]CellResult `json:"results"`
-
-	mu sync.Mutex
 }
 
-// NewCheckpoint builds an empty checkpoint echoing the (defaulted)
-// options it will be valid for.
+// Echo returns the (defaulted) options' checkpoint echo.
+func (o Options) Echo() Echo {
+	o.defaults()
+	return Echo{Seed: o.Seed, Runs: o.Runs}
+}
+
+// NewCheckpoint builds an empty checkpoint valid for opts.
 func NewCheckpoint(opts Options) *Checkpoint {
-	opts.defaults()
-	return &Checkpoint{
-		Seed:      opts.Seed,
-		Runs:      opts.Runs,
-		SourceFIT: opts.SourceFIT,
-		Results:   map[string]map[string]CellResult{},
-	}
-}
-
-// Compatible reports whether the checkpoint's config echo matches opts.
-func (c *Checkpoint) Compatible(opts Options) error {
-	opts.defaults()
-	if c.Seed != opts.Seed || c.Runs != opts.Runs {
-		return fmt.Errorf("workload: checkpoint (seed=%d runs=%d) does not match options (seed=%d runs=%d)",
-			c.Seed, c.Runs, opts.Seed, opts.Runs)
-	}
-	if c.SourceFIT != opts.SourceFIT {
-		return fmt.Errorf("workload: checkpoint source FIT mixture %v does not match options %v (the per-run source draws differ)",
-			c.SourceFIT, opts.SourceFIT)
-	}
-	return nil
-}
-
-// Lookup returns the cached result for one cell. It has the
-// Options.Resume signature: pass it directly as the resume hook.
-func (c *Checkpoint) Lookup(scheme string, k Kernel) (CellResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.Results[scheme][k.String()]
-	return r, ok
-}
-
-// Store records one completed cell. It has the Options.Progress
-// signature: pass it (or a wrapper that also saves to disk) as the
-// progress hook.
-func (c *Checkpoint) Store(scheme string, k Kernel, r CellResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.Results == nil {
-		c.Results = map[string]map[string]CellResult{}
-	}
-	m := c.Results[scheme]
-	if m == nil {
-		m = map[string]CellResult{}
-		c.Results[scheme] = m
-	}
-	m[k.String()] = r
-}
-
-// Cells returns the number of completed cells.
-func (c *Checkpoint) Cells() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, m := range c.Results {
-		n += len(m)
-	}
-	return n
-}
-
-// Save atomically writes the checkpoint to path (write-temp-then-rename).
-func (c *Checkpoint) Save(path string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return resilience.SaveJSON(path, c)
+	return campaign.NewCheckpoint[Echo, Kernel, CellResult](opts.Echo())
 }
 
 // LoadCheckpoint reads a checkpoint written by Save.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := resilience.LoadJSON(path, &c); err != nil {
-		return nil, err
-	}
-	if c.Results == nil {
-		c.Results = map[string]map[string]CellResult{}
-	}
-	return &c, nil
+	return campaign.Load[Echo, Kernel, CellResult](path)
 }

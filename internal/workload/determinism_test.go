@@ -87,7 +87,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Compatible(opts); err != nil {
+	if err := loaded.Compatible(opts.Echo()); err != nil {
 		t.Fatal(err)
 	}
 

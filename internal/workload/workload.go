@@ -5,7 +5,7 @@
 // *application* experienced: masked, tolerable SDC (DNN top-1
 // unchanged), critical SDC, DUE, or crash.
 //
-// The campaign engine (internal/evalmc and the distributed cluster on
+// The Monte-Carlo evaluator (internal/evalmc and the distributed cluster on
 // top of it) reports per-pattern correction rates; the field cares about
 // end-to-end outcomes, which diverge sharply from raw bit rates.
 // "Characterizing a Neutron-Induced Fault Model for DNNs" (PAPERS.md)
@@ -21,8 +21,8 @@
 // Every run is deterministic given (seed, scheme, kernel, run index),
 // and every (scheme, kernel) cell draws from its own seed stream, so
 // cells evaluate in any order — or concurrently, or across resumes —
-// into byte-identical outcome ledgers, the same checkpoint discipline
-// as internal/evalmc.
+// into byte-identical outcome ledgers. Campaigns run on the shared
+// cell-campaign engine, internal/campaign, as internal/evalmc does.
 package workload
 
 import (

@@ -42,8 +42,23 @@ go run ./cmd/bench -quick -gate -out "$bench_out" >/dev/null
 test -s "$bench_out"
 rm -f "$bench_out"
 
-echo "== cluster smoke: ecceval -workers 2 =="
-go run ./cmd/ecceval -workers 2 -samples 2000 >/dev/null
+echo "== ecceval differential: sequential vs -workers 2, checkpoint crossover =="
+# Every (scheme, pattern) cell draws from its own sampler stream, so the
+# sequential (cell-parallel) run and the distributed run must print the
+# same report, and a checkpoint from one must resume in the other.
+ecc_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_ecceval.XXXXXX")"
+trap 'rm -rf "$ecc_dir"' EXIT
+go build -o "$ecc_dir/ecceval" ./cmd/ecceval
+"$ecc_dir/ecceval" -samples 2000 >"$ecc_dir/seq.txt"
+"$ecc_dir/ecceval" -workers 2 -samples 2000 | grep -v '^Distributed campaign:' >"$ecc_dir/workers.txt"
+diff "$ecc_dir/seq.txt" "$ecc_dir/workers.txt"
+"$ecc_dir/ecceval" -samples 2000 -checkpoint "$ecc_dir/ckpt.json" >/dev/null
+"$ecc_dir/ecceval" -workers 2 -samples 2000 -resume "$ecc_dir/ckpt.json" >"$ecc_dir/resumed.txt"
+cells="$(sed -n 's/^Distributed campaign: \([0-9]*\) cells .* \([0-9]*\) resumed from checkpoint.*/\1 \2/p' "$ecc_dir/resumed.txt")"
+read -r total resumed <<<"$cells"
+test -n "$total" && test "$total" = "$resumed" || { echo "crossover resumed '$cells' (total resumed)"; cat "$ecc_dir/resumed.txt"; exit 1; }
+grep -v '^Distributed campaign:\|^Resuming from' "$ecc_dir/resumed.txt" | diff "$ecc_dir/seq.txt" -
+rm -rf "$ecc_dir"
 
 echo "== serve smoke: decoded + loadgen =="
 serve_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_serve_smoke.XXXXXX")"
