@@ -9,6 +9,7 @@
 //
 //	go run ./cmd/bench                  # full run, writes BENCH_decode.json
 //	go run ./cmd/bench -quick -out f    # CI smoke (scripts/check.sh)
+//	go run ./cmd/bench -quick -gate     # also fail if any scheme's batch decode is slower than single-shot
 //	go run ./cmd/bench -cluster         # distributed scaling, BENCH_cluster.json
 //	go run ./cmd/bench -serve           # online serving tier, BENCH_serve.json
 //	go run ./cmd/bench -fleet           # fleet health plane, BENCH_fleet.json
@@ -22,7 +23,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/bits"
 	"os"
 	"runtime"
 	"time"
@@ -30,7 +30,6 @@ import (
 	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/cluster"
 	"hbm2ecc/internal/core"
-	"hbm2ecc/internal/ecc"
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 )
@@ -59,24 +58,6 @@ type SchemeBench struct {
 	// CleanBatchNS is the batch fast path on error-free entries (the
 	// common case of a real memory read).
 	CleanBatchNS float64 `json:"clean_batch_decode_ns"`
-	// SlicedBatchNS is the bit-sliced slab kernel (Transpose64 +
-	// DecodeSlab, 64 entries per slab) on the errored corpus; CleanSlicedNS
-	// is the same kernel on error-free entries. Binary schemes keep their
-	// scalar two-pass tables as the DecodeWireBatch default because the
-	// transpose alone costs more than their scalar decode (DESIGN.md §14);
-	// these columns record the crossover on every scheme.
-	SlicedBatchNS float64 `json:"sliced_batch_decode_ns"`
-	CleanSlicedNS float64 `json:"clean_sliced_decode_ns"`
-	// CleanMixBatchNS and CleanMixSlabNS time a clean-dominated stream
-	// (one 1-bit error per 256 entries, the 0/1-bit mix of a real read
-	// path) through, respectively, the scalar batch decoder plus a
-	// per-entry outcome classification loop, and the slab-resident
-	// ClassifyErrSlab kernel that screens zero-syndrome lanes with
-	// word-parallel XOR reductions. CleanPathSpeedup is their ratio — the
-	// headline clean-path win of the structure-of-arrays layout.
-	CleanMixBatchNS  float64 `json:"clean_mix_batch_ns"`
-	CleanMixSlabNS   float64 `json:"clean_mix_slab_ns"`
-	CleanPathSpeedup float64 `json:"clean_path_speedup"`
 	// SpeedupFast and SpeedupBatch are RefNS/FastNS and RefNS/BatchNS.
 	SpeedupFast  float64 `json:"speedup_fast"`
 	SpeedupBatch float64 `json:"speedup_batch"`
@@ -109,12 +90,6 @@ type Report struct {
 }
 
 var sink int
-
-// cleanMixErrEvery is the error rate of the clean-dominated stream: one
-// 1-bit error per this many entries. 256 is still orders of magnitude
-// above any real DRAM soft-error rate, so the measured clean-path
-// speedup is conservative.
-const cleanMixErrEvery = 256
 
 // measure runs pass repeatedly until minTime has elapsed and returns the
 // mean nanoseconds per corpus entry.
@@ -149,117 +124,6 @@ func corpusFor(s core.Scheme, n int, seed int64) (errored, clean []bitvec.V288) 
 		clean[i] = wire
 	}
 	return errored, clean
-}
-
-// measureSliced times the bit-sliced slab kernel — Transpose64 plus
-// DecodeSlab, 64 entries per slab — over one corpus of received words.
-func measureSliced(s core.Scheme, words []bitvec.V288, out []core.WireResult, minTime time.Duration) float64 {
-	sd, ok := core.AsSlabDecoder(s)
-	if !ok {
-		return 0
-	}
-	n := len(words)
-	var slab bitvec.Slab
-	return measure(minTime, n, func() {
-		for off := 0; off < n; off += bitvec.SlabLanes {
-			end := off + bitvec.SlabLanes
-			if end > n {
-				end = n
-			}
-			bitvec.Transpose64(words[off:end], &slab)
-			sd.DecodeSlab(&slab, words[off:end], out[off:end])
-		}
-		sink += int(out[0].Status)
-	})
-}
-
-// mixSlab is one prebuilt 64-entry block of the clean-dominated stream:
-// the received words plus the transposed error slab and touched-lane list
-// that the evaluator's sparse insertion would have produced. Both decode
-// paths under test treat these buffers as read-only, so each block is
-// built once and measured repeatedly.
-type mixSlab struct {
-	recv    []bitvec.V288
-	eslab   bitvec.Slab
-	touched []uint16
-}
-
-// cleanMixFor builds a clean-dominated received stream for one scheme:
-// one 1-bit error per errEvery entries, everything else clean — the
-// 0/1-bit mix that dominates a real read path.
-func cleanMixFor(s core.Scheme, n, errEvery int, seed int64) (base bitvec.V288, slabs []*mixSlab) {
-	var data [bitvec.DataBytes]byte
-	for i := range data {
-		data[i] = byte(i*17 + 3)
-	}
-	base = s.Encode(data)
-	smp := errormodel.NewSampler(seed)
-	for off := 0; off < n; off += bitvec.SlabLanes {
-		end := off + bitvec.SlabLanes
-		if end > n {
-			end = n
-		}
-		ms := &mixSlab{recv: make([]bitvec.V288, end-off)}
-		for i := range ms.recv {
-			ms.recv[i] = base
-			if (off+i)%errEvery == errEvery-1 {
-				e := smp.Sample(errormodel.Bit1)
-				ms.recv[i] = base.Xor(e)
-				for w := 0; w < 5; w++ {
-					for m := e[w]; m != 0; m &= m - 1 {
-						p := w<<6 + bits.TrailingZeros64(m)
-						ms.eslab[p] |= 1 << uint(i)
-						ms.touched = appendTouched(ms.touched, uint16(p))
-					}
-				}
-			}
-		}
-		slabs = append(slabs, ms)
-	}
-	return base, slabs
-}
-
-func appendTouched(t []uint16, p uint16) []uint16 {
-	for _, q := range t {
-		if q == p {
-			return t
-		}
-	}
-	return append(t, p)
-}
-
-// measureCleanMix times the clean-dominated stream through the scalar
-// batch decoder plus a per-entry outcome classification loop (what the
-// evaluator's scalar flush does) and through the slab-resident
-// ClassifyErrSlab kernel.
-func measureCleanMix(s core.Scheme, base bitvec.V288, slabs []*mixSlab, n int, out []core.WireResult, minTime time.Duration) (scalarNS, slabNS float64) {
-	bd := core.AsBatchDecoder(s)
-	scalarNS = measure(minTime, n, func() {
-		acc := 0
-		for _, ms := range slabs {
-			bd.DecodeWireBatch(ms.recv, out[:len(ms.recv)])
-			for i := range ms.recv {
-				r := &out[i]
-				if r.Status != ecc.Detected && r.Wire == base {
-					acc++
-				}
-			}
-		}
-		sink += acc
-	})
-	sc, ok := s.(core.SlabClassifier)
-	if !ok {
-		return scalarNS, 0
-	}
-	slabNS = measure(minTime, n, func() {
-		acc := 0
-		for _, ms := range slabs {
-			dce, _, _ := sc.ClassifyErrSlab(&ms.eslab, ms.touched, base, ms.recv)
-			acc += dce
-		}
-		sink += acc
-	})
-	return scalarNS, slabNS
 }
 
 // measureDecode times the reference, fast single-shot and batch decode
@@ -326,15 +190,6 @@ func benchScheme(s core.Scheme, corpus int, seed int64, minTime time.Duration) S
 		sink += int(out[0].Status)
 	})
 
-	sb.SlicedBatchNS = measureSliced(s, errored, out, minTime)
-	sb.CleanSlicedNS = measureSliced(s, clean, out, minTime)
-
-	base, slabs := cleanMixFor(s, corpus, cleanMixErrEvery, seed)
-	sb.CleanMixBatchNS, sb.CleanMixSlabNS = measureCleanMix(s, base, slabs, corpus, out, minTime)
-	if sb.CleanMixSlabNS > 0 {
-		sb.CleanPathSpeedup = sb.CleanMixBatchNS / sb.CleanMixSlabNS
-	}
-
 	sb.SpeedupFast = sb.RefNS / sb.FastNS
 	sb.SpeedupBatch = sb.RefNS / sb.BatchNS
 
@@ -366,7 +221,7 @@ func main() {
 	fleetBench := flag.Bool("fleet", false, "benchmark the fleet health plane (10k-node agent/coordinator pipeline) instead of decode throughput")
 	workloadBench := flag.Bool("workload", false, "benchmark the workload outcome engine (kernel runs/sec, resume differential) instead of decode throughput")
 	ondieBench := flag.Bool("ondie", false, "benchmark the on-die ECC stage (read-path overhead, mask transform, BEER inference wall-clock) instead of decode throughput")
-	gate := flag.Bool("gate", false, "regression gate: fail unless every scheme's slab-resident clean-mix path is at least as fast as its scalar batch path")
+	gate := flag.Bool("gate", false, "regression gate: fail unless every scheme's batch decode is at least as fast as its single-shot fast decode on the errored corpus")
 	seed := flag.Int64("seed", 2021, "corpus and evaluation seed")
 	corpus := flag.Int("corpus", 8192, "received words per decode corpus")
 	samples := flag.Int("samples", 50_000, "Monte-Carlo samples per sampled class in the end-to-end timing")
@@ -436,7 +291,7 @@ func main() {
 	schemes := core.Table2Schemes()
 
 	rep := Report{
-		Schema:     "hbm2ecc/bench_decode/v2",
+		Schema:     "hbm2ecc/bench_decode/v3",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Seed:       *seed,
@@ -444,23 +299,21 @@ func main() {
 		Quick:      *quick,
 	}
 
-	fmt.Printf("%-14s %9s %9s %9s %9s %9s %9s %9s %9s %8s\n",
-		"scheme", "encode", "ref", "fast", "batch", "sliced", "clean", "mix-scl", "mix-slab", "clean-x")
+	fmt.Printf("%-14s %9s %9s %9s %9s %9s\n", "scheme", "encode", "ref", "fast", "batch", "clean")
 	gateFailed := false
 	for _, s := range schemes {
 		sb := benchScheme(s, *corpus, *seed, *minTime)
 		rep.Schemes = append(rep.Schemes, sb)
-		fmt.Printf("%-14s %7.1fns %7.1fns %7.1fns %7.1fns %7.1fns %7.1fns %7.2fns %7.2fns %7.1fx\n",
-			sb.Name, sb.EncodeNS, sb.RefNS, sb.FastNS, sb.BatchNS, sb.SlicedBatchNS,
-			sb.CleanBatchNS, sb.CleanMixBatchNS, sb.CleanMixSlabNS, sb.CleanPathSpeedup)
+		fmt.Printf("%-14s %7.1fns %7.1fns %7.1fns %7.1fns %7.1fns\n",
+			sb.Name, sb.EncodeNS, sb.RefNS, sb.FastNS, sb.BatchNS, sb.CleanBatchNS)
 		for _, cb := range sb.PerClass {
-			fmt.Printf("  %-12s %9s %7.1fns %7.1fns %7.1fns %9s %9s (%5.2fx fast, %5.2fx batch)\n",
-				cb.Class, "", cb.RefNS, cb.FastNS, cb.BatchNS, "", "", cb.SpeedupFast, cb.SpeedupBatch)
+			fmt.Printf("  %-12s %9s %7.1fns %7.1fns %7.1fns (%5.2fx fast, %5.2fx batch)\n",
+				cb.Class, "", cb.RefNS, cb.FastNS, cb.BatchNS, cb.SpeedupFast, cb.SpeedupBatch)
 		}
-		if *gate && sb.CleanMixSlabNS > sb.CleanMixBatchNS {
+		if *gate && sb.BatchNS > sb.FastNS {
 			gateFailed = true
-			fmt.Fprintf(os.Stderr, "bench: GATE: %s slab clean-mix path (%.2fns) slower than scalar batch (%.2fns)\n",
-				sb.Name, sb.CleanMixSlabNS, sb.CleanMixBatchNS)
+			fmt.Fprintf(os.Stderr, "bench: GATE: %s batch decode (%.1fns) slower than single-shot decode (%.1fns)\n",
+				sb.Name, sb.BatchNS, sb.FastNS)
 		}
 	}
 	if gateFailed {

@@ -25,15 +25,14 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
+	"hbm2ecc/internal/httpx"
 )
 
 // Wire-protocol bounds. Frames beyond these are rejected at decode
@@ -412,18 +411,7 @@ func (e *Envelope) Validate() error {
 // bound, rejecting unknown fields and trailing garbage — the shared
 // front door for every wire frame, locked by the codec fuzz targets.
 func decodeStrict(data []byte, v any) error {
-	if len(data) > MaxFrame {
-		return fmt.Errorf("cluster: frame of %d bytes exceeds %d", len(data), MaxFrame)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("cluster: decoding frame: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("cluster: trailing data after frame")
-	}
-	return nil
+	return httpx.DecodeStrict("cluster", data, v, MaxFrame)
 }
 
 // DecodeLeaseRequest decodes and validates a lease request frame.

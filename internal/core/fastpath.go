@@ -52,10 +52,6 @@ type binFast struct {
 	synTab [wireBytes][256]uint32
 	// corr[c][s] resolves nonzero syndrome s of codeword c.
 	corr [4][256]binCorr
-	// sliced holds the syndrome map as GF(2) parities for the 64-lane
-	// slab kernels (sliced.go); row 8c+r is row r of codeword c, matching
-	// the packed syndrome layout.
-	sliced slicedTables
 }
 
 // buildFast precomputes the fast-path tables from the reference ones; it
@@ -103,15 +99,6 @@ func (b *Binary) buildFast() {
 				}
 			}
 			b.fast.corr[c][s] = e
-		}
-	}
-	t := &b.fast.sliced
-	t.init(32)
-	for c := 0; c < 4; c++ {
-		for r := 0; r < gf2.R; r++ {
-			for _, p := range b.wireRows[c][r].Bits() {
-				t.add(8*c+r, p)
-			}
 		}
 	}
 }
@@ -211,21 +198,13 @@ func (b *Binary) decodeWireFast(recv bitvec.V288) WireResult {
 // evaluator's decode batch so one chunk covers one evaluator flush.
 const binBatchChunk = 256
 
-// DecodeWireBatch implements BatchDecoder. For entry arrays the
-// byte-sliced syndrome tables beat the bit-sliced slab kernel: the 64x64
-// bit transpose alone costs more than the whole two-pass table sweep
-// (~32ns vs ~15ns per clean entry on the reference machine, DESIGN.md
-// §14), so the slab path is reserved for callers that own slab-resident
-// data (DecodeSlab / ClassifyErrSlab).
+// DecodeWireBatch implements BatchDecoder in two passes per chunk: a
+// tight syndrome sweep that keeps the lookup tables hot and lets the
+// loads of consecutive entries overlap, then the (usually trivial)
+// per-entry resolution. The byte-sliced tables beat a bit-sliced slab
+// here: the 64x64 transpose alone costs more than the whole two-pass
+// sweep (~32ns vs ~15ns per clean entry, DESIGN.md §14).
 func (b *Binary) DecodeWireBatch(recv []bitvec.V288, out []WireResult) {
-	checkBatchOut(len(recv), len(out))
-	b.decodeWireBatchScalar(recv, out)
-}
-
-// decodeWireBatchScalar runs two passes per chunk: a tight syndrome sweep
-// that keeps the lookup tables hot and lets the loads of consecutive
-// entries overlap, then the (usually trivial) per-entry resolution.
-func (b *Binary) decodeWireBatchScalar(recv []bitvec.V288, out []WireResult) {
 	checkBatchOut(len(recv), len(out))
 	var synBuf [binBatchChunk]uint32
 	for off := 0; off < len(recv); off += binBatchChunk {
@@ -258,7 +237,7 @@ type symFast struct {
 	segs [][][]symSegment
 	tab  *rscode.SynTab
 	// sliced holds the RS syndrome map as GF(2) parities for the 64-lane
-	// slab kernels (sliced.go); codeword cw's syndrome j occupies rows
+	// slab kernel (sliced.go); codeword cw's syndrome j occupies rows
 	// [8(cw·R+j), 8(cw·R+j)+8), low bit first.
 	sliced slicedTables
 }
@@ -361,7 +340,7 @@ func (s *Symbol) DecodeWireBatch(recv []bitvec.V288, out []WireResult) {
 	for off := 0; off < len(recv); off += bitvec.SlabLanes {
 		chunk := recv[off:min(off+bitvec.SlabLanes, len(recv))]
 		bitvec.Transpose64(chunk, &slab)
-		s.DecodeSlab(&slab, chunk, out[off:off+len(chunk)])
+		s.decodeSlab(&slab, chunk, out[off:off+len(chunk)])
 	}
 }
 

@@ -29,16 +29,19 @@ func fuzzSeedWords() [][]byte {
 	return [][]byte{zero, ramp, dense}
 }
 
-// FuzzSlicedVsScalarBatch builds a ragged batch (1..64 entries) out of
-// arbitrary bytes and requires the bit-sliced slab kernel, the per-entry
-// scalar fast path, and both batch entry points (DecodeWireBatch and the
-// always-scalar AsScalarBatchDecoder) to agree lane for lane on every
-// scheme.
-func FuzzSlicedVsScalarBatch(f *testing.F) {
+// maxFuzzBatch caps FuzzBatchVsSingle's batch length: two full 64-lane
+// slabs plus a ragged tail, so the fuzzer crosses the slab boundary.
+const maxFuzzBatch = 2*bitvec.SlabLanes + 2
+
+// FuzzBatchVsSingle builds a ragged batch (1..130 entries) out of
+// arbitrary bytes and requires every scheme's batch decoder
+// (AsBatchDecoder) to agree lane for lane with a per-entry DecodeWire
+// loop.
+func FuzzBatchVsSingle(f *testing.F) {
 	for _, s := range fuzzSeedWords() {
 		f.Add(s)
 	}
-	long := make([]byte, 36*5+17)
+	long := make([]byte, 36*(bitvec.SlabLanes+6)+17)
 	for i := range long {
 		long[i] = byte(i*29 + 3)
 	}
@@ -50,10 +53,7 @@ func FuzzSlicedVsScalarBatch(f *testing.F) {
 		}
 		// Each full 36-byte block is one entry; a ragged tail is padded
 		// with zero bytes so arbitrary lengths still contribute an entry.
-		n := (len(raw) + 35) / 36
-		if n > bitvec.SlabLanes {
-			n = bitvec.SlabLanes
-		}
+		n := min((len(raw)+35)/36, maxFuzzBatch)
 		recv := make([]bitvec.V288, n)
 		padded := make([]byte, 36)
 		for i := 0; i < n; i++ {
@@ -68,30 +68,15 @@ func FuzzSlicedVsScalarBatch(f *testing.F) {
 				recv[i] = v288FromBytes(padded)
 			}
 		}
-		var slab bitvec.Slab
-		bitvec.Transpose64(recv, &slab)
-		slabOut := make([]WireResult, n)
 		batchOut := make([]WireResult, n)
-		scalarOut := make([]WireResult, n)
+		singleOut := make([]WireResult, n)
 		for _, s := range schemes {
-			sd, ok := AsSlabDecoder(s)
-			if !ok {
-				t.Fatalf("%s does not expose a slab decoder", s.Name())
-			}
-			sd.DecodeSlab(&slab, recv, slabOut)
 			AsBatchDecoder(s).DecodeWireBatch(recv, batchOut)
-			AsScalarBatchDecoder(s).DecodeWireBatch(recv, scalarOut)
+			loopBatch{s}.DecodeWireBatch(recv, singleOut)
 			for i := 0; i < n; i++ {
-				want := s.DecodeWire(recv[i])
-				if slabOut[i] != want {
-					t.Fatalf("%s lane %d/%d: slab %+v != scalar %+v on %v",
-						s.Name(), i, n, slabOut[i], want, recv[i])
-				}
-				if batchOut[i] != want {
-					t.Fatalf("%s lane %d/%d: batch %+v != scalar %+v", s.Name(), i, n, batchOut[i], want)
-				}
-				if scalarOut[i] != want {
-					t.Fatalf("%s lane %d/%d: scalar batch %+v != scalar %+v", s.Name(), i, n, scalarOut[i], want)
+				if batchOut[i] != singleOut[i] {
+					t.Fatalf("%s lane %d/%d: batch %+v != single %+v on %v",
+						s.Name(), i, n, batchOut[i], singleOut[i], recv[i])
 				}
 			}
 		}

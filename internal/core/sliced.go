@@ -1,26 +1,16 @@
-// Bit-sliced 64-lane decode kernels (DESIGN.md §14). A bitvec.Slab holds
-// 64 entries transposed so lane word p carries bit p of every entry; in
-// that layout each of a scheme's (at most 32) binary syndrome bits is a
-// straight-line XOR of lane words evaluated for all 64 entries at once,
-// and "which entries need real decoding" is the OR of the syndrome lanes.
-// Clean lanes — the overwhelming majority under the paper's fault rates —
-// never touch the per-entry machinery; dirty lanes extract their packed
-// syndrome from the lane words and fall into the existing fast-path
-// resolution (resolveFast / DecodeSSCSyn / DecodeSSCDSDPlusSyn).
+// Bit-sliced 64-lane decode kernel behind Symbol.DecodeWireBatch
+// (DESIGN.md §14). A bitvec.Slab holds 64 entries transposed so lane word
+// p carries bit p of every entry; in that layout each of a symbol scheme's
+// (at most 32) binary syndrome bits is a straight-line XOR of lane words
+// evaluated for all 64 entries at once, and "which entries need real
+// decoding" is the OR of the syndrome lanes. Clean lanes never touch the
+// per-entry machinery; dirty lanes extract their packed syndrome from the
+// lane words and fall into the syndrome-only RS entry points
+// (DecodeSSCSyn / DecodeSSCDSDPlusSyn).
 //
-// Both code families are covered by one table shape:
-//
-//   - Binary schemes: syndrome bit 8c+r of codeword c is the parity of
-//     wireRows[c][r], so its lane list is that mask's set bits.
-//   - Symbol schemes: GF(2^8) multiplication by a constant is GF(2)-linear,
-//     so every bit of every RS syndrome is a parity of codeword bits
-//     (rscode.SynBitRows); the layout maps those to wire lanes.
-//
-// The same tables stored column-major (colMask) drive the sparse path:
-// when the caller owns a slab of sparse error patterns relative to a
-// codeword (the Monte-Carlo evaluator), syndromes over all 64 lanes cost a
-// handful of XOR scatters per touched lane — S(wire ⊕ e) = S(e) by
-// linearity — and clean entries cost nothing at all.
+// GF(2^8) multiplication by a constant is GF(2)-linear, so every bit of
+// every RS syndrome is a parity of codeword bits (rscode.SynBitRows); the
+// layout maps those to wire lanes.
 package core
 
 import (
@@ -32,65 +22,29 @@ import (
 	"hbm2ecc/internal/rscode"
 )
 
-// SlabDecoder is implemented by schemes with a bit-sliced batch decode
-// kernel operating on a transposed 64-entry slab. recv must hold the same
-// entries the slab was transposed from (the kernel reads them only for the
-// rare dirty lanes); out follows the BatchDecoder contract.
-type SlabDecoder interface {
-	BatchDecoder
-	DecodeSlab(slab *bitvec.Slab, recv []bitvec.V288, out []WireResult)
-}
-
-// AsSlabDecoder returns s's slab kernel when it has one.
-func AsSlabDecoder(s Scheme) (SlabDecoder, bool) {
-	sd, ok := s.(SlabDecoder)
-	return sd, ok
-}
-
-// SlabClassifier is implemented by schemes with a slab-resident
-// Monte-Carlo classification kernel: ClassifyErrSlab classifies up to 64
-// trials at once into the DCE/DUE/SDC outcome counts without materializing
-// per-entry results for clean lanes. eslab is the bit-transposed slab of
-// ERROR patterns (lane j = e_j, not the received entry); touched lists the
-// distinct lanes that hold any error bit (no lane twice); base is the
-// transmitted entry and must be a valid codeword of the scheme (syndromes
-// are computed from the error slab alone, which is only equal to the
-// received entry's syndromes when S(base) = 0); recv[j] must be
-// base ⊕ e_j and is read only for dirty lanes.
-type SlabClassifier interface {
-	ClassifyErrSlab(eslab *bitvec.Slab, touched []uint16, base bitvec.V288, recv []bitvec.V288) (dce, due, sdc int)
-}
-
 // checkBatchOut enforces the batch output contract shared by every
-// DecodeWireBatch and DecodeSlab implementation.
+// DecodeWireBatch implementation.
 func checkBatchOut(entries, results int) {
 	if results < entries {
 		panic(fmt.Sprintf("core: batch decode output buffer too small: %d results for %d entries", results, entries))
 	}
 }
 
-// slicedTables is a scheme's syndrome map as GF(2) parities, stored both
-// row-major (for the dense transposed path) and column-major (for the
-// sparse error-slab path).
+// slicedTables is a scheme's syndrome map as GF(2) parities: rows[r]
+// lists the wire lanes whose XOR is syndrome bit r.
 type slicedTables struct {
-	nrows int
-	// rows[r] lists the wire lanes whose XOR is syndrome bit r.
 	rows [][]uint16
-	// colMask[p] is the mask of syndrome bits wire lane p feeds.
-	colMask [bitvec.EntryBits]uint32
 }
 
 func (t *slicedTables) init(nrows int) {
 	if nrows > 32 {
 		panic("core: sliced kernel supports at most 32 syndrome bits")
 	}
-	t.nrows = nrows
 	t.rows = make([][]uint16, nrows)
 }
 
 func (t *slicedTables) add(row, lane int) {
 	t.rows[row] = append(t.rows[row], uint16(lane))
-	t.colMask[lane] |= 1 << uint(row)
 }
 
 // denseSyn evaluates every syndrome bit for all 64 lanes of slab and
@@ -98,9 +52,9 @@ func (t *slicedTables) add(row, lane int) {
 // nonzero syndrome.
 func (t *slicedTables) denseSyn(slab *bitvec.Slab, syn *[32]uint64) uint64 {
 	var dirty uint64
-	for r := 0; r < t.nrows; r++ {
+	for r, row := range t.rows {
 		var acc uint64
-		for _, p := range t.rows[r] {
+		for _, p := range row {
 			acc ^= slab[p]
 		}
 		syn[r] = acc
@@ -109,44 +63,8 @@ func (t *slicedTables) denseSyn(slab *bitvec.Slab, syn *[32]uint64) uint64 {
 	return dirty
 }
 
-// sparseSyn evaluates the syndrome lanes of an error slab by scattering
-// only its touched lanes column-major. touched must not repeat a lane
-// (each XOR of a lane word must happen exactly once). It returns the
-// dirty mask and the OR of the touched lane words (bit j set: entry j has
-// at least one error bit). dirty is always a subset of any.
-// syn must be all-zero on entry; only rows fed by a touched lane are
-// written or read back, so the cost scales with the error weight, not
-// with the scheme's syndrome width.
-func (t *slicedTables) sparseSyn(eslab *bitvec.Slab, touched []uint16, syn *[32]uint64) (dirty, any uint64) {
-	var rows uint32
-	for _, p := range touched {
-		w := eslab[p]
-		if w == 0 {
-			continue
-		}
-		any |= w
-		m := t.colMask[p]
-		rows |= m
-		for ; m != 0; m &= m - 1 {
-			syn[bits.TrailingZeros32(m)] ^= w
-		}
-	}
-	for ; rows != 0; rows &= rows - 1 {
-		dirty |= syn[bits.TrailingZeros32(rows)]
-	}
-	return dirty, any
-}
-
-// slabKernel is the per-scheme hook pair behind the shared slab drivers:
-// the syndrome tables, and the resolution of one dirty lane from its
-// packed syndrome word (syndrome bit r at bit r).
-type slabKernel interface {
-	tables() *slicedTables
-	resolveLane(packed uint64, recv *bitvec.V288, out *WireResult)
-}
-
-// transposeBreakEven is the dirty-lane count above which the drivers
-// flip the syndrome lanes into per-lane packed words with one 64x64
+// transposeBreakEven is the dirty-lane count above which decodeSlab
+// flips the syndrome lanes into per-lane packed words with one 64x64
 // transpose (~6ns/lane amortized) instead of gathering bit-by-bit per
 // dirty lane (~32 extractions each). Sparse dirt gathers; dense dirt
 // transposes.
@@ -172,13 +90,13 @@ func packLanes(syn *[32]uint64, packed *[64]uint64) {
 	bitvec.TransposeWords(packed)
 }
 
-// decodeSlab is the shared dense driver: syndrome lanes for the whole
-// slab, clean lanes answered with a constant-time OK result, dirty lanes
-// resolved through the scheme's per-entry fast path.
-func decodeSlab(k slabKernel, slab *bitvec.Slab, recv []bitvec.V288, out []WireResult) {
-	checkBatchOut(len(recv), len(out))
+// decodeSlab decodes up to 64 entries from their transposed slab:
+// syndrome lanes for the whole slab, clean lanes answered with a
+// constant-time OK result, dirty lanes resolved through resolveLane.
+// recv must hold the entries the slab was transposed from.
+func (s *Symbol) decodeSlab(slab *bitvec.Slab, recv []bitvec.V288, out []WireResult) {
 	var syn [32]uint64
-	dirty := k.tables().denseSyn(slab, &syn)
+	dirty := s.fast.sliced.denseSyn(slab, &syn)
 	if n := len(recv); n < bitvec.SlabLanes {
 		dirty &= 1<<uint(n) - 1
 	}
@@ -196,85 +114,9 @@ func decodeSlab(k slabKernel, slab *bitvec.Slab, recv []bitvec.V288, out []WireR
 		if !transposed {
 			w = lanePacked(&syn, i)
 		}
-		k.resolveLane(w, &recv[i], &out[i])
+		s.resolveLane(w, &recv[i], &out[i])
 	}
 }
-
-// classifyErrSlab is the shared sparse driver behind ClassifyErrSlab. The
-// outcome of every lane with a zero syndrome follows from linearity alone:
-// no error bits means the decoder sees the codeword and passes it through
-// (DCE), error bits with a zero syndrome mean the decoder cannot see them
-// and delivers a corrupted entry (SDC). Only dirty lanes run a decode.
-func classifyErrSlab(k slabKernel, eslab *bitvec.Slab, touched []uint16, base bitvec.V288, recv []bitvec.V288) (dce, due, sdc int) {
-	n := len(recv)
-	if n > bitvec.SlabLanes {
-		panic(fmt.Sprintf("core: ClassifyErrSlab of %d entries (max %d)", n, bitvec.SlabLanes))
-	}
-	errAny := uint64(0)
-	for _, p := range touched {
-		errAny |= eslab[p]
-	}
-	if n < bitvec.SlabLanes {
-		errAny &= uint64(1)<<uint(n) - 1
-	}
-	if errAny == 0 {
-		// Fully clean slab: every lane passes through untouched.
-		return n, 0, 0
-	}
-	var syn [32]uint64
-	dirty, any := k.tables().sparseSyn(eslab, touched, &syn)
-	if n < bitvec.SlabLanes {
-		mask := uint64(1)<<uint(n) - 1
-		dirty &= mask
-		any &= mask
-	}
-	dce = n - bits.OnesCount64(any)
-	sdc = bits.OnesCount64(any &^ dirty)
-	var packed [64]uint64
-	transposed := bits.OnesCount64(dirty) >= transposeBreakEven
-	if transposed {
-		packLanes(&syn, &packed)
-	}
-	var out WireResult
-	for d := dirty; d != 0; d &= d - 1 {
-		j := bits.TrailingZeros64(d)
-		w := packed[j]
-		if !transposed {
-			w = lanePacked(&syn, j)
-		}
-		k.resolveLane(w, &recv[j], &out)
-		switch {
-		case out.Status == ecc.Detected:
-			due++
-		case out.Wire == base:
-			dce++
-		default:
-			sdc++
-		}
-	}
-	return dce, due, sdc
-}
-
-func (b *Binary) tables() *slicedTables { return &b.fast.sliced }
-
-// resolveLane resolves one dirty lane on the per-entry fast path; the
-// sliced row order makes the packed word's low 32 bits exactly the
-// packedSyndromes layout (codeword c in bits [8c, 8c+8)).
-func (b *Binary) resolveLane(packed uint64, recv *bitvec.V288, out *WireResult) {
-	b.resolveFast(recv, uint32(packed), out)
-}
-
-// DecodeSlab implements SlabDecoder.
-func (b *Binary) DecodeSlab(slab *bitvec.Slab, recv []bitvec.V288, out []WireResult) {
-	decodeSlab(b, slab, recv, out)
-}
-
-// ClassifyErrSlab implements SlabClassifier.
-func (b *Binary) ClassifyErrSlab(eslab *bitvec.Slab, touched []uint16, base bitvec.V288, recv []bitvec.V288) (dce, due, sdc int) {
-	return classifyErrSlab(b, eslab, touched, base, recv)
-}
-
-func (s *Symbol) tables() *slicedTables { return &s.fast.sliced }
 
 // resolveLane slices one dirty lane's RS syndrome bytes out of its packed
 // word (codeword cw's syndrome j occupies bits [8(cw·R+j), 8(cw·R+j)+8))
@@ -314,66 +156,3 @@ func (s *Symbol) resolveLane(packed uint64, recv *bitvec.V288, out *WireResult) 
 		*out = s.applySSC(*recv, &results, correcting)
 	}
 }
-
-// DecodeSlab implements SlabDecoder.
-func (s *Symbol) DecodeSlab(slab *bitvec.Slab, recv []bitvec.V288, out []WireResult) {
-	decodeSlab(s, slab, recv, out)
-}
-
-// ClassifyErrSlab implements SlabClassifier.
-func (s *Symbol) ClassifyErrSlab(eslab *bitvec.Slab, touched []uint16, base bitvec.V288, recv []bitvec.V288) (dce, due, sdc int) {
-	return classifyErrSlab(s, eslab, touched, base, recv)
-}
-
-// DecodeSlab implements SlabDecoder for the reconfigurable decoder.
-func (r *Reconfigurable) DecodeSlab(slab *bitvec.Slab, recv []bitvec.V288, out []WireResult) {
-	r.active().DecodeSlab(slab, recv, out)
-}
-
-// ClassifyErrSlab implements SlabClassifier for the reconfigurable decoder.
-func (r *Reconfigurable) ClassifyErrSlab(eslab *bitvec.Slab, touched []uint16, base bitvec.V288, recv []bitvec.V288) (dce, due, sdc int) {
-	return r.active().ClassifyErrSlab(eslab, touched, base, recv)
-}
-
-// PreferSlabClassify reports whether s's per-entry syndrome computation
-// is expensive enough that the sparse slab classifier wins even on
-// all-dirty trial streams like the Monte-Carlo evaluator's pattern
-// classes, where every trial carries an error. Binary schemes compute
-// packed syndromes in 36 L1 table lookups and resolve dirty lanes just as
-// fast scalar, so the slab's per-trial insertion cost is pure overhead
-// for them; symbol schemes replace a 36-54 lookup gather per entry with a
-// few XOR scatters (measured numbers in DESIGN.md §14). Callers with
-// clean-dominated workloads should ignore this and use the slab kernels
-// unconditionally — clean lanes cost nothing there for every scheme.
-func PreferSlabClassify(s Scheme) bool {
-	switch v := s.(type) {
-	case *Symbol:
-		return true
-	case *Reconfigurable:
-		return PreferSlabClassify(v.active())
-	default:
-		return false
-	}
-}
-
-// AsScalarBatchDecoder returns the pre-slab per-entry batch baseline for
-// s: the two-pass table loop for binary schemes, a DecodeWire loop
-// otherwise. Benchmarks and differential tests use it to compare the
-// sliced batch path against the scalar one on identical inputs.
-func AsScalarBatchDecoder(s Scheme) BatchDecoder {
-	switch v := s.(type) {
-	case *Binary:
-		return scalarBatchFunc(v.decodeWireBatchScalar)
-	case *Reconfigurable:
-		return scalarBatchFunc(func(recv []bitvec.V288, out []WireResult) {
-			v.active().decodeWireBatchScalar(recv, out)
-		})
-	default:
-		return loopBatch{s}
-	}
-}
-
-// scalarBatchFunc adapts a batch function to the BatchDecoder interface.
-type scalarBatchFunc func([]bitvec.V288, []WireResult)
-
-func (f scalarBatchFunc) DecodeWireBatch(recv []bitvec.V288, out []WireResult) { f(recv, out) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -11,104 +10,47 @@ import (
 	"hbm2ecc/internal/errormodel"
 )
 
-// slabBuilder accumulates error patterns into a transposed error slab the
-// way the evaluator does, so tests drive ClassifyErrSlab through the same
-// insertion discipline.
-type slabBuilder struct {
-	eslab   bitvec.Slab
-	touched []uint16
-	seen    [5]uint64
-	n       int
-}
-
-func (sb *slabBuilder) add(e bitvec.V288) {
-	for w := 0; w < 5; w++ {
-		m := e[w]
-		if w == 4 {
-			m &= 0xFFFFFFFF
-		}
-		for ; m != 0; m &= m - 1 {
-			p := w<<6 + bits.TrailingZeros64(m)
-			if sb.seen[w]>>uint(p&63)&1 == 0 {
-				sb.seen[w] |= 1 << uint(p&63)
-				sb.touched = append(sb.touched, uint16(p))
-			}
-			sb.eslab[p] |= 1 << uint(sb.n)
-		}
-	}
-	sb.n++
-}
-
-func (sb *slabBuilder) reset() {
-	for _, p := range sb.touched {
-		sb.eslab[p] = 0
-		sb.seen[p>>6] &^= 1 << uint(p&63)
-	}
-	sb.touched = sb.touched[:0]
-	sb.n = 0
-}
-
-// TestDifferentialSlicedVsRef drives the slab kernels against the
-// reference decoder for every scheme: DecodeSlab on transposed 64-lane
-// batches and ClassifyErrSlab on the matching error slabs, over the
+// TestDifferentialSlicedVsRef drives every scheme's batch decoder
+// (AsBatchDecoder: the bit-sliced slab kernel for symbol schemes, the
+// two-pass tables for binary ones) against the reference decoder over the
 // exhaustive 1-bit, pin, byte and 2-bit classes plus seeded samples of
-// the 3-bit, beat and entry classes. Any divergence in wire image,
-// status, corrected-bit count or outcome tally fails.
+// the 3-bit, beat and entry classes, in evaluator-sized batches that span
+// several 64-lane slabs. Any divergence in wire image, status or
+// corrected-bit count fails.
 func TestDifferentialSlicedVsRef(t *testing.T) {
-	const sampledPerClass = 2000
+	const (
+		sampledPerClass = 2000
+		batch           = 256
+	)
 	for _, s := range allSchemesDiff() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
 			rd := s.(RefDecoder)
-			sd, ok := AsSlabDecoder(s)
-			if !ok {
-				t.Fatalf("%s does not expose a slab decoder", s.Name())
-			}
-			sc := s.(SlabClassifier)
+			bd := AsBatchDecoder(s)
 			wire := s.Encode(diffData())
 
-			var sb slabBuilder
-			var errs [bitvec.SlabLanes]bitvec.V288
-			recv := make([]bitvec.V288, bitvec.SlabLanes)
-			out := make([]WireResult, bitvec.SlabLanes)
-			var slab bitvec.Slab
+			var errs [batch]bitvec.V288
+			recv := make([]bitvec.V288, batch)
+			out := make([]WireResult, batch)
+			n := 0
 			flush := func() {
-				if sb.n == 0 {
-					return
-				}
-				n := sb.n
-				var wantDCE, wantDUE, wantSDC int
 				for i := 0; i < n; i++ {
 					recv[i] = wire.Xor(errs[i])
-					switch ref := rd.DecodeWireRef(recv[i]); {
-					case ref.Status == ecc.Detected:
-						wantDUE++
-					case ref.Wire == wire:
-						wantDCE++
-					default:
-						wantSDC++
-					}
 				}
-				bitvec.Transpose64(recv[:n], &slab)
-				sd.DecodeSlab(&slab, recv[:n], out[:n])
+				bd.DecodeWireBatch(recv[:n], out[:n])
 				for i := 0; i < n; i++ {
 					if ref := rd.DecodeWireRef(recv[i]); out[i] != ref {
-						t.Fatalf("DecodeSlab lane %d diverges on error %v (pattern %s):\nsliced: %+v\nref:    %+v",
+						t.Fatalf("batch lane %d diverges on error %v (pattern %s):\nbatch: %+v\nref:   %+v",
 							i, errs[i], errormodel.Classify(errs[i]), out[i], ref)
 					}
 				}
-				dce, due, sdc := sc.ClassifyErrSlab(&sb.eslab, sb.touched, wire, recv[:n])
-				if dce != wantDCE || due != wantDUE || sdc != wantSDC {
-					t.Fatalf("ClassifyErrSlab tally (dce=%d due=%d sdc=%d) != reference (dce=%d due=%d sdc=%d)",
-						dce, due, sdc, wantDCE, wantDUE, wantSDC)
-				}
-				sb.reset()
+				n = 0
 			}
 			check := func(e bitvec.V288) {
-				errs[sb.n] = e
-				sb.add(e)
-				if sb.n == bitvec.SlabLanes {
+				errs[n] = e
+				n++
+				if n == batch {
 					flush()
 				}
 			}
@@ -123,7 +65,8 @@ func TestDifferentialSlicedVsRef(t *testing.T) {
 				}
 			}
 			// The clean entry, plus a zero-syndrome nonzero error (the XOR
-			// of two codewords) that must classify as SDC without a decode.
+			// of two codewords) that the clean-lane screen must pass
+			// through undecoded.
 			check(bitvec.V288{})
 			var d2 [bitvec.DataBytes]byte
 			d2[0] = 0x01
@@ -134,16 +77,16 @@ func TestDifferentialSlicedVsRef(t *testing.T) {
 }
 
 // TestSlicedMixedBatch interleaves clean, correctable and DUE entries in
-// one 64-lane slab for every scheme, so a lane-masking or screening bug
-// that favors homogeneous batches cannot hide. Construction guarantees
-// all three statuses are present, and the slab results must match
-// per-entry decoding lane for lane.
+// one batch for every scheme, so a lane-masking or screening bug that
+// favors homogeneous batches cannot hide. Construction guarantees all
+// three statuses are present, and DecodeWireBatch must match per-entry
+// decoding lane for lane.
 func TestSlicedMixedBatch(t *testing.T) {
 	for _, s := range allSchemesDiff() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
-			sd, _ := AsSlabDecoder(s)
+			bd := AsBatchDecoder(s)
 			wire := s.Encode(diffData())
 
 			// A 1-bit error is correctable under every scheme; hunt for a
@@ -161,7 +104,7 @@ func TestSlicedMixedBatch(t *testing.T) {
 				t.Fatalf("%s: no DUE pattern found in 10000 3-bit samples", s.Name())
 			}
 
-			recv := make([]bitvec.V288, bitvec.SlabLanes)
+			recv := make([]bitvec.V288, 2*bitvec.SlabLanes+2)
 			statuses := map[ecc.Status]int{}
 			for i := range recv {
 				switch i % 3 {
@@ -181,15 +124,14 @@ func TestSlicedMixedBatch(t *testing.T) {
 			}
 
 			// Every ragged prefix, so the lane mask is exercised at each
-			// boundary class (0, 1, partial word, full slab).
-			for _, n := range []int{1, 2, 3, 31, 32, 33, 63, 64} {
-				var slab bitvec.Slab
-				bitvec.Transpose64(recv[:n], &slab)
+			// boundary class (1, partial word, full slab, slab plus a
+			// ragged tail).
+			for _, n := range []int{1, 2, 3, 31, 32, 33, 63, 64, 65, 127, 128, 129, 130} {
 				out := make([]WireResult, n)
-				sd.DecodeSlab(&slab, recv[:n], out)
+				bd.DecodeWireBatch(recv[:n], out)
 				for i := 0; i < n; i++ {
 					if want := s.DecodeWire(recv[i]); out[i] != want {
-						t.Fatalf("%s: mixed slab n=%d lane %d: got %+v want %+v", s.Name(), n, i, out[i], want)
+						t.Fatalf("%s: mixed batch n=%d lane %d: got %+v want %+v", s.Name(), n, i, out[i], want)
 					}
 				}
 			}
@@ -198,8 +140,9 @@ func TestSlicedMixedBatch(t *testing.T) {
 }
 
 // TestBatchOutContract pins the explicit len(out) >= len(recv) contract:
-// every batch entry point must panic with a clear message instead of
-// silently truncating or corrupting memory.
+// every batch entry point (binary tables, symbol slab kernel, the
+// reconfigurable decoder and the loopBatch fallback) must panic with a
+// clear message instead of silently truncating or corrupting memory.
 func TestBatchOutContract(t *testing.T) {
 	mustPanic := func(t *testing.T, name string, fn func()) {
 		t.Helper()
@@ -218,19 +161,10 @@ func TestBatchOutContract(t *testing.T) {
 
 	recv := make([]bitvec.V288, 8)
 	short := make([]WireResult, 7)
-	var slab bitvec.Slab
-	bitvec.Transpose64(recv, &slab)
 	for _, s := range []Scheme{NewDuetECC(), NewSSCDSDPlus(), NewReconfigurable()} {
 		s := s
 		mustPanic(t, s.Name()+"/DecodeWireBatch", func() {
 			AsBatchDecoder(s).DecodeWireBatch(recv, short)
-		})
-		mustPanic(t, s.Name()+"/DecodeSlab", func() {
-			sd, _ := AsSlabDecoder(s)
-			sd.DecodeSlab(&slab, recv, short)
-		})
-		mustPanic(t, s.Name()+"/ScalarBatch", func() {
-			AsScalarBatchDecoder(s).DecodeWireBatch(recv, short)
 		})
 	}
 	s := NewDuetECC()
@@ -243,49 +177,36 @@ func TestBatchOutContract(t *testing.T) {
 	AsBatchDecoder(s).DecodeWireBatch(recv, make([]WireResult, 9))
 }
 
-// TestConcurrentSlicedDeterminism hammers one scheme's shared sliced
+// TestConcurrentSlicedDeterminism hammers one scheme's shared decode
 // tables from many goroutines (run under -race): every worker decodes the
-// same slabs and classifies the same error slabs, and all results must be
-// identical to the sequentially computed ones.
+// same batches through DecodeWireBatch, and all results must be identical
+// to the sequentially computed ones.
 func TestConcurrentSlicedDeterminism(t *testing.T) {
 	for _, s := range []Scheme{NewTrioECC(), NewSSCDSDPlus()} {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
-			sd, _ := AsSlabDecoder(s)
-			sc := s.(SlabClassifier)
+			bd := AsBatchDecoder(s)
 			wire := s.Encode(diffData())
 			smp := errormodel.NewSampler(7)
 
 			const nBatches = 8
 			type batch struct {
-				recv    []bitvec.V288
-				slab    bitvec.Slab
-				eslab   bitvec.Slab
-				touched []uint16
-				want    []WireResult
-				wantDCE int
-				wantDUE int
-				wantSDC int
+				recv []bitvec.V288
+				want []WireResult
 			}
 			batches := make([]*batch, nBatches)
 			for bi := range batches {
 				b := &batch{recv: make([]bitvec.V288, bitvec.SlabLanes)}
-				var sb slabBuilder
 				for i := range b.recv {
 					e := smp.Sample(errormodel.Byte1)
 					if i%2 == 0 {
 						e = bitvec.V288{}
 					}
-					sb.add(e)
 					b.recv[i] = wire.Xor(e)
 				}
-				b.eslab = sb.eslab
-				b.touched = append([]uint16(nil), sb.touched...)
-				bitvec.Transpose64(b.recv, &b.slab)
 				b.want = make([]WireResult, bitvec.SlabLanes)
-				sd.DecodeSlab(&b.slab, b.recv, b.want)
-				b.wantDCE, b.wantDUE, b.wantSDC = sc.ClassifyErrSlab(&b.eslab, b.touched, wire, b.recv)
+				bd.DecodeWireBatch(b.recv, b.want)
 				batches[bi] = b
 			}
 
@@ -297,20 +218,14 @@ func TestConcurrentSlicedDeterminism(t *testing.T) {
 					defer wg.Done()
 					out := make([]WireResult, bitvec.SlabLanes)
 					for rep := 0; rep < 50; rep++ {
-						for bi, b := range batches {
-							sd.DecodeSlab(&b.slab, b.recv, out)
+						for _, b := range batches {
+							bd.DecodeWireBatch(b.recv, out)
 							for i := range out {
 								if out[i] != b.want[i] {
-									errCh <- "DecodeSlab diverged"
+									errCh <- "DecodeWireBatch diverged"
 									return
 								}
 							}
-							dce, due, sdc := sc.ClassifyErrSlab(&b.eslab, b.touched, wire, b.recv)
-							if dce != b.wantDCE || due != b.wantDUE || sdc != b.wantSDC {
-								errCh <- "ClassifyErrSlab diverged"
-								return
-							}
-							_ = bi
 						}
 					}
 				}()

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	mbits "math/bits"
 	"strconv"
 	"sync"
 	"time"
@@ -280,107 +279,38 @@ func classifyOutcome(s core.Scheme, wire, e bitvec.V288) ecc.Outcome {
 // (2 × 256 × 40 B ≈ 20 KB per worker).
 const decodeBatchSize = 256
 
-// sparsePattern reports whether every error in pattern class p touches at
-// most 2 wire bits. Evaluator trials all carry an error, so the slab
-// classifier's clean-lane screen never fires here and its edge is only
-// that syndromes come from 1-2 XOR scatters instead of a full table
-// gather; measured on the reference machine (DESIGN.md §14) that wins for
-// symbol schemes up through 2-bit patterns (SSC-DSD+ Bit1 118→86ns/trial)
-// and turns into insertion-bound overhead from 3 bits up (Bits3 107→119).
-// Denser classes stay on the batch path — which for symbol schemes is
-// itself the sliced slab kernel now.
-func sparsePattern(p errormodel.Pattern) bool {
-	return p == errormodel.Bit1 || p == errormodel.Bits2
-}
-
 // batchClassifier accumulates error patterns against one encoded entry
-// and classifies decode outcomes through a scheme's batch fast path.
+// and classifies decode outcomes through the scheme's batch decoder
+// (core.AsBatchDecoder), which alone decides how the scheme batches.
 // Trials are buffered in add and flushed a batch at a time; call flush
-// before reading the counters. Not safe for concurrent use — each
-// evaluator worker owns one.
-//
-// Two strategies hide behind add/flush, chosen at construction:
-//
-//   - slab (sliced): error bits are inserted straight into a transposed
-//     64-lane error slab and whole batches classify through
-//     core.SlabClassifier — syndromes come from a few XOR scatters per
-//     touched lane instead of a per-entry table gather. Used for symbol
-//     schemes on sparse pattern classes (core.PreferSlabClassify).
-//   - scalar: the received entries decode through core.BatchDecoder and
-//     outcomes are classified per entry, as before.
-//
-// Either way trials are consumed in add order and results are identical;
-// the strategy moves only where the cycles go, so sampler streams — and
-// therefore the golden master — are byte-identical across strategies.
+// before reading the counters. Buffering never reorders trials, so
+// sampler streams — and therefore the golden master — do not depend on
+// the batch size. Not safe for concurrent use — each evaluator worker
+// owns one.
 type batchClassifier struct {
 	wire bitvec.V288
 	dec  core.BatchDecoder
 	recv [decodeBatchSize]bitvec.V288
 	res  [decodeBatchSize]core.WireResult
 	n    int
-	cap  int
-
-	// Slab strategy state: the transposed error slab under construction,
-	// the distinct wire lanes holding error bits, and their dedup bitmap.
-	slab    core.SlabClassifier
-	eslab   bitvec.Slab
-	touched []uint16
-	seen    [(bitvec.EntryBits + 63) / 64]uint64
 
 	dce, due, sdc int
 }
 
-func newBatchClassifier(s core.Scheme, wire bitvec.V288, p errormodel.Pattern) *batchClassifier {
-	b := &batchClassifier{wire: wire, cap: decodeBatchSize}
-	if sc, ok := s.(core.SlabClassifier); ok && sparsePattern(p) && core.PreferSlabClassify(s) {
-		b.slab = sc
-		b.cap = bitvec.SlabLanes
-		b.touched = make([]uint16, 0, bitvec.SlabLanes)
-	} else {
-		b.dec = core.AsBatchDecoder(s)
-	}
-	return b
+func newBatchClassifier(s core.Scheme, wire bitvec.V288) *batchClassifier {
+	return &batchClassifier{wire: wire, dec: core.AsBatchDecoder(s)}
 }
 
 func (b *batchClassifier) add(e bitvec.V288) {
 	b.recv[b.n] = b.wire.Xor(e)
-	if b.slab != nil {
-		for w := 0; w < 5; w++ {
-			m := e[w]
-			if w == 4 {
-				m &= 0xFFFFFFFF // stray high bits are not wire lanes
-			}
-			for ; m != 0; m &= m - 1 {
-				p := w<<6 + mbits.TrailingZeros64(m)
-				if b.seen[w]>>uint(p&63)&1 == 0 {
-					b.seen[w] |= 1 << uint(p&63)
-					b.touched = append(b.touched, uint16(p))
-				}
-				b.eslab[p] |= 1 << uint(b.n)
-			}
-		}
-	}
 	b.n++
-	if b.n == b.cap {
+	if b.n == decodeBatchSize {
 		b.flush()
 	}
 }
 
 func (b *batchClassifier) flush() {
 	if b.n == 0 {
-		return
-	}
-	if b.slab != nil {
-		dce, due, sdc := b.slab.ClassifyErrSlab(&b.eslab, b.touched, b.wire, b.recv[:b.n])
-		b.dce += dce
-		b.due += due
-		b.sdc += sdc
-		for _, p := range b.touched {
-			b.eslab[p] = 0
-			b.seen[p>>6] &^= 1 << uint(p&63)
-		}
-		b.touched = b.touched[:0]
-		b.n = 0
 		return
 	}
 	b.dec.DecodeWireBatch(b.recv[:b.n], b.res[:b.n])
@@ -399,7 +329,7 @@ func (b *batchClassifier) flush() {
 
 func evaluateExhaustive(s core.Scheme, wire bitvec.V288, p errormodel.Pattern, tf func(bitvec.V288) bitvec.V288) PatternResult {
 	r := PatternResult{Pattern: p, Exhaustive: true}
-	bc := newBatchClassifier(s, wire, p)
+	bc := newBatchClassifier(s, wire)
 	errormodel.Enumerate(p, func(e bitvec.V288) {
 		r.N++
 		if tf != nil {
@@ -441,7 +371,7 @@ func evaluateSampled(s core.Scheme, wire bitvec.V288, p errormodel.Pattern, n in
 			// the RNG consumption (and hence every sampled pattern) is
 			// identical to the pre-batching evaluator.
 			smp := errormodel.NewSampler(seed + int64(w)*1_000_003 + int64(p)*7_919)
-			bc := newBatchClassifier(s, wire, p)
+			bc := newBatchClassifier(s, wire)
 			var c counts
 			for i := 0; i < quota; i++ {
 				if ctx != nil && i%cancelCheckStride == 0 && ctx.Err() != nil {

@@ -104,7 +104,7 @@ func EvaluateWithPermanent(s core.Scheme, fault PermanentFault, opts Options) Pe
 	// standing fault under each soft error is a single XOR per trial.
 	for p := errormodel.Bit1; p < errormodel.NumPatterns; p++ {
 		r := PatternResult{Pattern: p}
-		bc := newBatchClassifier(s, wire, p)
+		bc := newBatchClassifier(s, wire)
 		if errormodel.EnumerableCount(p) >= 0 {
 			r.Exhaustive = true
 			errormodel.Enumerate(p, func(e bitvec.V288) {

@@ -188,7 +188,7 @@ func TestEvaluateWithPermanentAllocs(t *testing.T) {
 	for _, s := range []core.Scheme{core.NewDuetECC(), core.NewTrioECC()} {
 		wire := s.Encode(opts.Data)
 		perm := fault.xorPattern(wire)
-		bc := newBatchClassifier(s, wire, errormodel.Bits3)
+		bc := newBatchClassifier(s, wire)
 		allocs := testing.AllocsPerRun(10, func() {
 			for _, e := range errs {
 				bc.add(perm.Xor(e))

@@ -1,14 +1,12 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"hbm2ecc/internal/fleet/xid"
+	"hbm2ecc/internal/httpx"
 )
 
 // Wire protocol (all bodies are single JSON documents bounded by
@@ -187,18 +185,7 @@ type EventsResponse struct {
 // decodeStrict unmarshals exactly one JSON document under the MaxFrame
 // bound, rejecting unknown fields and trailing garbage.
 func decodeStrict(data []byte, v any) error {
-	if len(data) > MaxFrame {
-		return fmt.Errorf("fleet: frame of %d bytes exceeds %d", len(data), MaxFrame)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("fleet: decoding frame: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("fleet: trailing data after frame")
-	}
-	return nil
+	return httpx.DecodeStrict("fleet", data, v, MaxFrame)
 }
 
 // DecodeReportRequest decodes and validates a report frame.

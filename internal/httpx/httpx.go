@@ -230,6 +230,25 @@ func ReadBody(r *http.Request, limit int64) ([]byte, error) {
 	return body, nil
 }
 
+// DecodeStrict unmarshals exactly one JSON document of at most max bytes
+// into v, rejecting unknown fields and trailing data. Errors start with
+// prefix (the protocol's package name), so each wire protocol keeps its
+// own error strings over one shared front door.
+func DecodeStrict(prefix string, data []byte, v any, max int) error {
+	if len(data) > max {
+		return fmt.Errorf("%s: frame of %d bytes exceeds %d", prefix, len(data), max)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%s: decoding frame: %w", prefix, err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errors.New(prefix + ": trailing data after frame")
+	}
+	return nil
+}
+
 // Client is a hardened JSON-over-HTTP client: overall per-request
 // timeout, bounded response bodies, JSON round-tripping, and optional
 // jittered-backoff retries for transient failures.

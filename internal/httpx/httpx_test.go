@@ -123,3 +123,27 @@ func TestServeDrainsGracefully(t *testing.T) {
 		t.Fatalf("served = %d, want 1", served.Load())
 	}
 }
+
+// TestDecodeStrict pins the shared frame decoder's contract and its
+// error strings, which the wire protocols expose unchanged.
+func TestDecodeStrict(t *testing.T) {
+	type frame struct {
+		A int `json:"a"`
+	}
+	var f frame
+	if err := DecodeStrict("p", []byte(`{"a":3}`), &f, 16); err != nil || f.A != 3 {
+		t.Fatalf("valid frame: %+v, %v", f, err)
+	}
+	for _, tc := range []struct {
+		data, want string
+	}{
+		{`{"a":1,"pad":"0123456789"}`, "p: frame of 26 bytes exceeds 16"},
+		{`{"b":1}`, `p: decoding frame: json: unknown field "b"`},
+		{`{"a":1} {}`, "p: trailing data after frame"},
+		{`{"a":`, "p: decoding frame: unexpected EOF"},
+	} {
+		if err := DecodeStrict("p", []byte(tc.data), &f, 16); err == nil || err.Error() != tc.want {
+			t.Errorf("DecodeStrict(%q) = %v, want %q", tc.data, err, tc.want)
+		}
+	}
+}

@@ -15,16 +15,14 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/ecc"
+	"hbm2ecc/internal/httpx"
 )
 
 // Wire-protocol bounds.
@@ -250,18 +248,7 @@ func isHex(s string) bool {
 // bound, rejecting unknown fields and trailing garbage — the shared
 // front door for every frame, locked by the codec fuzz targets.
 func decodeStrict(data []byte, v any) error {
-	if len(data) > MaxFrame {
-		return fmt.Errorf("serve: frame of %d bytes exceeds %d", len(data), MaxFrame)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: decoding frame: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("serve: trailing data after frame")
-	}
-	return nil
+	return httpx.DecodeStrict("serve", data, v, MaxFrame)
 }
 
 // DecodeDecodeRequest decodes and validates a decode request frame.

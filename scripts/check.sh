@@ -25,7 +25,7 @@ echo "== chaos soak: go test -run Chaos -race -count=2 =="
 go test -run Chaos -race -count=2 ./internal/chaos/... ./internal/gpusim/... ./internal/healthd/...
 
 echo "== short fuzz: fast paths vs their references =="
-go test -run '^$' -fuzz FuzzSlicedVsScalarBatch -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz FuzzBatchVsSingle -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzDecodeFastVsRef -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzEncodeVsRef -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzLayoutVsBitLoop -fuzztime 10s ./internal/bitvec/
@@ -36,7 +36,7 @@ echo "== bench smoke: one iteration of every benchmark =="
 HBM2ECC_MC_SAMPLES=2000 HBM2ECC_CAMPAIGN_RUNS=20 \
 	go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== bench smoke: cmd/bench -quick -gate (sliced >= scalar clean-path) =="
+echo "== bench smoke: cmd/bench -quick -gate (batch decode no slower than single-shot) =="
 bench_out="${TMPDIR:-/tmp}/hbm2ecc_bench_smoke.json"
 go run ./cmd/bench -quick -gate -out "$bench_out" >/dev/null
 test -s "$bench_out"
