@@ -1,18 +1,15 @@
-// Command bench is the reproducible decode-throughput benchmark runner:
-// it times encode and decode (reference, fast single-shot, and batch
-// paths) for every Table-2 scheme over a corpus drawn from the sampled
-// Monte-Carlo error classes, times an end-to-end EvaluateAll, and emits
-// the results as JSON (BENCH_decode.json) so every future optimization
-// PR has a trajectory to beat.
+// Command bench measures what the whole-job benchmark (perfbench) and
+// `go test` do not: kernel-level decode timings, the distributed
+// campaign engine's worker scaling, and the online decode service. Each
+// leg writes its results as JSON at the repo root.
 //
 // Usage:
 //
-//	go run ./cmd/bench                  # full run, writes BENCH_decode.json
+//	go run ./cmd/bench                  # decode kernels, writes BENCH_decode.json
 //	go run ./cmd/bench -quick -out f    # CI smoke (scripts/check.sh)
 //	go run ./cmd/bench -quick -gate     # also fail if any scheme's batch decode is slower than single-shot
 //	go run ./cmd/bench -cluster         # distributed scaling, BENCH_cluster.json
 //	go run ./cmd/bench -serve           # online serving tier, BENCH_serve.json
-//	go run ./cmd/bench -fleet           # fleet health plane, BENCH_fleet.json
 //
 // Numbers are wall-clock and machine-dependent; the speedup ratios
 // (reference vs fast path on the same machine) are the stable signal.
@@ -21,6 +18,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,6 +31,31 @@ import (
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 )
+
+// Header opens every report: what was measured, and on what.
+type Header struct {
+	Schema     string `json:"schema"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Seed       int64  `json:"seed"`
+}
+
+func newHeader(schema string, seed int64) Header {
+	return Header{Schema: schema, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: seed}
+}
+
+// writeReport writes v to out as indented JSON.
+func writeReport(out string, v any) error {
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println("wrote", out)
+	return nil
+}
 
 // ClassBench is one scheme's timings on a single sampled error class.
 type ClassBench struct {
@@ -68,25 +91,12 @@ type SchemeBench struct {
 	PerClass []ClassBench `json:"per_class"`
 }
 
-// EvalBench is the end-to-end Monte-Carlo evaluation timing.
-type EvalBench struct {
-	Samples      int     `json:"samples_per_class"`
-	Schemes      int     `json:"schemes"`
-	Trials       int     `json:"trials"`
-	Millis       float64 `json:"wall_ms"`
-	TrialsPerSec float64 `json:"trials_per_sec"`
-}
-
 // Report is the BENCH_decode.json schema.
 type Report struct {
-	Schema     string        `json:"schema"`
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Seed       int64         `json:"seed"`
-	Corpus     int           `json:"corpus"`
-	Quick      bool          `json:"quick"`
-	Schemes    []SchemeBench `json:"schemes"`
-	Eval       EvalBench     `json:"evaluate_all"`
+	Header
+	Corpus  int           `json:"corpus"`
+	Quick   bool          `json:"quick"`
+	Schemes []SchemeBench `json:"schemes"`
 }
 
 var sink int
@@ -106,66 +116,64 @@ func measure(minTime time.Duration, corpusLen int, pass func()) float64 {
 	return float64(elapsed.Nanoseconds()) / float64(iters) / float64(corpusLen)
 }
 
+// sampledClasses are the three sampled Monte-Carlo classes (3 Bits,
+// 1 Beat, 1 Entry), the classes whose volume dominates evaluator runtime.
+var sampledClasses = []errormodel.Pattern{errormodel.Bits3, errormodel.Beat1, errormodel.Entry1}
+
 // corpusFor draws received words for one scheme: clean entries corrupted
-// round-robin by the three sampled Monte-Carlo classes (3 Bits, 1 Beat,
-// 1 Entry), the classes whose volume dominates evaluator runtime.
-func corpusFor(s core.Scheme, n int, seed int64) (errored, clean []bitvec.V288) {
-	var data [bitvec.DataBytes]byte
-	for i := range data {
-		data[i] = byte(i*17 + 3)
-	}
-	wire := s.Encode(data)
+// round-robin by the sampled classes.
+func corpusFor(wire bitvec.V288, n int, seed int64) (errored, clean []bitvec.V288) {
 	smp := errormodel.NewSampler(seed)
-	classes := []errormodel.Pattern{errormodel.Bits3, errormodel.Beat1, errormodel.Entry1}
 	errored = make([]bitvec.V288, n)
 	clean = make([]bitvec.V288, n)
 	for i := range errored {
-		errored[i] = wire.Xor(smp.Sample(classes[i%len(classes)]))
+		errored[i] = wire.Xor(smp.Sample(sampledClasses[i%len(sampledClasses)]))
 		clean[i] = wire
 	}
 	return errored, clean
+}
+
+// decodeBatches runs the batch decoder over words in 256-entry chunks.
+func decodeBatches(bd core.BatchDecoder, words []bitvec.V288, out []core.WireResult) {
+	for off := 0; off < len(words); off += 256 {
+		end := min(off+256, len(words))
+		bd.DecodeWireBatch(words[off:end], out[off:end])
+	}
+	sink += int(out[0].Status)
 }
 
 // measureDecode times the reference, fast single-shot and batch decode
 // paths over one corpus of received words.
 func measureDecode(s core.Scheme, words []bitvec.V288, out []core.WireResult, minTime time.Duration) (refNS, fastNS, batchNS float64) {
 	n := len(words)
-	if rd, ok := s.(core.RefDecoder); ok {
-		refNS = measure(minTime, n, func() {
-			for _, w := range words {
-				sink += int(rd.DecodeWireRef(w).Status)
-			}
-		})
-	} else {
-		refNS = measure(minTime, n, func() {
-			for _, w := range words {
-				sink += int(s.DecodeWire(w).Status)
-			}
-		})
-	}
-	fastNS = measure(minTime, n, func() {
+	fast := func() {
 		for _, w := range words {
 			sink += int(s.DecodeWire(w).Status)
 		}
-	})
-	bd := core.AsBatchDecoder(s)
-	const chunk = 256
-	batchNS = measure(minTime, n, func() {
-		for off := 0; off < n; off += chunk {
-			end := off + chunk
-			if end > n {
-				end = n
+	}
+	ref := fast // schemes without a reference decoder
+	if rd, ok := s.(core.RefDecoder); ok {
+		ref = func() {
+			for _, w := range words {
+				sink += int(rd.DecodeWireRef(w).Status)
 			}
-			bd.DecodeWireBatch(words[off:end], out[off:end])
 		}
-		sink += int(out[0].Status)
-	})
+	}
+	refNS = measure(minTime, n, ref)
+	fastNS = measure(minTime, n, fast)
+	bd := core.AsBatchDecoder(s)
+	batchNS = measure(minTime, n, func() { decodeBatches(bd, words, out) })
 	return refNS, fastNS, batchNS
 }
 
 func benchScheme(s core.Scheme, corpus int, seed int64, minTime time.Duration) SchemeBench {
 	sb := SchemeBench{Name: s.Name()}
-	errored, clean := corpusFor(s, corpus, seed)
+	var payload [bitvec.DataBytes]byte
+	for i := range payload {
+		payload[i] = byte(i*17 + 3)
+	}
+	wire := s.Encode(payload)
+	errored, clean := corpusFor(wire, corpus, seed)
 	out := make([]core.WireResult, corpus)
 
 	var data [bitvec.DataBytes]byte
@@ -177,32 +185,16 @@ func benchScheme(s core.Scheme, corpus int, seed int64, minTime time.Duration) S
 	})
 
 	sb.RefNS, sb.FastNS, sb.BatchNS = measureDecode(s, errored, out, minTime)
-
 	bd := core.AsBatchDecoder(s)
-	sb.CleanBatchNS = measure(minTime, corpus, func() {
-		for off := 0; off < corpus; off += 256 {
-			end := off + 256
-			if end > corpus {
-				end = corpus
-			}
-			bd.DecodeWireBatch(clean[off:end], out[off:end])
-		}
-		sink += int(out[0].Status)
-	})
-
+	sb.CleanBatchNS = measure(minTime, corpus, func() { decodeBatches(bd, clean, out) })
 	sb.SpeedupFast = sb.RefNS / sb.FastNS
 	sb.SpeedupBatch = sb.RefNS / sb.BatchNS
 
-	for _, p := range []errormodel.Pattern{errormodel.Bits3, errormodel.Beat1, errormodel.Entry1} {
-		var payload [bitvec.DataBytes]byte
-		for i := range payload {
-			payload[i] = byte(i*17 + 3)
-		}
-		base := s.Encode(payload)
+	for _, p := range sampledClasses {
 		smp := errormodel.NewSampler(seed ^ int64(p))
 		words := make([]bitvec.V288, corpus)
 		for i := range words {
-			words[i] = base.Xor(smp.Sample(p))
+			words[i] = wire.Xor(smp.Sample(p))
 		}
 		cb := ClassBench{Class: p.String()}
 		cb.RefNS, cb.FastNS, cb.BatchNS = measureDecode(s, words, out, minTime)
@@ -213,18 +205,44 @@ func benchScheme(s core.Scheme, corpus int, seed int64, minTime time.Duration) S
 	return sb
 }
 
+// runDecodeBench times encode and the reference, fast single-shot and
+// batch decode paths for every Table-2 scheme. With gate set it fails,
+// before writing, if any scheme's batch decode is slower than its
+// single-shot decode on the errored corpus.
+func runDecodeBench(out string, seed int64, corpus int, quick, gate bool, minTime time.Duration) error {
+	rep := Report{Header: newHeader("hbm2ecc/bench_decode/v4", seed), Corpus: corpus, Quick: quick}
+	fmt.Printf("%-14s %9s %9s %9s %9s %9s\n", "scheme", "encode", "ref", "fast", "batch", "clean")
+	gateFailed := false
+	for _, s := range core.Table2Schemes() {
+		sb := benchScheme(s, corpus, seed, minTime)
+		rep.Schemes = append(rep.Schemes, sb)
+		fmt.Printf("%-14s %7.1fns %7.1fns %7.1fns %7.1fns %7.1fns\n",
+			sb.Name, sb.EncodeNS, sb.RefNS, sb.FastNS, sb.BatchNS, sb.CleanBatchNS)
+		for _, cb := range sb.PerClass {
+			fmt.Printf("  %-12s %9s %7.1fns %7.1fns %7.1fns (%5.2fx fast, %5.2fx batch)\n",
+				cb.Class, "", cb.RefNS, cb.FastNS, cb.BatchNS, cb.SpeedupFast, cb.SpeedupBatch)
+		}
+		if gate && sb.BatchNS > sb.FastNS {
+			gateFailed = true
+			fmt.Fprintf(os.Stderr, "bench: GATE: %s batch decode (%.1fns) slower than single-shot decode (%.1fns)\n",
+				sb.Name, sb.BatchNS, sb.FastNS)
+		}
+	}
+	if gateFailed {
+		return errors.New("gate failed: batch decode slower than single-shot")
+	}
+	return writeReport(out, rep)
+}
+
 func main() {
-	out := flag.String("out", "", "output JSON path (default BENCH_decode.json, or BENCH_cluster.json with -cluster)")
+	out := flag.String("out", "", "output JSON path (default BENCH_decode.json, BENCH_cluster.json or BENCH_serve.json)")
 	quick := flag.Bool("quick", false, "CI smoke mode: small corpus and sample counts")
 	clusterBench := flag.Bool("cluster", false, "benchmark the distributed campaign engine's 1/2/4-worker scaling instead of decode throughput")
 	serveBench := flag.Bool("serve", false, "benchmark the online decode service (single vs micro-batched) instead of decode throughput")
-	fleetBench := flag.Bool("fleet", false, "benchmark the fleet health plane (10k-node agent/coordinator pipeline) instead of decode throughput")
-	workloadBench := flag.Bool("workload", false, "benchmark the workload outcome engine (kernel runs/sec, resume differential) instead of decode throughput")
-	ondieBench := flag.Bool("ondie", false, "benchmark the on-die ECC stage (read-path overhead, mask transform, BEER inference wall-clock) instead of decode throughput")
 	gate := flag.Bool("gate", false, "regression gate: fail unless every scheme's batch decode is at least as fast as its single-shot fast decode on the errored corpus")
-	seed := flag.Int64("seed", 2021, "corpus and evaluation seed")
+	seed := flag.Int64("seed", 2021, "corpus and campaign seed")
 	corpus := flag.Int("corpus", 8192, "received words per decode corpus")
-	samples := flag.Int("samples", 50_000, "Monte-Carlo samples per sampled class in the end-to-end timing")
+	samples := flag.Int("samples", 50_000, "Monte-Carlo samples per sampled class in the -cluster campaign")
 	minTime := flag.Duration("mintime", 300*time.Millisecond, "minimum measurement time per timing")
 	flag.Parse()
 
@@ -233,130 +251,26 @@ func main() {
 		*samples = 5_000
 		*minTime = 25 * time.Millisecond
 	}
-
-	if *clusterBench {
-		if *out == "" {
-			*out = "BENCH_cluster.json"
+	outOr := func(def string) string {
+		if *out != "" {
+			return *out
 		}
-		if err := runClusterBench(*out, *seed, *samples); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveBench {
-		if *out == "" {
-			*out = "BENCH_serve.json"
-		}
-		if err := runServeBench(*out, *seed, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetBench {
-		if *out == "" {
-			*out = "BENCH_fleet.json"
-		}
-		if err := runFleetBench(*out, *seed, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ondieBench {
-		if *out == "" {
-			*out = "BENCH_ondie.json"
-		}
-		if err := runOnDieBench(*out, *seed, *quick, *minTime); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *workloadBench {
-		if *out == "" {
-			*out = "BENCH_workload.json"
-		}
-		if err := runWorkloadBench(*out, *seed, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *out == "" {
-		*out = "BENCH_decode.json"
+		return def
 	}
 
-	schemes := core.Table2Schemes()
-
-	rep := Report{
-		Schema:     "hbm2ecc/bench_decode/v3",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Seed:       *seed,
-		Corpus:     *corpus,
-		Quick:      *quick,
+	var err error
+	switch {
+	case *clusterBench:
+		err = runClusterBench(outOr("BENCH_cluster.json"), *seed, *samples)
+	case *serveBench:
+		err = runServeBench(outOr("BENCH_serve.json"), *seed, *quick)
+	default:
+		err = runDecodeBench(outOr("BENCH_decode.json"), *seed, *corpus, *quick, *gate, *minTime)
 	}
-
-	fmt.Printf("%-14s %9s %9s %9s %9s %9s\n", "scheme", "encode", "ref", "fast", "batch", "clean")
-	gateFailed := false
-	for _, s := range schemes {
-		sb := benchScheme(s, *corpus, *seed, *minTime)
-		rep.Schemes = append(rep.Schemes, sb)
-		fmt.Printf("%-14s %7.1fns %7.1fns %7.1fns %7.1fns %7.1fns\n",
-			sb.Name, sb.EncodeNS, sb.RefNS, sb.FastNS, sb.BatchNS, sb.CleanBatchNS)
-		for _, cb := range sb.PerClass {
-			fmt.Printf("  %-12s %9s %7.1fns %7.1fns %7.1fns (%5.2fx fast, %5.2fx batch)\n",
-				cb.Class, "", cb.RefNS, cb.FastNS, cb.BatchNS, cb.SpeedupFast, cb.SpeedupBatch)
-		}
-		if *gate && sb.BatchNS > sb.FastNS {
-			gateFailed = true
-			fmt.Fprintf(os.Stderr, "bench: GATE: %s batch decode (%.1fns) slower than single-shot decode (%.1fns)\n",
-				sb.Name, sb.BatchNS, sb.FastNS)
-		}
-	}
-	if gateFailed {
-		os.Exit(1)
-	}
-
-	start := time.Now()
-	results := evalmc.EvaluateAll(schemes, evalmc.Options{
-		Seed:         *seed,
-		Samples3b:    *samples,
-		SamplesBeat:  *samples,
-		SamplesEntry: *samples,
-		Parallel:     true,
-	})
-	wall := time.Since(start)
-	trials := 0
-	for _, r := range results {
-		for _, p := range r.PerPattern {
-			trials += p.N
-		}
-	}
-	rep.Eval = EvalBench{
-		Samples:      *samples,
-		Schemes:      len(schemes),
-		Trials:       trials,
-		Millis:       float64(wall.Microseconds()) / 1000,
-		TrialsPerSec: float64(trials) / wall.Seconds(),
-	}
-	fmt.Printf("EvaluateAll: %d trials over %d schemes in %.1fms (%.2fM trials/sec)\n",
-		trials, len(schemes), rep.Eval.Millis, rep.Eval.TrialsPerSec/1e6)
-
-	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(*out, raw, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote", *out)
-	_ = sink
 }
 
 // ClusterWorkerBench is one worker-count point of the scaling curve.
@@ -383,10 +297,7 @@ type ClusterWorkerBench struct {
 
 // ClusterReport is the BENCH_cluster.json schema.
 type ClusterReport struct {
-	Schema        string               `json:"schema"`
-	GoVersion     string               `json:"go_version"`
-	GOMAXPROCS    int                  `json:"gomaxprocs"`
-	Seed          int64                `json:"seed"`
+	Header
 	Samples       int                  `json:"samples_per_class"`
 	Trials        int                  `json:"trials"`
 	Method        string               `json:"method"`
@@ -418,12 +329,9 @@ func runClusterBench(out string, seed int64, samples int) error {
 	opts := spec.Options()
 
 	rep := ClusterReport{
-		Schema:     "hbm2ecc/bench_cluster/v1",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Seed:       seed,
-		Samples:    samples,
-		Method:     clusterMethod,
+		Header:  newHeader("hbm2ecc/bench_cluster/v1", seed),
+		Samples: samples,
+		Method:  clusterMethod,
 	}
 
 	// Calibrate per-cell costs sequentially: warm pass (scheme table
@@ -500,14 +408,5 @@ func runClusterBench(out string, seed int64, samples int) error {
 			n, wb.MakespanMS, wb.TrialsPerSec/1e6, wb.Speedup, wb.WallMS)
 	}
 
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote", out)
-	return nil
+	return writeReport(out, rep)
 }

@@ -2,10 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"hbm2ecc/internal/bitvec"
@@ -53,10 +50,7 @@ type ServeEnginePoint struct {
 
 // ServeReport is the BENCH_serve.json schema.
 type ServeReport struct {
-	Schema            string             `json:"schema"`
-	GoVersion         string             `json:"go_version"`
-	GOMAXPROCS        int                `json:"gomaxprocs"`
-	Seed              int64              `json:"seed"`
+	Header
 	Quick             bool               `json:"quick"`
 	Scheme            string             `json:"scheme"`
 	EntriesPerRequest int                `json:"entries_per_request"`
@@ -128,10 +122,7 @@ func runServeBench(out string, seed int64, quick bool) error {
 	}
 
 	rep := ServeReport{
-		Schema:            "hbm2ecc/bench_serve/v1",
-		GoVersion:         runtime.Version(),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Seed:              seed,
+		Header:            newHeader("hbm2ecc/bench_serve/v1", seed),
 		Quick:             quick,
 		Scheme:            schemeName,
 		EntriesPerRequest: 1,
@@ -215,14 +206,5 @@ func runServeBench(out string, seed int64, quick bool) error {
 		fmt.Println("warning: no sheds at 2.0x offered load — overload point not saturating")
 	}
 
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote", out)
-	return nil
+	return writeReport(out, rep)
 }

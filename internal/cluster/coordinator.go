@@ -137,10 +137,14 @@ type workerState struct {
 	backoff      *resilience.RetryPolicy
 	consecFails  int
 	backoffUntil time.Time
-	evicted      bool
-	completed    int
-	trials       int64
-	busyNS       int64
+	// leaseSeq and lastLease are the worker's last numbered lease
+	// request and the answer it got, replayed on redelivery.
+	leaseSeq  uint64
+	lastLease LeaseResponse
+	evicted   bool
+	completed int
+	trials    int64
+	busyNS    int64
 }
 
 // Coordinator owns a campaign's cell grid and the lease state machine.
@@ -245,12 +249,24 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	defer c.mu.Unlock()
 	c.sweepLocked(now)
 
-	resp := LeaseResponse{Version: ProtocolVersion}
 	if c.closed {
-		resp.Done = true
-		return resp
+		return LeaseResponse{Version: ProtocolVersion, Done: true}
 	}
 	w := c.workerFor(req.WorkerID)
+	if req.Seq != 0 && req.Seq == w.leaseSeq {
+		// Granting again would lease cells to a worker that never sees
+		// them, and their expiry would spend its failure budget.
+		return w.lastLease
+	}
+	resp := c.grantLocked(w, req, now)
+	w.leaseSeq, w.lastLease = req.Seq, resp
+	return resp
+}
+
+// grantLocked answers one lease request: eviction, backoff, up to
+// req.MaxCells of the heaviest pending cells, or a wait.
+func (c *Coordinator) grantLocked(w *workerState, req LeaseRequest, now time.Time) LeaseResponse {
+	resp := LeaseResponse{Version: ProtocolVersion}
 	if w.evicted {
 		resp.Evicted = true
 		return resp

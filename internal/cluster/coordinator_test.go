@@ -62,6 +62,25 @@ func TestLeaseOrderIsLPT(t *testing.T) {
 	}
 }
 
+// TestLeaseRedeliveryIsIdempotent: a lease request delivered twice
+// (same Seq) gets the first answer back and grants nothing new, so no
+// phantom lease is left to expire against the worker's budget.
+func TestLeaseRedeliveryIsIdempotent(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(1000, 0)}
+	c := newTestCoordinator(t, clock, 0)
+	first := c.Lease(LeaseRequest{WorkerID: "w1", Seq: 1})
+	again := c.Lease(LeaseRequest{WorkerID: "w1", Seq: 1})
+	if len(first.Leases) != 1 || len(again.Leases) != 1 || again.Leases[0] != first.Leases[0] {
+		t.Fatalf("redelivery answered %+v, first answer %+v", again.Leases, first.Leases)
+	}
+	if st := c.Status(); st.Leased != 1 {
+		t.Fatalf("%d cells leased after a redelivered request, want 1", st.Leased)
+	}
+	if next := c.Lease(LeaseRequest{WorkerID: "w1", Seq: 2}); len(next.Leases) != 1 || next.Leases[0] == first.Leases[0] {
+		t.Fatalf("next request answered %+v", next.Leases)
+	}
+}
+
 func TestLeaseExpiryRequeuesAndBacksOff(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
 	c := newTestCoordinator(t, clock, 3)

@@ -190,6 +190,11 @@ type LeaseRequest struct {
 	// MaxCells caps how many cells this response may lease (1 when
 	// zero; bounded by MaxLeaseCells).
 	MaxCells int `json:"max_cells,omitempty"`
+	// Seq numbers the worker's lease requests (0 = unnumbered). A
+	// request repeating the worker's last Seq is a redelivery — a
+	// duplicated packet or a retry after a lost response — and gets the
+	// answer already given instead of fresh cells.
+	Seq uint64 `json:"seq,omitempty"`
 }
 
 // Validate checks the request's wire bounds.

@@ -163,12 +163,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 func (w *Worker) Run(ctx context.Context) error {
 	leaseURL := w.opts.BaseURL + "/v1/lease"
 	completeURL := w.opts.BaseURL + "/v1/complete"
-	for {
+	for seq := uint64(1); ; seq++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var resp LeaseResponse
-		req := LeaseRequest{WorkerID: w.opts.ID, MaxCells: w.opts.MaxCells}
+		req := LeaseRequest{WorkerID: w.opts.ID, MaxCells: w.opts.MaxCells, Seq: seq}
 		if err := w.postWithRetry(ctx, leaseURL, req, &resp); err != nil {
 			return err
 		}

@@ -34,7 +34,7 @@ import (
 //     and uses it only to score the policy afterwards: SDCs that land
 //     on a node after the policy removed it were avoided; the rest
 //     were suffered. That is the policy-quality metric (SDC avoided
-//     vs capacity lost) BENCH_fleet.json reports.
+//     vs capacity lost) FleetResult.Quality reports.
 
 // RateClass is one slice of the per-node rate-multiplier mix.
 type RateClass struct {

@@ -20,44 +20,69 @@ func smallFleet() FleetConfig {
 }
 
 func TestRunFleetInvariants(t *testing.T) {
-	coord := fleet.NewCoordinator(fleet.CoordinatorOptions{})
-	res, err := RunFleet(context.Background(), smallFleet(), coord.Loopback())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RawEvents == 0 {
-		t.Fatal("no events simulated; acceleration too low for the test to mean anything")
-	}
-	if res.DCE+res.DUE+res.SDC != res.RawEvents {
-		t.Errorf("outcome classes %d+%d+%d != raw %d", res.DCE, res.DUE, res.SDC, res.RawEvents)
-	}
-	q := res.Quality
-	if q.SDCTotal != res.SDC {
-		t.Errorf("quality SDC total %d != simulated SDC %d", q.SDCTotal, res.SDC)
-	}
-	if q.SDCAvoided+q.SDCSuffered != q.SDCTotal {
-		t.Errorf("avoided %d + suffered %d != total %d", q.SDCAvoided, q.SDCSuffered, q.SDCTotal)
-	}
-	if want := float64(60 * 96); q.NodeHours != want {
-		t.Errorf("node hours = %v, want %v", q.NodeHours, want)
-	}
-	if q.LostNodeHours < 0 || q.LostNodeHours > q.NodeHours {
-		t.Errorf("lost node hours %v outside [0, %v]", q.LostNodeHours, q.NodeHours)
-	}
-	if res.Reports == 0 || res.XidEvents == 0 {
-		t.Errorf("pipeline carried %d reports / %d events, want > 0", res.Reports, res.XidEvents)
-	}
-	// The coordinator saw the fleet.
-	if n := coord.NodeCount(); n != 60 {
-		t.Errorf("coordinator tracks %d nodes, want 60", n)
-	}
-	if coord.SimHours() <= 0 {
-		t.Error("coordinator never observed simulated time")
-	}
-	// At this acceleration the policy must have acted on the bad-apple
-	// tail; every command corresponds to simulator-side bookkeeping.
-	if q.Drained+q.Retired == 0 {
-		t.Error("policy never acted despite heavy acceleration")
+	// crash-heavy: most nodes fall off the bus mid-run and every crash
+	// gets its final report out, so crash reports race the tick's
+	// soft-error events on the same node.
+	crashy := smallFleet()
+	crashy.CrashFITPerNode, crashy.CrashReportProb = 5e7, 1
+	for _, tc := range []struct {
+		name string
+		cfg  FleetConfig
+	}{{"default", smallFleet()}, {"crash-heavy", crashy}} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := fleet.NewCoordinator(fleet.CoordinatorOptions{})
+			res, err := RunFleet(context.Background(), tc.cfg, coord.Loopback())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RawEvents == 0 {
+				t.Fatal("no events simulated; acceleration too low for the test to mean anything")
+			}
+			if res.DCE+res.DUE+res.SDC != res.RawEvents {
+				t.Errorf("outcome classes %d+%d+%d != raw %d", res.DCE, res.DUE, res.SDC, res.RawEvents)
+			}
+			q := res.Quality
+			if q.SDCTotal != res.SDC {
+				t.Errorf("quality SDC total %d != simulated SDC %d", q.SDCTotal, res.SDC)
+			}
+			if q.SDCAvoided+q.SDCSuffered != q.SDCTotal {
+				t.Errorf("avoided %d + suffered %d != total %d", q.SDCAvoided, q.SDCSuffered, q.SDCTotal)
+			}
+			if want := float64(60 * 96); q.NodeHours != want {
+				t.Errorf("node hours = %v, want %v", q.NodeHours, want)
+			}
+			if q.LostNodeHours < 0 || q.LostNodeHours > q.NodeHours {
+				t.Errorf("lost node hours %v outside [0, %v]", q.LostNodeHours, q.NodeHours)
+			}
+			if res.Reports == 0 || res.XidEvents == 0 {
+				t.Errorf("pipeline carried %d reports / %d events, want > 0", res.Reports, res.XidEvents)
+			}
+			// The in-process coordinator accepts every frame on the first try.
+			if ob := res.Outbox; ob.Sent != ob.Enqueued || ob.Failures != 0 || ob.Rejected != 0 {
+				t.Errorf("outbox delivered %d of %d frames (%d failed sends, %d rejected)",
+					ob.Sent, ob.Enqueued, ob.Failures, ob.Rejected)
+			}
+			// The coordinator saw the fleet.
+			if n := coord.NodeCount(); n != 60 {
+				t.Errorf("coordinator tracks %d nodes, want 60", n)
+			}
+			if coord.SimHours() <= 0 {
+				t.Error("coordinator never observed simulated time")
+			}
+			if tc.name == "crash-heavy" {
+				if res.Crashes < tc.cfg.Nodes/2 || res.SilentCrashes != 0 {
+					t.Errorf("%d crashes (%d silent), want most of %d nodes, all reported",
+						res.Crashes, res.SilentCrashes, tc.cfg.Nodes)
+				}
+				return
+			}
+			// At this acceleration the policy must have acted on the
+			// bad-apple tail; every command corresponds to simulator-side
+			// bookkeeping.
+			if q.Drained+q.Retired == 0 {
+				t.Error("policy never acted despite heavy acceleration")
+			}
+		})
 	}
 }
 

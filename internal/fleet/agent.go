@@ -258,12 +258,23 @@ func (a *Agent) ObserveDUE(at float64, row int64, uncontained bool) {
 
 // ObserveCrash records the node falling off the bus (Xid 79). The
 // agent goes silent afterwards; the coordinator notices via lease
-// expiry if this final report never arrives.
+// expiry if this final report never arrives. Undrained events stamped
+// after at came from hardware that was already off the bus: they are
+// dropped, so the final report carries nothing later than the crash.
 func (a *Agent) ObserveCrash(at float64) {
 	if a.dead {
 		return
 	}
 	a.dead = true
+	kept := a.outbox[:0]
+	clear(a.dedup)
+	for _, e := range a.outbox {
+		if e.AtHours <= at {
+			a.dedup[e.DedupKey()] = len(kept)
+			kept = append(kept, e)
+		}
+	}
+	a.outbox = kept
 	a.win.add(int64(at), xid.OffTheBus, 1)
 	a.emit(xid.Event{Node: a.node, Code: xid.OffTheBus, AtHours: at, Row: -1})
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -21,7 +22,13 @@ type Reporter interface {
 type inprocReporter struct{ c *Coordinator }
 
 func (r inprocReporter) Report(_ context.Context, req ReportRequest) (ReportResponse, error) {
-	return r.c.Report(req)
+	resp, err := r.c.Report(req)
+	if err != nil && !errors.As(err, new(*UnavailableError)) {
+		// A refused report stays refused: the same permanent 422 the
+		// HTTP surface answers, so an outbox drops it instead of retrying.
+		return resp, &httpx.StatusError{Code: http.StatusUnprocessableEntity, Body: err.Error()}
+	}
+	return resp, err
 }
 
 // Loopback wraps the coordinator as an in-process Reporter.

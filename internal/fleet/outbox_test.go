@@ -204,20 +204,31 @@ func (f reporterFunc) Report(ctx context.Context, req ReportRequest) (ReportResp
 }
 
 func TestOutboxDropsPoisonFrames(t *testing.T) {
-	rep := reporterFunc(func(context.Context, ReportRequest) (ReportResponse, error) {
-		return ReportResponse{}, &httpx.StatusError{Code: 400, Body: "bad frame"}
-	})
-	box := NewOutbox(rep, OutboxOptions{})
-	box.Enqueue(report("n1", 1, 1))
-	box.Enqueue(report("n1", 2, 2))
-	if err := box.Flush(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if box.Len() != 0 {
-		t.Fatalf("poison frames wedged the queue: %d", box.Len())
-	}
-	if st := box.Stats(); st.Rejected != 2 || st.Sent != 0 {
-		t.Fatalf("stats = %+v", st)
+	for _, tc := range []struct {
+		name string
+		rep  Reporter
+	}{
+		{"http-4xx", reporterFunc(func(context.Context, ReportRequest) (ReportResponse, error) {
+			return ReportResponse{}, &httpx.StatusError{Code: 400, Body: "bad frame"}
+		})},
+		// The in-process coordinator refuses the frames below (an event
+		// later than its report) as permanently as its HTTP surface does.
+		{"loopback", NewCoordinator(CoordinatorOptions{}).Loopback()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			box := NewOutbox(tc.rep, OutboxOptions{})
+			box.Enqueue(report("n1", 1, 1, due("n1", 5, 0)))
+			box.Enqueue(report("n1", 2, 2, due("n1", 9, 0)))
+			if err := box.Flush(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			if box.Len() != 0 {
+				t.Fatalf("poison frames wedged the queue: %d", box.Len())
+			}
+			if st := box.Stats(); st.Rejected != 2 || st.Sent != 0 || st.Failures != 0 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
 	}
 }
 

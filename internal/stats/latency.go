@@ -11,8 +11,7 @@ import (
 // p50/p95/p99 reporting. The zero value is ready to use and safe for
 // concurrent Observe calls.
 //
-// It started life inside internal/serve's load generator; it now also
-// backs cmd/bench -fleet, so the percentile math lives here once.
+// internal/serve's load generator reports its percentiles through it.
 type LatencyHist struct {
 	counts [101]atomic.Int64
 	sum    atomic.Int64 // nanoseconds

@@ -49,60 +49,69 @@ func TestCampaignDeterministicConcurrent(t *testing.T) {
 
 // TestCheckpointResume interrupts a campaign mid-way, saves the
 // checkpoint, reloads it from disk, resumes, and requires the resumed
-// results to DeepEqual an uninterrupted run.
+// results to DeepEqual an uninterrupted run, with cells run one at a
+// time and in parallel.
 func TestCheckpointResume(t *testing.T) {
-	opts := Options{Seed: 4, Runs: 30, Schemes: []string{NoECC, "DuetECC"},
-		Kernels: []Kernel{GEMM, DNN}}
-
-	full, err := Campaign(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted run: cancel after two completed cells.
-	ctx, cancel := context.WithCancel(context.Background())
-	ck := NewCheckpoint(opts)
-	first := opts
-	first.Ctx = ctx
-	done := 0
-	first.Progress = func(s string, k Kernel, r CellResult) {
-		ck.Store(s, k, r)
-		if done++; done == 2 {
-			cancel()
+	for _, parallel := range []bool{false, true} {
+		name := "sequential"
+		if parallel {
+			name = "parallel"
 		}
-	}
-	if _, err := Campaign(first); err != context.Canceled {
-		t.Fatalf("interrupted campaign err = %v, want context.Canceled", err)
-	}
-	if ck.Cells() != 2 {
-		t.Fatalf("checkpoint holds %d cells, want 2", ck.Cells())
-	}
+		t.Run(name, func(t *testing.T) {
+			opts := Options{Seed: 4, Runs: 30, Schemes: []string{NoECC, "DuetECC"},
+				Kernels: []Kernel{GEMM, DNN}, Parallel: parallel}
 
-	// Round-trip the checkpoint through disk, as a real resume would.
-	path := filepath.Join(t.TempDir(), "workload.ckpt")
-	if err := ck.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Compatible(opts.Echo()); err != nil {
-		t.Fatal(err)
-	}
+			full, err := Campaign(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	resumed := opts
-	recomputed := 0
-	resumed.Resume = loaded.Lookup
-	resumed.Progress = func(s string, k Kernel, r CellResult) { recomputed++ }
-	got, err := Campaign(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recomputed != len(full)-2 {
-		t.Errorf("resume recomputed %d cells, want %d", recomputed, len(full)-2)
-	}
-	if !reflect.DeepEqual(got, full) {
-		t.Errorf("resumed campaign differs from uninterrupted run:\n%+v\nvs\n%+v", got, full)
+			// Interrupted run: cancel after two completed cells.
+			ctx, cancel := context.WithCancel(context.Background())
+			ck := NewCheckpoint(opts)
+			first := opts
+			first.Ctx = ctx
+			done := 0
+			first.Progress = func(s string, k Kernel, r CellResult) {
+				ck.Store(s, k, r)
+				if done++; done == 2 {
+					cancel()
+				}
+			}
+			if _, err := Campaign(first); err != context.Canceled {
+				t.Fatalf("interrupted campaign err = %v, want context.Canceled", err)
+			}
+			if ck.Cells() != 2 {
+				t.Fatalf("checkpoint holds %d cells, want 2", ck.Cells())
+			}
+
+			// Round-trip the checkpoint through disk, as a real resume would.
+			path := filepath.Join(t.TempDir(), "workload.ckpt")
+			if err := ck.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.Compatible(opts.Echo()); err != nil {
+				t.Fatal(err)
+			}
+
+			resumed := opts
+			recomputed := 0
+			resumed.Resume = loaded.Lookup
+			resumed.Progress = func(s string, k Kernel, r CellResult) { recomputed++ }
+			got, err := Campaign(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recomputed != len(full)-2 {
+				t.Errorf("resume recomputed %d cells, want %d", recomputed, len(full)-2)
+			}
+			if !reflect.DeepEqual(got, full) {
+				t.Errorf("resumed campaign differs from uninterrupted run:\n%+v\nvs\n%+v", got, full)
+			}
+		})
 	}
 }

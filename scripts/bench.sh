@@ -9,10 +9,15 @@
 #
 #   go run ./cmd/bench -quick -out /tmp/bench.json
 #   go run ./cmd/bench -cluster
+#
+# Whole jobs (characterization, EvaluateAll, workload campaign, fleet
+# run) are measured by perfbench instead:
+#
+#   bash perfbench/run.sh --workload ecc_eval --seed 7 --seconds 15 --trace 0
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== decode throughput (BENCH_decode.json) =="
+echo "== decode kernels (BENCH_decode.json) =="
 go run ./cmd/bench "$@"
 
 echo "== distributed campaign scaling (BENCH_cluster.json) =="

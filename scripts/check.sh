@@ -18,6 +18,11 @@ go vet ./...
 echo "== go build ./... =="
 go build ./...
 
+echo "== perfbench: go vet + build (its own module, over this tree) =="
+# perfbench builds against ../ through a replace directive, so a change
+# under internal/ can break it without any step above noticing.
+(cd perfbench && go vet ./... && go build -o /dev/null ./...)
+
 echo "== go test -race ./... =="
 go test -race ./...
 
@@ -157,10 +162,6 @@ echo "$rec_fleet" | grep -q '"id":"node-' || { echo "recovered fleet has no rank
 kill -INT "$wal_pid"
 wait "$wal_pid"
 
-echo "== bench smoke: cmd/bench -fleet -quick =="
-go run ./cmd/bench -fleet -quick -out "$serve_dir/bench_fleet.json" >/dev/null
-test -s "$serve_dir/bench_fleet.json"
-
 echo "== workload smoke: all five outcome classes reachable =="
 # Every campaign run carries exactly one forced fault event; a small
 # grid over {none, DuetECC} x {gemm, dnn} must reach masked,
@@ -172,22 +173,10 @@ for col in masked "tolerable SDC" "critical SDC" DUE crash "End-to-end FIT"; do
 	grep -q "$col" "$wl_out" || { echo "workload report missing '$col'"; cat "$wl_out"; exit 1; }
 done
 
-echo "== bench smoke: cmd/bench -workload -quick (resume differential) =="
-go run ./cmd/bench -workload -quick -out "$serve_dir/bench_workload.json" >/dev/null
-test -s "$serve_dir/bench_workload.json"
-grep -q '"resume_identical": true' "$serve_dir/bench_workload.json"
-
 echo "== on-die smoke: BEER inference recovers every known H-matrix =="
 ondie_out="$serve_dir/ecceval_ondie.txt"
 go run ./cmd/ecceval -ondie-infer >"$ondie_out"
 test "$(grep -c 'true' "$ondie_out")" = 4 || { echo "inference missed a candidate"; cat "$ondie_out"; exit 1; }
 if grep -q 'false' "$ondie_out"; then echo "inference mismatch"; cat "$ondie_out"; exit 1; fi
-
-echo "== bench smoke: cmd/bench -ondie -quick (inference exactness gate) =="
-go run ./cmd/bench -ondie -quick -out "$serve_dir/bench_ondie.json" >/dev/null
-test -s "$serve_dir/bench_ondie.json"
-if grep -q '"infer_exact_match": false' "$serve_dir/bench_ondie.json"; then
-	echo "bench -ondie: inference failed"; exit 1
-fi
 
 echo "OK: all checks passed"
