@@ -311,52 +311,64 @@ func (v V288) DataECC() (data [DataBytes]byte, ecc [4]byte) {
 // DataWord returns the 64b data word of beat b (pins 0..63).
 func (v V288) DataWord(b int) uint64 { return v.Beat(b).Lo }
 
+// Locality masks for SameByte, SamePin and SameBeat: byteMasks[B] holds
+// the 8 bits of aligned byte B, pinMasks[p] the 4 bits on pin p, and
+// beatMasks[b] the 72 bits of beat b. Built once from ByteOfBit, PinOfBit
+// and BeatOfBit, so each check is one lowest-bit lookup and one mask test
+// on the packed words; nothing allocates on the per-trial Classify path.
+var (
+	byteMasks [EntryAlignedBytes]V288
+	pinMasks  [Pins]V288
+	beatMasks [Beats]V288
+)
+
+func init() {
+	for i := 0; i < EntryBits; i++ {
+		byteMasks[ByteOfBit(i)] = byteMasks[ByteOfBit(i)].FlipBit(i)
+		pinMasks[PinOfBit(i)] = pinMasks[PinOfBit(i)].FlipBit(i)
+		beatMasks[BeatOfBit(i)] = beatMasks[BeatOfBit(i)].FlipBit(i)
+	}
+}
+
+// lowestBit returns the index of the lowest set bit of v, or -1 if v is
+// zero. Bits above bit 287 are ignored.
+func (v V288) lowestBit() int {
+	for w := 0; w < 4; w++ {
+		if v[w] != 0 {
+			return w*64 + bits.TrailingZeros64(v[w])
+		}
+	}
+	if top := v[4] & v288TopMask; top != 0 {
+		return 256 + bits.TrailingZeros64(top)
+	}
+	return -1
+}
+
+// within reports whether every set bit of v (bits above 287 ignored) is
+// also set in m.
+func (v V288) within(m V288) bool {
+	return v[0]&^m[0]|v[1]&^m[1]|v[2]&^m[2]|v[3]&^m[3]|v[4]&v288TopMask&^m[4] == 0
+}
+
 // SameByte reports whether all set bits of v lie in one aligned byte.
 // The zero vector reports false.
 func (v V288) SameByte() bool {
-	set := v.Bits()
-	if len(set) == 0 {
-		return false
-	}
-	b := ByteOfBit(set[0])
-	for _, i := range set[1:] {
-		if ByteOfBit(i) != b {
-			return false
-		}
-	}
-	return true
+	i := v.lowestBit()
+	return i >= 0 && v.within(byteMasks[ByteOfBit(i)])
 }
 
 // SamePin reports whether all set bits of v lie on one pin.
 // The zero vector reports false.
 func (v V288) SamePin() bool {
-	set := v.Bits()
-	if len(set) == 0 {
-		return false
-	}
-	p := PinOfBit(set[0])
-	for _, i := range set[1:] {
-		if PinOfBit(i) != p {
-			return false
-		}
-	}
-	return true
+	i := v.lowestBit()
+	return i >= 0 && v.within(pinMasks[PinOfBit(i)])
 }
 
 // SameBeat reports whether all set bits of v lie in one beat.
 // The zero vector reports false.
 func (v V288) SameBeat() bool {
-	set := v.Bits()
-	if len(set) == 0 {
-		return false
-	}
-	b := BeatOfBit(set[0])
-	for _, i := range set[1:] {
-		if BeatOfBit(i) != b {
-			return false
-		}
-	}
-	return true
+	i := v.lowestBit()
+	return i >= 0 && v.within(beatMasks[BeatOfBit(i)])
 }
 
 // V72FromUint64 builds a V72 whose low 64 bits are lo and whose bits 64..71

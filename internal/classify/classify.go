@@ -8,6 +8,7 @@
 package classify
 
 import (
+	"math/bits"
 	"sort"
 
 	"hbm2ecc/internal/bitvec"
@@ -264,12 +265,14 @@ func maskByteAligned(m bitvec.V288) bool {
 		if beat.IsZero() {
 			continue
 		}
-		bits := beat.Bits()
-		b0 := bits[0] / 8
-		for _, b := range bits[1:] {
-			if b/8 != b0 {
-				return false
-			}
+		// The aligned byte holding the beat's lowest set bit: one of the
+		// eight data bytes in Lo, or else the check byte, all of Hi.
+		var lo, hi uint64 = 0, 0xFF
+		if beat.Lo != 0 {
+			lo, hi = 0xFF<<(bits.TrailingZeros64(beat.Lo)&^7), 0
+		}
+		if beat.Lo&^lo != 0 || beat.Hi&^hi != 0 {
+			return false
 		}
 	}
 	return true

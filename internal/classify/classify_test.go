@@ -1,8 +1,10 @@
 package classify
 
 import (
+	"math/rand"
 	"testing"
 
+	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/hbm2"
 	"hbm2ecc/internal/microbench"
@@ -120,6 +122,72 @@ func TestByteAlignedDetection(t *testing.T) {
 	an = Analyze([]*microbench.Log{logOf(rec)}, Options{})
 	if !an.Events[0].ByteAligned {
 		t.Fatal("per-word byte-confined error not byte-aligned")
+	}
+}
+
+// maskByteAlignedRef is the original Bits()-loop definition of
+// maskByteAligned, kept as its differential-testing baseline.
+func maskByteAlignedRef(m bitvec.V288) bool {
+	for w := 0; w < bitvec.Beats; w++ {
+		beat := m.Beat(w)
+		if beat.IsZero() {
+			continue
+		}
+		bits := beat.Bits()
+		b0 := bits[0] / 8
+		for _, b := range bits[1:] {
+			if b/8 != b0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestMaskByteAlignedVsBitLoop checks every 1- and 2-bit beat mask in
+// every beat, then random entries whose beats mix those masks with dense
+// beats and random patterns confined to one aligned byte (check byte
+// included), against the bit loop.
+func TestMaskByteAlignedVsBitLoop(t *testing.T) {
+	var masks []bitvec.V72
+	for i := 0; i < bitvec.BeatBits; i++ {
+		one := bitvec.V72{}.FlipBit(i)
+		masks = append(masks, one)
+		for j := i + 1; j < bitvec.BeatBits; j++ {
+			masks = append(masks, one.FlipBit(j))
+		}
+	}
+	check := func(e bitvec.V288) {
+		t.Helper()
+		if got, want := maskByteAligned(e), maskByteAlignedRef(e); got != want {
+			t.Fatalf("maskByteAligned(%v) = %v, bit loop %v", e, got, want)
+		}
+	}
+	for _, m := range masks {
+		for w := 0; w < bitvec.Beats; w++ {
+			check(bitvec.V288{}.SetBeat(w, m))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	randomBeat := func() bitvec.V72 {
+		switch rng.Intn(4) {
+		case 0:
+			return bitvec.V72{}
+		case 1:
+			return masks[rng.Intn(len(masks))]
+		case 2:
+			return bitvec.V72FromUint64(rng.Uint64(), rng.Uint64())
+		default:
+			pat := uint64(rng.Intn(256))
+			if b := rng.Intn(bitvec.BytesPer72); b < 8 {
+				return bitvec.V72FromUint64(pat<<(8*b), 0)
+			}
+			return bitvec.V72FromUint64(0, pat)
+		}
+	}
+	for k := 0; k < 20000; k++ {
+		check(bitvec.FromBeats(randomBeat(), randomBeat(), randomBeat(), randomBeat()))
 	}
 }
 

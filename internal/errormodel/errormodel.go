@@ -14,6 +14,7 @@ package errormodel
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"hbm2ecc/internal/bitvec"
@@ -120,7 +121,7 @@ func Enumerate(p Pattern, fn func(e bitvec.V288)) {
 		for pin := 0; pin < bitvec.Pins; pin++ {
 			pb := bitvec.PinBits(pin)
 			for mask := 0; mask < 16; mask++ {
-				if onesCount4(mask) < 2 {
+				if bits.OnesCount8(uint8(mask)) < 2 {
 					continue
 				}
 				var e bitvec.V288
@@ -136,7 +137,7 @@ func Enumerate(p Pattern, fn func(e bitvec.V288)) {
 		for by := 0; by < bitvec.EntryAlignedBytes; by++ {
 			base := bitvec.ByteBase(by)
 			for pat := 1; pat < 256; pat++ {
-				if onesCount8(pat) < 2 {
+				if bits.OnesCount8(uint8(pat)) < 2 {
 					continue
 				}
 				var e bitvec.V288
@@ -250,15 +251,4 @@ func (s *Sampler) SampleEvent() (Pattern, bitvec.V288) {
 		}
 	}
 	return Entry1, s.Sample(Entry1)
-}
-
-func onesCount4(x int) int { return onesCount8(x & 0xF) }
-
-func onesCount8(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

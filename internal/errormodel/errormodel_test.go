@@ -111,6 +111,42 @@ func TestSamplesClassifyCorrectly(t *testing.T) {
 	}
 }
 
+var (
+	sinkPattern Pattern
+	sinkError   bitvec.V288
+)
+
+// TestClassifyAndSampleAllocateNothing locks the per-trial path at zero
+// heap allocations: every Monte-Carlo draw runs Classify, inside Sample's
+// rejection loop.
+func TestClassifyAndSampleAllocateNothing(t *testing.T) {
+	pb := bitvec.PinBits(9)
+	base := bitvec.ByteBase(3)
+	examples := [NumPatterns]bitvec.V288{
+		Bit1:   bitvec.V288{}.FlipBit(5),
+		Pin1:   bitvec.V288{}.FlipBit(pb[0]).FlipBit(pb[2]),
+		Byte1:  bitvec.V288{}.FlipBit(base).FlipBit(base + 5),
+		Bits2:  bitvec.V288{}.FlipBit(0).FlipBit(100),
+		Bits3:  bitvec.V288{}.FlipBit(0).FlipBit(100).FlipBit(200),
+		Beat1:  bitvec.V288{}.FlipBit(0).FlipBit(9).FlipBit(20).FlipBit(40).FlipBit(65),
+		Entry1: bitvec.V288{}.FlipBit(0).FlipBit(9).FlipBit(20).FlipBit(40).FlipBit(80),
+	}
+	for p, e := range examples {
+		if got := Classify(e); got != Pattern(p) {
+			t.Fatalf("example for %v classifies as %v", Pattern(p), got)
+		}
+		if n := testing.AllocsPerRun(100, func() { sinkPattern = Classify(e) }); n != 0 {
+			t.Errorf("Classify(%v example) allocates %v times per call", Pattern(p), n)
+		}
+	}
+	s := NewSampler(4)
+	for p := Bit1; p < NumPatterns; p++ {
+		if n := testing.AllocsPerRun(100, func() { sinkError = s.Sample(p) }); n != 0 {
+			t.Errorf("Sample(%v) allocates %v times per call", p, n)
+		}
+	}
+}
+
 func TestBeatSampleStaysInOneBeat(t *testing.T) {
 	s := NewSampler(2)
 	for trial := 0; trial < 3000; trial++ {

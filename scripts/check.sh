@@ -34,6 +34,7 @@ go test -run '^$' -fuzz FuzzBatchVsSingle -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzDecodeFastVsRef -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzEncodeVsRef -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzLayoutVsBitLoop -fuzztime 10s ./internal/bitvec/
+go test -run '^$' -fuzz FuzzLocalityVsBitLoop -fuzztime 10s ./internal/bitvec/
 go test -run '^$' -fuzz FuzzSynBitRowsVsSyndromes -fuzztime 10s ./internal/rscode/
 go test -run '^$' -fuzz FuzzOnDieDecodeVsRef -fuzztime 10s ./internal/ondie/
 
