@@ -122,8 +122,9 @@ func main() {
 	}
 }
 
-// runLocal is the in-process evaluation: (scheme, pattern) cells run in
-// parallel through the campaign engine, one sampler stream each.
+// runLocal is the in-process evaluation: pattern columns run in
+// parallel through the campaign engine, each drawing its trials once for
+// every scheme. The checkpoint still holds (scheme, pattern) cells.
 func runLocal(ctx context.Context, names []string, seed int64, samples int, checkpoint, resume string, instrument bool, stage *ondie.Stage) ([]evalmc.SchemeResult, error) {
 	schemes := make([]core.Scheme, len(names))
 	for i, name := range names {

@@ -49,11 +49,13 @@ func runOnDieInfer(seed int64) error {
 
 // printOnDieStats reports the stage's decode telemetry accumulated over
 // the evaluation — the observed correction/miscorrection split behind
-// the distorted breakdown.
+// the distorted breakdown. Every scheme of a pattern column decodes the
+// same transformed trials, so the stage sees each distinct trial once,
+// not once per scheme: the counts are over distinct trials.
 func printOnDieStats(st *ondie.Stage) {
 	s := st.Stats()
 	total := s.Corrected + s.Miscorrected + s.PassedThrough + s.Undetected
-	fmt.Printf("\n== on-die stage %s: decode telemetry over %d erroneous chunks ==\n", st.Name(), total)
+	fmt.Printf("\n== on-die stage %s: decode telemetry over %d erroneous chunks of distinct trials ==\n", st.Name(), total)
 	fmt.Printf("corrected %d, miscorrected %d, passed through %d, undetected %d\n",
 		s.Corrected, s.Miscorrected, s.PassedThrough, s.Undetected)
 }

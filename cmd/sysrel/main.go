@@ -28,9 +28,8 @@ func main() {
 		core.NewSSCDSDPlus(),
 	}
 	var fits []sysrel.GPUFIT
-	for _, s := range schemes {
-		w := evalmc.Evaluate(s, opts).Weighted()
-		fits = append(fits, sysrel.FromWeighted(w, sysrel.A100MemoryGb))
+	for _, r := range evalmc.EvaluateAll(schemes, opts) {
+		fits = append(fits, sysrel.FromWeighted(r.Weighted(), sysrel.A100MemoryGb))
 	}
 
 	fmt.Println("Per-GPU FIT rates (12.51 FIT/Gb raw, 40GB HBM2)")

@@ -41,8 +41,8 @@ func main() {
 	opts := evalmc.Options{Seed: 1, Samples3b: 100_000, SamplesBeat: 100_000,
 		SamplesEntry: 100_000, Parallel: true}
 	fmt.Println("evaluating both against the Table-1 error model...")
-	cw := evalmc.Evaluate(custom, opts).Weighted()
-	sw := evalmc.Evaluate(shipped, opts).Weighted()
+	evals := evalmc.EvaluateAll([]core.Scheme{custom, shipped}, opts)
+	cw, sw := evals[0].Weighted(), evals[1].Weighted()
 
 	fmt.Printf("\n%-12s %-12s %-12s %s\n", "scheme", "corrected", "detected", "SDC")
 	for _, w := range []evalmc.Weighted{sw, cw} {
@@ -51,7 +51,7 @@ func main() {
 
 	// Byte errors must be fully corrected by any valid SEC-2bEC + I + CSC
 	// organization — verify the custom code kept the headline property.
-	byteRes := evalmc.Evaluate(custom, opts).PerPattern[errormodel.Byte1]
+	byteRes := evals[0].PerPattern[errormodel.Byte1]
 	fmt.Printf("\ncustom code byte errors: %d/%d corrected (must be all)\n",
 		byteRes.DCE, byteRes.N)
 	if byteRes.DCE != byteRes.N {

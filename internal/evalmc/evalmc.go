@@ -32,8 +32,9 @@ import (
 
 // Monte-Carlo telemetry: outcome counters accumulate per (scheme,
 // pattern, outcome); throughput and convergence gauges track the most
-// recent evaluation. All updates happen per pattern class or per worker
-// batch — never inside the per-trial loop — so the hot path is untouched.
+// recent evaluation, a column's rates shared by all its schemes. All
+// updates happen per pattern class or per worker batch — never inside
+// the per-trial loop — so the hot path is untouched.
 var (
 	mOutcomes = obs.NewCounter("evalmc_outcomes_total",
 		"Decode outcomes observed by the evaluator.", "scheme", "pattern", "outcome")
@@ -60,9 +61,9 @@ type Options struct {
 	// Data is the payload to protect; the zero value is fine for linear
 	// codes.
 	Data [bitvec.DataBytes]byte
-	// Parallel evaluates the (scheme, pattern) cells concurrently
-	// through the campaign engine. Every cell draws from its own sampler
-	// streams, so the results are identical to a sequential run.
+	// Parallel evaluates the pattern columns concurrently through the
+	// campaign engine. Every column draws from its own sampler streams,
+	// so the results are identical to a sequential run.
 	Parallel bool
 	// Shards is the number of deterministic sampler streams a sampled
 	// pattern class is split into, each run by its own goroutine; zero
@@ -71,28 +72,33 @@ type Options struct {
 	// campaign engine pins Shards in its wire spec.
 	Shards int
 	// Ctx, when non-nil, makes the evaluation cancellable: EvaluateCtx
-	// stops between pattern classes and (for sampled classes) between
-	// worker batches, returning the context error. Partial pattern
+	// stops between pattern columns and (for sampled classes) between
+	// worker batches, returning the context error. A column still running
+	// at cancellation is dropped with all its cells; partial pattern
 	// classes are never reported.
 	Ctx context.Context
-	// Resume, when set, is consulted before evaluating each (scheme,
-	// pattern) cell; returning ok=true skips the evaluation and reuses the
-	// cached result (see Checkpoint.Lookup). Because every cell draws from
-	// its own deterministic sampler stream, skipping completed cells
-	// changes nothing about the remaining ones.
+	// Resume, when set, is consulted for each (scheme, pattern) cell
+	// before its pattern column is evaluated; returning ok=true reuses
+	// the cached result (see Checkpoint.Lookup). A column whose cells all
+	// resume is skipped; otherwise it runs for the other schemes only.
+	// Because a column's trials depend only on the seed, the pattern and
+	// the shard, skipping completed cells changes nothing about the
+	// remaining ones. Cells, not columns, are the checkpoint unit.
 	Resume func(scheme string, p errormodel.Pattern) (PatternResult, bool)
-	// Progress, when set, is called after each (scheme, pattern) cell is
-	// evaluated — the checkpoint hook (see Checkpoint.Store). It is not
+	// Progress, when set, is called for each (scheme, pattern) cell
+	// evaluated — the checkpoint hook (see Checkpoint.Store) — once its
+	// column finishes, in scheme order within the column. It is not
 	// called for cells satisfied by Resume, and calls never overlap.
 	Progress func(scheme string, p errormodel.Pattern, r PatternResult)
 	// ErrTransform, when set, maps every raw error mask through a
-	// data-independent transformation before the scheme decodes it — the
+	// data-independent transformation before the schemes decode it — the
 	// on-die ECC stage's error distortion (ondie.Stage.TransformMask).
-	// The sampler streams are untouched (the transform applies after
-	// sampling), so a nil transform reproduces today's golden results
-	// byte-identically and a non-nil one evaluates the same raw trial
-	// set as observed past the die. Must be pure and safe for
-	// concurrent use.
+	// It is called once per trial of a column, however many schemes
+	// decode the trial. The sampler streams are untouched (the transform
+	// applies after sampling), so a nil transform reproduces today's
+	// golden results byte-identically and a non-nil one evaluates the
+	// same raw trial set as observed past the die. Must be pure and safe
+	// for concurrent use.
 	ErrTransform func(bitvec.V288) bitvec.V288
 	// OnDie names the ErrTransform's stage for checkpoint echoes (see
 	// Checkpoint); informational when ErrTransform is nil.
@@ -201,17 +207,22 @@ func EvaluateCtx(s core.Scheme, opts Options) (SchemeResult, error) {
 	return res[0], err
 }
 
-// EvaluateCell evaluates a single (scheme, pattern) cell. Each cell
-// draws from its own deterministic sampler stream, so the full grid can
-// be evaluated in any order — or by different processes — and merged
-// into a result bit-identical to a sequential EvaluateCtx with the same
-// options. This is the unit of work the distributed campaign engine
-// (internal/cluster) leases to workers. The Resume and Progress hooks
-// are ignored; cancellation mid-cell returns the context error and
-// drops the partial counts (they would bias the estimator).
+// EvaluateCell evaluates a single (scheme, pattern) cell: a pattern
+// column over one scheme. Every scheme of a column decodes the same
+// deterministic trial stream, so the full grid can be evaluated in any
+// order — or by different processes — and merged into a result
+// bit-identical to a sequential EvaluateCtx with the same options. This
+// is the unit of work the distributed campaign engine (internal/cluster)
+// leases to workers. The Resume and Progress hooks are ignored;
+// cancellation mid-cell returns the context error and drops the partial
+// counts (they would bias the estimator).
 func EvaluateCell(s core.Scheme, p errormodel.Pattern, opts Options) (PatternResult, error) {
 	opts.defaults()
-	return evaluateCell(s, s.Encode(opts.Data), p, opts)
+	rs, err := evaluateColumn([]core.Scheme{s}, []bitvec.V288{s.Encode(opts.Data)}, p, opts)
+	if err != nil {
+		return PatternResult{}, err
+	}
+	return rs[0], nil
 }
 
 // CellTrials returns the number of trials cell (·, p) will run under
@@ -229,24 +240,6 @@ func CellTrials(p errormodel.Pattern, opts Options) int {
 	default:
 		return opts.Samples3b
 	}
-}
-
-func evaluateCell(s core.Scheme, wire bitvec.V288, p errormodel.Pattern, opts Options) (PatternResult, error) {
-	start := time.Now()
-	var r PatternResult
-	complete := true
-	if errormodel.EnumerableCount(p) >= 0 {
-		r = evaluateExhaustive(s, wire, p, opts.ErrTransform)
-	} else {
-		r, complete = evaluateSampled(s, wire, p, CellTrials(p, opts), opts)
-	}
-	if !complete {
-		// Cancelled mid-class: the partial counts would bias the
-		// estimator, so they are dropped (resume redoes the class).
-		return PatternResult{}, opts.Ctx.Err()
-	}
-	recordPattern(s.Name(), r, time.Since(start))
-	return r, nil
 }
 
 // recordPattern publishes one pattern class's results to the registry.
@@ -276,7 +269,7 @@ func classifyOutcome(s core.Scheme, wire, e bitvec.V288) ecc.Outcome {
 // decodeBatchSize is the number of trials handed to one BatchDecoder
 // call: large enough to amortize interface dispatch out of the per-trial
 // path, small enough that the pending buffers stay cache-resident
-// (2 × 256 × 40 B ≈ 20 KB per worker).
+// (2 × 256 × 40 B ≈ 20 KB per scheme and worker).
 const decodeBatchSize = 256
 
 // batchClassifier accumulates error patterns against one encoded entry
@@ -286,7 +279,7 @@ const decodeBatchSize = 256
 // before reading the counters. Buffering never reorders trials, so
 // sampler streams — and therefore the golden master — do not depend on
 // the batch size. Not safe for concurrent use — each evaluator worker
-// owns one.
+// owns one per scheme.
 type batchClassifier struct {
 	wire bitvec.V288
 	dec  core.BatchDecoder
@@ -327,81 +320,108 @@ func (b *batchClassifier) flush() {
 	b.n = 0
 }
 
-func evaluateExhaustive(s core.Scheme, wire bitvec.V288, p errormodel.Pattern, tf func(bitvec.V288) bitvec.V288) PatternResult {
-	r := PatternResult{Pattern: p, Exhaustive: true}
-	bc := newBatchClassifier(s, wire)
-	errormodel.Enumerate(p, func(e bitvec.V288) {
-		r.N++
-		if tf != nil {
-			e = tf(e)
-		}
-		bc.add(e)
-	})
-	bc.flush()
-	r.DCE, r.DUE, r.SDC = bc.dce, bc.due, bc.sdc
-	return r
-}
-
 // cancelCheckStride bounds how many trials a worker runs between context
 // checks; small enough for sub-second cancellation latency, large enough
 // to keep the hot loop branch-free in practice.
 const cancelCheckStride = 4096
 
-func evaluateSampled(s core.Scheme, wire bitvec.V288, p errormodel.Pattern, n int, opts Options) (PatternResult, bool) {
-	seed, ctx := opts.Seed, opts.Ctx
+// evaluateColumn evaluates pattern class p for every scheme, schemes[i]
+// storing wires[i]. Each trial is drawn once — by one Enumerate pass,
+// or by one sampler stream per shard — passed through ErrTransform once,
+// and decoded by every scheme, so the schemes share their trials (common
+// random numbers) and a column costs one draw per trial, not one per
+// scheme. The streams are seeded without a scheme term, so each scheme's
+// result is the one EvaluateCell gives for it alone. It returns one
+// result per scheme, or the context error if cancelled mid-class.
+func evaluateColumn(schemes []core.Scheme, wires []bitvec.V288, p errormodel.Pattern, opts Options) ([]PatternResult, error) {
+	start := time.Now()
+	n := CellTrials(p, opts)
+	exhaustive := errormodel.EnumerableCount(p) >= 0
 	// The shard count fixes the sampler stream split, and therefore the
-	// exact trial sequence.
-	workers := min(opts.Shards, n)
-	type counts struct{ n, dce, due, sdc int }
-	parts := make([]counts, workers)
+	// exact trial sequence; an enumerated class is one stream.
+	shards := 1
+	if !exhaustive {
+		shards = min(opts.Shards, n)
+	}
+	classifiers := make([][]*batchClassifier, shards)
+	drawn := make([]int, shards)
 	var wg sync.WaitGroup
-	per := n / workers
-	for w := 0; w < workers; w++ {
-		w := w
+	per := n / shards
+	for w := range shards {
 		quota := per
-		if w == workers-1 {
-			quota = n - per*(workers-1)
+		if w == shards-1 {
+			quota = n - per*(shards-1)
+		}
+		bcs := make([]*batchClassifier, len(schemes))
+		for i, s := range schemes {
+			bcs[i] = newBatchClassifier(s, wires[i])
+		}
+		classifiers[w] = bcs
+		add := func(e bitvec.V288) {
+			if opts.ErrTransform != nil {
+				e = opts.ErrTransform(e)
+			}
+			for _, bc := range bcs {
+				bc.add(e)
+			}
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			start := time.Now()
-			// Distinct deterministic stream per worker and pattern. The
-			// batch classifier buffers trials without reordering them, so
-			// the RNG consumption (and hence every sampled pattern) is
-			// identical to the pre-batching evaluator.
-			smp := errormodel.NewSampler(seed + int64(w)*1_000_003 + int64(p)*7_919)
-			bc := newBatchClassifier(s, wire)
-			var c counts
-			for i := 0; i < quota; i++ {
-				if ctx != nil && i%cancelCheckStride == 0 && ctx.Err() != nil {
-					break
+			shardStart := time.Now()
+			if exhaustive {
+				errormodel.Enumerate(p, add)
+				drawn[w] = n
+			} else {
+				// Distinct deterministic stream per shard and pattern. The
+				// batch classifiers buffer trials without reordering them,
+				// so the RNG consumption (and hence every sampled pattern)
+				// is identical to the pre-batching evaluator.
+				smp := errormodel.NewSampler(opts.Seed + int64(w)*1_000_003 + int64(p)*7_919)
+				i := 0
+				for ; i < quota; i++ {
+					if opts.Ctx != nil && i%cancelCheckStride == 0 && opts.Ctx.Err() != nil {
+						break
+					}
+					add(smp.Sample(p))
 				}
-				e := smp.Sample(p)
-				if opts.ErrTransform != nil {
-					e = opts.ErrTransform(e)
-				}
-				bc.add(e)
-				c.n++
+				drawn[w] = i
 			}
-			bc.flush()
-			c.dce, c.due, c.sdc = bc.dce, bc.due, bc.sdc
-			parts[w] = c
-			if sec := time.Since(start).Seconds(); sec > 0 {
-				mWorkerRate.With(s.Name(), p.String(), strconv.Itoa(w)).
-					Set(float64(c.n) / sec)
+			for _, bc := range bcs {
+				bc.flush()
+			}
+			if sec := time.Since(shardStart).Seconds(); sec > 0 && !exhaustive {
+				for _, s := range schemes {
+					mWorkerRate.With(s.Name(), p.String(), strconv.Itoa(w)).
+						Set(float64(drawn[w]) / sec)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	r := PatternResult{Pattern: p}
-	for _, c := range parts {
-		r.N += c.n
-		r.DCE += c.dce
-		r.DUE += c.due
-		r.SDC += c.sdc
+
+	total := 0
+	for _, d := range drawn {
+		total += d
 	}
-	return r, r.N == n
+	if total != n {
+		// Cancelled mid-class: the partial counts would bias the
+		// estimator, so they are dropped (resume redoes the class).
+		return nil, opts.Ctx.Err()
+	}
+	out := make([]PatternResult, len(schemes))
+	elapsed := time.Since(start)
+	for i, s := range schemes {
+		r := PatternResult{Pattern: p, Exhaustive: exhaustive, N: n}
+		for _, bcs := range classifiers {
+			r.DCE += bcs[i].dce
+			r.DUE += bcs[i].due
+			r.SDC += bcs[i].sdc
+		}
+		out[i] = r
+		recordPattern(s.Name(), r, elapsed)
+	}
+	return out, nil
 }
 
 // EvaluateAll evaluates every scheme in order.
@@ -411,44 +431,97 @@ func EvaluateAll(schemes []core.Scheme, opts Options) []SchemeResult {
 }
 
 // EvaluateAllCtx evaluates the scheme x pattern grid through the
-// campaign engine, with cancellation and checkpoint hooks. It returns
-// one result per scheme, in order. On cancellation only the cells
-// completed so far are populated, and it returns the context error.
+// campaign engine, with cancellation and checkpoint hooks. The evaluated
+// unit is a pattern column (see evaluateColumn): one campaign cell per
+// pattern, whose trials every scheme decodes. Resume and Progress still
+// work per (scheme, pattern) cell: a column runs only for the schemes
+// Resume does not satisfy, and Progress is called for each of them, in
+// scheme order, when the column finishes. It returns one result per
+// scheme, in order. On cancellation only the columns completed so far
+// are populated, and it returns the context error.
 func EvaluateAllCtx(schemes []core.Scheme, opts Options) ([]SchemeResult, error) {
 	opts.defaults()
-	const np = int(errormodel.NumPatterns)
 	out := make([]SchemeResult, len(schemes))
 	wires := make([]bitvec.V288, len(schemes))
-	cells := make([]campaign.Cell[errormodel.Pattern], 0, len(schemes)*np)
 	for i, s := range schemes {
 		out[i].Scheme = s.Name()
 		wires[i] = s.Encode(opts.Data)
-		for p := errormodel.Bit1; p < errormodel.NumPatterns; p++ {
-			cells = append(cells, campaign.Cell[errormodel.Pattern]{Row: s.Name(), Col: p})
+	}
+	cols := make([]campaign.Cell[errormodel.Pattern], errormodel.NumPatterns)
+	// stored[p][i] is scheme i's checkpointed pattern-p result, or nil if
+	// column p must evaluate it. The Resume hook fills stored[p] before
+	// column p is evaluated.
+	stored := make([][]*PatternResult, errormodel.NumPatterns)
+	for p := range cols {
+		cols[p].Col = errormodel.Pattern(p)
+		stored[p] = make([]*PatternResult, len(schemes))
+	}
+	// merge interleaves column p's stored results with the fresh ones,
+	// which are in scheme order.
+	merge := func(p errormodel.Pattern, fresh []PatternResult) []PatternResult {
+		rs := make([]PatternResult, len(schemes))
+		for i, r := range stored[p] {
+			if r != nil {
+				rs[i] = *r
+			} else {
+				rs[i], fresh = fresh[0], fresh[1:]
+			}
+		}
+		return rs
+	}
+	var hooks campaign.Hooks[errormodel.Pattern, []PatternResult]
+	if opts.Resume != nil {
+		hooks.Resume = func(_ string, p errormodel.Pattern) ([]PatternResult, bool) {
+			all := true
+			for i, s := range schemes {
+				if r, ok := opts.Resume(s.Name(), p); ok {
+					mResumedCells.Inc()
+					stored[p][i] = &r
+				} else {
+					all = false
+				}
+			}
+			if !all {
+				return nil, false
+			}
+			return merge(p, nil), true
 		}
 	}
-	hooks := campaign.Hooks[errormodel.Pattern, PatternResult]{Progress: opts.Progress}
-	if opts.Resume != nil {
-		hooks.Resume = func(scheme string, p errormodel.Pattern) (PatternResult, bool) {
-			r, ok := opts.Resume(scheme, p)
-			if ok {
-				mResumedCells.Inc()
+	if opts.Progress != nil {
+		hooks.Progress = func(_ string, p errormodel.Pattern, rs []PatternResult) {
+			for i, s := range schemes {
+				if stored[p][i] == nil {
+					opts.Progress(s.Name(), p, rs[i])
+				}
 			}
-			return r, ok
 		}
 	}
 
 	span := obs.DefaultTracer.Start("evalmc.evaluate")
 	defer span.Finish()
-	done, err := campaign.Run(opts.Ctx, cells, opts.Parallel, hooks, func(i int) (PatternResult, error) {
+	done, err := campaign.Run(opts.Ctx, cols, opts.Parallel, hooks, func(c int) ([]PatternResult, error) {
+		p := cols[c].Col
+		var todo []core.Scheme
+		var todoWires []bitvec.V288
+		for i, s := range schemes {
+			if stored[p][i] == nil {
+				todo, todoWires = append(todo, s), append(todoWires, wires[i])
+			}
+		}
 		ps := span.Child("pattern")
-		ps.SetAttr("scheme", cells[i].Row)
-		ps.SetAttr("pattern", cells[i].Col.String())
+		ps.SetAttr("pattern", p.String())
+		ps.SetAttr("schemes", strconv.Itoa(len(todo)))
 		defer ps.Finish()
-		return evaluateCell(schemes[i/np], wires[i/np], cells[i].Col, opts)
+		fresh, err := evaluateColumn(todo, todoWires, p, opts)
+		if err != nil {
+			return nil, err
+		}
+		return merge(p, fresh), nil
 	})
 	for _, d := range done {
-		out[d.Index/np].PerPattern[cells[d.Index].Col] = d.Result
+		for i, r := range d.Result {
+			out[i].PerPattern[cols[d.Index].Col] = r
+		}
 	}
 	return out, err
 }

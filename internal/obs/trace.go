@@ -24,14 +24,25 @@ type Tracer struct {
 	maxSpans int
 	dropped  int
 	phases   map[string]*PhaseStat
+	open     map[string]*openPhase
 	now      func() time.Time
 }
 
-// PhaseStat aggregates finished spans sharing one name.
+// PhaseStat aggregates finished spans sharing one name. Total sums their
+// durations, so concurrent spans can add up past the run's length; Wall
+// is the union of their intervals, the time at least one was open.
 type PhaseStat struct {
 	Name  string
 	Count int
 	Total time.Duration
+	Wall  time.Duration
+}
+
+// openPhase tracks one phase's open spans: n of them, the earliest
+// opened at since. Wall grows by end-since when n returns to 0.
+type openPhase struct {
+	n     int
+	since time.Time
 }
 
 // Mean returns the mean duration of the phase.
@@ -51,6 +62,7 @@ func NewTracer(r *Registry) *Tracer {
 		maxRoots: 64,
 		maxSpans: 8192,
 		phases:   map[string]*PhaseStat{},
+		open:     map[string]*openPhase{},
 		now:      time.Now,
 	}
 }
@@ -92,6 +104,7 @@ type Span struct {
 func (t *Tracer) Start(name string) *Span {
 	t.mu.Lock()
 	s := &Span{Name: name, t: t, start: t.now()}
+	t.opened(s)
 	if len(t.roots) >= t.maxRoots && t.maxRoots > 0 {
 		// FIFO: the oldest campaign tree ages out, releasing its
 		// retention budget to future spans.
@@ -125,6 +138,7 @@ func (s *Span) Child(name string) *Span {
 	t := s.t
 	t.mu.Lock()
 	c := &Span{Name: name, t: t, start: t.now()}
+	t.opened(c)
 	retain := t.retained < t.maxSpans || t.maxSpans <= 0
 	if retain {
 		t.retained++
@@ -138,6 +152,19 @@ func (s *Span) Child(name string) *Span {
 		s.smu.Unlock()
 	}
 	return c
+}
+
+// opened counts s as open in its phase; t.mu must be held.
+func (t *Tracer) opened(s *Span) {
+	o := t.open[s.Name]
+	if o == nil {
+		o = &openPhase{}
+		t.open[s.Name] = o
+	}
+	if o.n == 0 {
+		o.since = s.start
+	}
+	o.n++
 }
 
 // SetAttr attaches a key/value annotation to the span.
@@ -169,6 +196,11 @@ func (s *Span) Finish() {
 	}
 	ps.Count++
 	ps.Total += d
+	if o := t.open[s.Name]; o != nil && o.n > 0 {
+		if o.n--; o.n == 0 {
+			ps.Wall += s.end.Sub(o.since)
+		}
+	}
 	t.mu.Unlock()
 	t.durations.With(s.Name).Observe(d.Seconds())
 }
@@ -230,7 +262,7 @@ func (t *Tracer) Phases() []PhaseStat {
 
 // WritePhaseSummary renders the aggregate phase table:
 //
-//	span                      count   total      mean
+//	span                      count   total      wall      mean
 func (t *Tracer) WritePhaseSummary(w io.Writer) error {
 	phases := t.Phases()
 	if len(phases) == 0 {
@@ -243,12 +275,12 @@ func (t *Tracer) WritePhaseSummary(w io.Writer) error {
 			width = len(p.Name)
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%-*s  %7s  %12s  %12s\n", width, "span", "count", "total", "mean"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-*s  %7s  %12s  %12s  %12s\n", width, "span", "count", "total", "wall", "mean"); err != nil {
 		return err
 	}
 	for _, p := range phases {
-		if _, err := fmt.Fprintf(w, "%-*s  %7d  %12s  %12s\n",
-			width, p.Name, p.Count, p.Total.Round(time.Microsecond), p.Mean().Round(time.Microsecond)); err != nil {
+		if _, err := fmt.Fprintf(w, "%-*s  %7d  %12s  %12s  %12s\n", width, p.Name, p.Count,
+			p.Total.Round(time.Microsecond), p.Wall.Round(time.Microsecond), p.Mean().Round(time.Microsecond)); err != nil {
 			return err
 		}
 	}

@@ -154,3 +154,59 @@ func TestSpanDurationHistogramRecorded(t *testing.T) {
 		t.Errorf("histogram count = %d, want 1", h.Count())
 	}
 }
+
+// TestPhaseWallCoverage checks Wall is the union of a phase's span
+// intervals: sequential spans cover as much wall time as they sum to,
+// overlapping ones less, and a gap between two overlap groups is not
+// covered. Total stays the plain sum.
+func TestPhaseWallCoverage(t *testing.T) {
+	tr := NewTracer(NewRegistry())
+	now := time.Unix(0, 0)
+	tr.SetClock(func() time.Time { return now })
+	at := func(ms int) { now = time.Unix(0, 0).Add(time.Duration(ms) * time.Millisecond) }
+
+	root := tr.Start("root")
+	for i := 0; i < 3; i++ { // [0,10) [10,20) [20,30)
+		at(10 * i)
+		s := root.Child("seq")
+		at(10*i + 10)
+		s.Finish()
+	}
+	// [100,130) and [110,140) overlap; [200,210) after a gap.
+	at(100)
+	a := root.Child("par")
+	at(110)
+	b := root.Child("par")
+	at(130)
+	a.Finish()
+	at(140)
+	b.Finish()
+	at(200)
+	c := root.Child("par")
+	at(210)
+	c.Finish()
+	root.Finish()
+
+	byName := map[string]PhaseStat{}
+	for _, p := range tr.Phases() {
+		byName[p.Name] = p
+	}
+	ms := time.Millisecond
+	if seq := byName["seq"]; seq.Total != 30*ms || seq.Wall != seq.Total {
+		t.Errorf("sequential spans: total %v wall %v, want both 30ms", seq.Total, seq.Wall)
+	}
+	if par := byName["par"]; par.Total != 70*ms || par.Wall != 50*ms {
+		t.Errorf("overlapping spans: total %v wall %v, want 70ms and 50ms", par.Total, par.Wall)
+	}
+	if r := byName["root"]; r.Wall != r.Total || r.Total != 210*ms {
+		t.Errorf("root: total %v wall %v, want both 210ms", r.Total, r.Wall)
+	}
+
+	var out strings.Builder
+	if err := tr.WritePhaseSummary(&out); err != nil {
+		t.Fatal(err)
+	}
+	if head := strings.Fields(strings.SplitN(out.String(), "\n", 2)[0]); strings.Join(head, " ") != "span count total wall mean" {
+		t.Errorf("summary header %q", head)
+	}
+}

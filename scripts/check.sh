@@ -48,10 +48,12 @@ go run ./cmd/bench -quick -gate -out "$bench_out" >/dev/null
 test -s "$bench_out"
 rm -f "$bench_out"
 
-echo "== ecceval differential: sequential vs -workers 2, checkpoint crossover =="
-# Every (scheme, pattern) cell draws from its own sampler stream, so the
-# sequential (cell-parallel) run and the distributed run must print the
-# same report, and a checkpoint from one must resume in the other.
+echo "== ecceval differential: sequential vs -workers 2, checkpoint crossovers =="
+# The local run evaluates pattern columns (each trial drawn once and
+# decoded by every scheme); -workers 2 evaluates single (scheme, pattern)
+# cells. Each cell's trial stream depends only on the seed, the pattern
+# and the shard, never on the scheme, so both must print the same report,
+# and a checkpoint from either one must resume in the other.
 ecc_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_ecceval.XXXXXX")"
 trap 'rm -rf "$ecc_dir"' EXIT
 go build -o "$ecc_dir/ecceval" ./cmd/ecceval
@@ -64,6 +66,8 @@ cells="$(sed -n 's/^Distributed campaign: \([0-9]*\) cells .* \([0-9]*\) resumed
 read -r total resumed <<<"$cells"
 test -n "$total" && test "$total" = "$resumed" || { echo "crossover resumed '$cells' (total resumed)"; cat "$ecc_dir/resumed.txt"; exit 1; }
 grep -v '^Distributed campaign:\|^Resuming from' "$ecc_dir/resumed.txt" | diff "$ecc_dir/seq.txt" -
+"$ecc_dir/ecceval" -workers 2 -samples 2000 -checkpoint "$ecc_dir/wckpt.json" >/dev/null
+"$ecc_dir/ecceval" -samples 2000 -resume "$ecc_dir/wckpt.json" | grep -v '^Resuming from' | diff "$ecc_dir/seq.txt" -
 rm -rf "$ecc_dir"
 
 echo "== serve smoke: decoded + loadgen =="
