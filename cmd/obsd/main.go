@@ -1,73 +1,64 @@
-// Command obsd is a gpud-inspired health daemon for a simulated HBM2 GPU
-// fleet: every device sits in an accelerated soft-error environment, and
-// obsd periodically runs the paper's DRAM microbenchmark as a health
-// check, classifies the detected errors (SBE/MBE severity, weak-cell vs
-// soft), and serves the results over HTTP:
+// Command obsd watches a simulated HBM2 GPU fleet through the fleet
+// health plane. Every device sits in its own accelerated soft-error
+// beamline; obsd checks each one with the paper's DRAM microbenchmark
+// (a fieldsim.Probe), feeds what the check classifies — corrected and
+// detected soft errors, weak-cell damage — into that device's
+// fleet.Agent, and reports the agent's Xid events to an in-process
+// fleet coordinator, whose endpoints it serves:
 //
-//	/metrics — Prometheus text format
-//	/healthz — ok/degraded JSON (503 when degraded)
-//	/state   — full fleet state JSON
-//	/spans   — aggregate health-check phase timings
+//	GET  /v1/fleet        — ranked devices + status counts (?top=N)
+//	GET  /v1/fleet/events — recent Xid events (?node=&xid=&limit=)
+//	GET  /metrics         — Prometheus text (fleet_* families)
+//	GET  /healthz         — liveness + fleet counts
 //
-// Run `obsd -once` for a single sweep printed to stdout (no server).
-// With -chaos, every device additionally runs under a seeded chaos fault
-// plan and the resilient scrub path (retry + weak-row retirement), whose
-// counters surface in /metrics as resilience_* families.
+// Each device runs on its own goroutine, one sweep per -interval, and
+// sweep k is simulated hour k+1 on the fleet plane's clock. A device
+// leaves the rotation once the coordinator answers one of its reports
+// with drain or retire; one that stops reporting for the coordinator's
+// 12-hour lease is marked offline.
 //
-// obsd shuts down gracefully: SIGINT/SIGTERM stops the check loop, drains
-// in-flight health checks, and then shuts the HTTP server down.
+// Run `obsd -once` for one sweep of every device, printed as the
+// coordinator's /v1/fleet JSON (no server). SIGINT/SIGTERM stops the
+// sweeps, waits for in-flight checks, and then shuts the HTTP server
+// down.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
+	"sync"
 	"time"
 
-	"hbm2ecc/internal/healthd"
+	"hbm2ecc/internal/fieldsim"
+	"hbm2ecc/internal/fleet"
 	"hbm2ecc/internal/httpx"
-	"hbm2ecc/internal/obs"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	devices := flag.Int("devices", 4, "simulated fleet size")
-	interval := flag.Duration("interval", 10*time.Second, "health-check sweep interval")
+	interval := flag.Duration("interval", 10*time.Second, "health-check sweep interval (one sweep = one simulated hour)")
 	seed := flag.Int64("seed", 2021, "random seed for the fleet's fault streams")
 	runs := flag.Int("runs", 1, "microbenchmark runs per device per check")
 	mtte := flag.Float64("mtte", 5, "per-device mean time to soft-error event, seconds")
-	once := flag.Bool("once", false, "run one sweep, print state and metrics, exit")
-	chaosOn := flag.Bool("chaos", false, "attach a seeded chaos fault plan and the resilient scrub path to every device")
-	checkTimeout := flag.Duration("check-timeout", 30*time.Second, "per-device health-check watchdog timeout")
+	once := flag.Bool("once", false, "run one sweep, print the ranked fleet JSON, exit")
 	flag.Parse()
 
-	d := healthd.New(healthd.Options{
-		Devices:      *devices,
-		Seed:         *seed,
-		CheckRuns:    *runs,
-		MTTE:         *mtte,
-		Chaos:        *chaosOn,
-		CheckTimeout: *checkTimeout,
-		Registry:     obs.Default,
-	})
+	probes := make([]*fieldsim.Probe, *devices)
+	for i := range probes {
+		probes[i] = fieldsim.NewProbe(i, *seed, *mtte, *runs)
+	}
+	coord := fleet.NewCoordinator(fleet.CoordinatorOptions{})
 
 	if *once {
-		d.CheckOnce()
-		d.Drain()
-		fmt.Println("== fleet state ==")
-		b, err := json.MarshalIndent(d.State(), "", "  ")
-		if err != nil {
+		if err := sweep(context.Background(), coord.Loopback(), probes, 1, 0); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(string(b))
-		fmt.Println("== health-check phases ==")
-		if err := d.Tracer().WritePhaseSummary(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("== metrics ==")
-		if err := obs.Default.WritePrometheus(os.Stdout); err != nil {
+		if err := json.NewEncoder(os.Stdout).Encode(coord.Fleet(*devices)); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -76,27 +67,73 @@ func main() {
 	ctx, stop := httpx.SignalContext()
 	defer stop()
 
-	// The shared daemon bootstrap hardens the server (timeouts, bounded
-	// request bodies) and turns ctx cancellation into a graceful drain —
-	// the same scaffolding cmd/campaignd and cmd/decoded run on.
-	srv, err := httpx.StartDaemon(ctx, "obsd", *addr, d.Handler(), httpx.DefaultMaxBody)
+	srv, err := httpx.StartDaemon(ctx, "obsd", *addr, coord.Handler(), fleet.MaxFrame)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("obsd: %d simulated devices, checking every %s, serving on %s (chaos=%v)",
-		*devices, *interval, srv.Addr(), *chaosOn)
+	log.Printf("obsd: %d simulated devices, one sweep (one simulated hour) every %s, serving on %s",
+		*devices, *interval, srv.Addr())
 
-	loopDone := make(chan struct{})
-	go func() {
-		defer close(loopDone)
-		d.Run(ctx, *interval)
-	}()
-
+	if err := sweep(ctx, coord.Loopback(), probes, 0, *interval); err != nil {
+		log.Printf("obsd: %v", err)
+	}
 	<-ctx.Done()
-	log.Print("obsd: signal received, draining in-flight checks")
-	<-loopDone // Run drains in-flight checks before returning
+	log.Print("obsd: signal received, draining")
 	if err := srv.Wait(); err != nil {
 		log.Fatal(err)
 	}
 	log.Print("obsd: shut down cleanly")
+}
+
+// sweep runs every probe's loop on its own goroutine and waits for all
+// of them. Each loop does sweeps sweeps (0: until ctx ends), interval
+// apart, and ends early once the coordinator answers drain or retire.
+func sweep(ctx context.Context, rep fleet.Reporter, probes []*fieldsim.Probe, sweeps int, interval time.Duration) error {
+	errs := make([]error, len(probes))
+	var wg sync.WaitGroup
+	for i, p := range probes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = watch(ctx, rep, p, sweeps, interval)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// watch is one device's loop. Sweep k checks the device into its agent
+// and reports at simulated hour k+1; the rows named by the Xid 63
+// events in a report are swapped out on the device as it is sent.
+func watch(ctx context.Context, rep fleet.Reporter, p *fieldsim.Probe, sweeps int, interval time.Duration) error {
+	a := fleet.NewAgent(p.Node(), fleet.AgentOptions{})
+	var seq uint64
+	for k := 0; sweeps == 0 || k < sweeps; k++ {
+		if k > 0 && interval > 0 {
+			select {
+			case <-ctx.Done():
+				return nil
+			case <-time.After(interval):
+			}
+		}
+		if ctx.Err() != nil {
+			return nil
+		}
+		at := float64(k + 1)
+		p.Check(a, at)
+		command := ""
+		err := fieldsim.Frames(a, &seq, at, func(req fleet.ReportRequest) error {
+			p.Retire(req.Events)
+			resp, err := rep.Report(ctx, req)
+			command = resp.Command
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		if command == fleet.CommandDrain || command == fleet.CommandRetire {
+			return nil
+		}
+	}
+	return nil
 }

@@ -20,8 +20,8 @@ import (
 )
 
 // Process-wide beam telemetry (internal/obs Default registry). Counters
-// aggregate over every beamline in the process; per-device views live in
-// cmd/obsd's health daemon.
+// aggregate over every beamline in the process; per-device views are
+// the fleet coordinator's, fed by fieldsim probes (cmd/obsd).
 var (
 	mInjectedArray = obs.NewCounter("beam_injected_events_total",
 		"Soft-error events injected by simulated beamlines.", "source").With("array")

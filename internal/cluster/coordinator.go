@@ -17,8 +17,7 @@ import (
 )
 
 // Cluster telemetry, exposed by any /metrics surface sharing the obs
-// Default registry (campaignd serves its own; an obsd colocated in the
-// same process reports them too).
+// Default registry (campaignd serves its own).
 var (
 	mQueueDepth = obs.NewGauge("cluster_queue_depth",
 		"Cells waiting to be leased.").With()

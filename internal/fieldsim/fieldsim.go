@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 
+	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/ecc"
 	"hbm2ecc/internal/errormodel"
@@ -59,17 +60,40 @@ func Simulate(cfg Config) Result {
 	smp := errormodel.NewSampler(cfg.Seed + 1)
 	for i := 0; i < n; i++ {
 		_, e := smp.SampleEvent()
-		wr := cfg.Scheme.DecodeWire(wire.Xor(e))
-		switch {
-		case wr.Status == ecc.Detected:
+		switch decode(cfg.Scheme, wire, e) {
+		case due:
 			res.DUE++
-		case wr.Wire == wire:
+		case dce:
 			res.DCE++
 		default:
 			res.SDC++
 		}
 	}
 	return res
+}
+
+// outcome is the ground-truth class of one decoded error.
+type outcome int
+
+const (
+	dce outcome = iota // corrected back to the written codeword
+	due                // detected, uncorrectable
+	sdc                // silently miscorrected or undetected
+)
+
+// decode applies error e to the codeword wire and classifies what
+// scheme s makes of it. It is the one decode step every event source in
+// this package shares.
+func decode(s core.Scheme, wire, e bitvec.V288) outcome {
+	wr := s.DecodeWire(wire.Xor(e))
+	switch {
+	case wr.Status == ecc.Detected:
+		return due
+	case wr.Wire == wire:
+		return dce
+	default:
+		return sdc
+	}
 }
 
 // MTTIHours returns the empirical mean wall-clock time between DUEs

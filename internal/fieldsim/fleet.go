@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"hbm2ecc/internal/core"
-	"hbm2ecc/internal/ecc"
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/fleet"
 	"hbm2ecc/internal/stats"
@@ -277,33 +276,11 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 	crashRate := cfg.CrashFITPerNode * 1e-9 // events/hour/node, not accelerated
 
 	report := func(n *simNode, at float64) error {
-		events := n.agent.Drain()
-		health, rec := n.agent.Health(at)
-		// Always send at least one frame: an empty report is the
-		// heartbeat renewing the node's liveness lease.
-		for {
-			batch := events
-			if len(batch) > fleet.MaxEventsPerReport {
-				batch = batch[:fleet.MaxEventsPerReport]
-			}
-			events = events[len(batch):]
-			n.seq++
-			n.box.Enqueue(fleet.ReportRequest{
-				NodeID:    n.id,
-				Seq:       n.seq,
-				AtHours:   at,
-				Health:    health.String(),
-				Recommend: rec.String(),
-				Events:    batch,
-			})
+		return Frames(n.agent, &n.seq, at, func(req fleet.ReportRequest) error {
+			n.box.Enqueue(req)
 			flushAt = at
-			if err := n.box.Flush(ctx, at); err != nil {
-				return err
-			}
-			if len(events) == 0 {
-				return nil
-			}
-		}
+			return n.box.Flush(ctx, at)
+		})
 	}
 
 	for t := 0.0; t < cfg.Hours; t += cfg.TickHours {
@@ -339,15 +316,14 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			at := t + rng.Float64()*cfg.TickHours
 			row := rng.Int63n(cfg.Rows)
 			_, e := smp.SampleEvent()
-			wr := cfg.Scheme.DecodeWire(wire.Xor(e))
 			res.RawEvents++
-			switch {
-			case wr.Status == ecc.Detected:
+			switch decode(cfg.Scheme, wire, e) {
+			case due:
 				res.DUE++
 				if !n.out {
 					n.agent.ObserveDUE(at, row, rng.Float64() < cfg.UncontainedFrac)
 				}
-			case wr.Wire == wire:
+			case dce:
 				res.DCE++
 				if !n.out {
 					n.agent.ObserveCorrected(at, row)
@@ -438,6 +414,38 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 
 	res.Quality.Finalize()
 	return res, nil
+}
+
+// Frames drains a's outbox into report frames stamped at simulated hour
+// at and hands them to send in order. Every frame carries the agent's
+// health and recommendation at at, the next sequence number from *seq,
+// and at most fleet.MaxEventsPerReport events. At least one frame is
+// always sent: an empty report is the heartbeat that renews the node's
+// liveness lease. Frames stops at the first send error.
+func Frames(a *fleet.Agent, seq *uint64, at float64, send func(fleet.ReportRequest) error) error {
+	events := a.Drain()
+	health, rec := a.Health(at)
+	for {
+		batch := events
+		if len(batch) > fleet.MaxEventsPerReport {
+			batch = batch[:fleet.MaxEventsPerReport]
+		}
+		events = events[len(batch):]
+		*seq++
+		if err := send(fleet.ReportRequest{
+			NodeID:    a.Node(),
+			Seq:       *seq,
+			AtHours:   at,
+			Health:    health.String(),
+			Recommend: rec.String(),
+			Events:    batch,
+		}); err != nil {
+			return err
+		}
+		if len(events) == 0 {
+			return nil
+		}
+	}
 }
 
 // multFor deals node i of nodes its rate class by cumulative fraction,

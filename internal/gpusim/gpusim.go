@@ -1,8 +1,8 @@
-// Package gpusim wraps the DRAM and beam simulations into a GPU-shaped
-// device: device memory with optional DRAM ECC (any entry-level scheme
-// from internal/core), a clock, and counters for corrected errors and
-// DUEs. The examples and the displacement-damage guidance experiments use
-// it as a stand-in for the CUDA-visible GPU of §3.
+// Package gpusim wraps the DRAM model into a GPU-shaped device: device
+// memory with optional DRAM ECC (any entry-level scheme from
+// internal/core), a clock, and counters for corrected errors and DUEs.
+// The workload kernels run on it as the CUDA-visible GPU of §3: every
+// store and load goes through the memory controller's encode and decode.
 package gpusim
 
 import (
@@ -10,7 +10,6 @@ import (
 	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/ecc"
 	"hbm2ecc/internal/hbm2"
-	"hbm2ecc/internal/resilience"
 )
 
 // GPU is a simulated GPU with HBM2 device memory.
@@ -27,49 +26,24 @@ type GPU struct {
 	Writes    int64
 	Corrected int64
 	DUEs      int64
-	// Resilience counters (zero unless EnableResilience was called or a
-	// fault injector stalls reads).
-	Retries int64
-	Stalls  int64
-
-	injector FaultInjector
-	ret      *resilience.RetirementTable
-	retry    *resilience.RetryPolicy
-	guard    *resilience.DegradeGuard
 }
 
-// New builds a GPU. With a non-nil scheme, DRAM ECC is enabled: writes
-// store scheme-encoded entries and reads decode them.
+// New builds a GPU on a fresh device. With a non-nil scheme, DRAM ECC is
+// enabled: the device stores scheme-encoded entries and reads decode
+// them.
 func New(cfg hbm2.Config, scheme core.Scheme) *GPU {
-	return Wrap(dram.New(cfg, dram.DefaultRefreshPeriod), scheme)
-}
-
-// Wrap builds a GPU around an existing device — e.g. a fleet daemon's
-// device that also runs raw microbenchmark checks — so resilient
-// ECC-protected reads and raw scans can share one set of physical cells.
-func Wrap(dev *dram.Device, scheme core.Scheme) *GPU {
-	g := &GPU{Dev: dev, Scheme: scheme}
+	g := &GPU{Dev: dram.New(cfg, dram.DefaultRefreshPeriod), Scheme: scheme}
 	if scheme != nil {
 		g.Dev.SetWireEncoder(scheme.Encode)
 	}
 	return g
 }
 
-// SetOnDie installs a per-die SEC ECC stage beneath the rank-level
-// scheme: every device read (ECC-protected or raw) passes through the
-// stage's silent correction before this GPU's decoders see it — the
-// layering of a real HBM die with on-die ECC under GPU DRAM ECC.
-func (g *GPU) SetOnDie(stage dram.OnDieStage) { g.Dev.SetOnDie(stage) }
-
 // Clock returns the GPU's current simulation time in seconds.
 func (g *GPU) Clock() float64 { return g.clock }
 
 // Advance moves the simulation clock forward.
 func (g *GPU) Advance(dt float64) { g.clock += dt }
-
-// SetClock jumps the simulation clock (used when the GPU shares a device
-// with another driver that owns the timeline).
-func (g *GPU) SetClock(t float64) { g.clock = t }
 
 // WritePattern writes a full-memory data pattern at the current time.
 func (g *GPU) WritePattern(pat dram.PatternFn) { g.Dev.WriteAll(pat, g.clock) }
@@ -92,3 +66,23 @@ type ReadResult struct {
 
 // ECCEnabled reports whether DRAM ECC is on.
 func (g *GPU) ECCEnabled() bool { return g.Scheme != nil }
+
+// Read performs one 32B read at the current clock. With ECC enabled the
+// entry is decoded (correcting or detecting errors); with ECC disabled
+// the raw (possibly corrupted) data is returned with status OK.
+func (g *GPU) Read(idx int64) ReadResult {
+	g.Reads++
+	wire := g.Dev.ReadWire(idx, g.clock)
+	if g.Scheme == nil {
+		data, _ := wire.DataECC()
+		return ReadResult{Data: data, Status: ecc.OK}
+	}
+	res := g.Scheme.Decode(wire)
+	switch res.Status {
+	case ecc.Corrected:
+		g.Corrected++
+	case ecc.Detected:
+		g.DUEs++
+	}
+	return ReadResult{Data: res.Data, Status: res.Status}
+}

@@ -1,6 +1,7 @@
 // Package httpx centralizes the hardening every HTTP surface in the
-// repository applies — obsd's fleet-health endpoints and the cluster
-// campaign protocol alike — so no server or client is assembled ad hoc:
+// repository applies — the fleet health plane, the cluster campaign
+// protocol and the decode service alike — so no server or client is
+// assembled ad hoc:
 //
 //   - servers get conservative read/write/idle timeouts and a graceful
 //     drain on context cancellation (SIGINT-clean by construction);
@@ -118,7 +119,8 @@ func ListenAndServe(ctx context.Context, srv *http.Server, shutdownTimeout time.
 }
 
 // SignalContext returns a context cancelled on SIGINT/SIGTERM — the
-// shared first line of every daemon main (obsd, campaignd, decoded).
+// shared first line of every daemon main (campaignd, decoded, fleetd,
+// obsd).
 func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
@@ -127,8 +129,8 @@ func SignalContext() (context.Context, context.CancelFunc) {
 // to a listener whose address is known immediately (so ":0" works for
 // tests and smoke scripts), serving in the background until its context
 // is cancelled, then draining gracefully. It consolidates the
-// listen/serve/drain scaffolding cmd/obsd, cmd/campaignd and
-// cmd/decoded would otherwise each assemble by hand.
+// listen/serve/drain scaffolding every daemon under cmd/ would otherwise
+// assemble by hand.
 type Daemon struct {
 	srv  *http.Server
 	ln   net.Listener

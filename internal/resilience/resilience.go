@@ -8,7 +8,9 @@
 // be killed and resumed without losing or skewing statistics.
 //
 // All counters flow into the internal/obs Default registry so any
-// /metrics surface (cmd/obsd, beamsim -metrics, ...) reports them.
+// /metrics surface (cmd/fleetd, cmd/obsd, beamsim -metrics, ...)
+// reports them. They sum over every table in the process; a node's own
+// spare-row use is its Xid 63/64 history at the fleet coordinator.
 package resilience
 
 import (
@@ -31,8 +33,6 @@ var (
 		"Reads that exhausted their retry budget without a clean decode.").With()
 	mDegradations = obs.NewCounter("resilience_degradations_total",
 		"Devices that entered degraded mode after DUE budget exhaustion.").With()
-	mSparesInUse = obs.NewGauge("resilience_spare_rows_in_use",
-		"Spare rows currently holding remapped (retired) weak rows.").With()
 )
 
 // RetirementPolicy bounds the retirement table.
@@ -98,7 +98,6 @@ func (t *RetirementTable) Record(row int64) (retiredNow bool) {
 	}
 	t.retired[row] = len(t.retired)
 	mRowsRetired.Inc()
-	mSparesInUse.Set(float64(len(t.retired)))
 	return true
 }
 

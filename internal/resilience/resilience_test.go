@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hbm2ecc/internal/obs"
 )
 
 func TestRetirementThreshold(t *testing.T) {
@@ -48,6 +50,40 @@ func TestRetirementSpareExhaustion(t *testing.T) {
 	if len(rows) != 2 || rows[0] != 0 || rows[1] != 1 {
 		t.Fatalf("Rows() = %v", rows)
 	}
+}
+
+// TestRowsRetiredCounterAcrossTables: resilience_rows_retired_total
+// counts every retirement in the process, across tables, and nothing
+// else — a row below threshold, a repeat on a retired row and a
+// retirement dropped for want of spares add nothing.
+func TestRowsRetiredCounterAcrossTables(t *testing.T) {
+	before := rowsRetired()
+	a := NewRetirementTable(RetirementPolicy{ErrorThreshold: 1, SpareRows: 2})
+	b := NewRetirementTable(RetirementPolicy{ErrorThreshold: 2, SpareRows: 4})
+	a.Record(1)
+	a.Record(2)
+	a.Record(2) // already retired
+	a.Record(3) // spares exhausted: dropped
+	b.Record(1)
+	b.Record(1)
+	b.Record(7) // below threshold
+	if got := rowsRetired() - before; got != 3 {
+		t.Fatalf("resilience_rows_retired_total delta = %v, want 3", got)
+	}
+	if a.RetiredCount()+b.RetiredCount() != 3 || a.Dropped() != 1 {
+		t.Fatalf("tables retired %d+%d rows, dropped %d", a.RetiredCount(), b.RetiredCount(), a.Dropped())
+	}
+}
+
+// rowsRetired reads resilience_rows_retired_total from the registry
+// /metrics serves.
+func rowsRetired() float64 {
+	for _, f := range obs.Default.Snapshot().Families {
+		if f.Name == "resilience_rows_retired_total" {
+			return f.Series[0].Value
+		}
+	}
+	return -1
 }
 
 func TestRetryPolicyBackoff(t *testing.T) {

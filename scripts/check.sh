@@ -27,7 +27,8 @@ echo "== go test -race ./... =="
 go test -race ./...
 
 echo "== chaos soak: go test -run Chaos -race -count=2 =="
-go test -run Chaos -race -count=2 ./internal/chaos/... ./internal/gpusim/... ./internal/healthd/...
+# fieldsim's kill-and-partition run is the fleet health plane's chaos lock.
+go test -run Chaos -race -count=2 ./internal/chaos/... ./internal/fieldsim/...
 
 echo "== short fuzz: fast paths vs their references =="
 go test -run '^$' -fuzz FuzzBatchVsSingle -fuzztime 10s ./internal/core/
@@ -166,6 +167,19 @@ echo "$rec_fleet" | grep -q '"total":50' || { echo "recovered fleet lost nodes: 
 echo "$rec_fleet" | grep -q '"id":"node-' || { echo "recovered fleet has no ranked node: $rec_fleet"; exit 1; }
 kill -INT "$wal_pid"
 wait "$wal_pid"
+
+echo "== obsd smoke: probes report to the fleet plane, deterministically =="
+go build -o "$serve_dir/obsd" ./cmd/obsd
+"$serve_dir/obsd" -once -devices 3 -seed 7 >"$serve_dir/obsd_a.json"
+"$serve_dir/obsd" -once -devices 3 -seed 7 >"$serve_dir/obsd_b.json"
+cmp "$serve_dir/obsd_a.json" "$serve_dir/obsd_b.json"
+grep -q '"total":3' "$serve_dir/obsd_a.json" || { echo "obsd fleet missing devices"; cat "$serve_dir/obsd_a.json"; exit 1; }
+# A 2ms-MTTE beam floods the device: its agent must not report ok.
+"$serve_dir/obsd" -once -devices 1 -mtte 0.002 >"$serve_dir/obsd_flood.json"
+grep -q '"id":"gpu0"' "$serve_dir/obsd_flood.json" || { echo "obsd ranked no node"; cat "$serve_dir/obsd_flood.json"; exit 1; }
+if grep -q '"health":"ok"' "$serve_dir/obsd_flood.json"; then
+	echo "flooded device ranked healthy"; cat "$serve_dir/obsd_flood.json"; exit 1
+fi
 
 echo "== workload smoke: all five outcome classes reachable =="
 # Every campaign run carries exactly one forced fault event; a small
