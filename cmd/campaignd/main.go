@@ -12,11 +12,12 @@
 //
 //	campaignd -join http://127.0.0.1:8335 -workers 2
 //
-// The coordinator exposes /v1/lease, /v1/complete, /v1/status, /metrics
-// and /healthz. SIGINT/SIGTERM drains cleanly; a coordinator restarted
-// with -resume skips every checkpointed cell. Cell-level determinism
-// makes the merged result bit-identical to a single sequential process
-// with the same seed and sample counts.
+// The coordinator mode is cluster.Local: it exposes /v1/lease,
+// /v1/complete, /v1/status, /metrics and /healthz. SIGINT/SIGTERM drains
+// cleanly; a coordinator restarted with -resume skips every checkpointed
+// cell. Cell-level determinism makes the merged result bit-identical to
+// a single sequential process with the same seed and sample counts, so
+// stdout matches `ecceval` with the same -seed and -samples.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -129,58 +129,25 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 	if err != nil {
 		return err
 	}
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorOptions{
+	l, err := cluster.StartLocal(ctx, listen, cluster.CoordinatorOptions{
 		Spec: spec, LeaseTTL: leaseTTL, Resume: cli.Resume, Progress: cli.Progress,
-	})
+	}, workers, cluster.WorkerOptions{ID: "embedded"})
 	if err != nil {
 		return err
 	}
+	coord := l.Coordinator
+	log.Printf("coordinating %d cells on %s (%d embedded workers)", spec.NumCells(), l.BaseURL(), workers)
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// The shared daemon bootstrap binds the listener up front (the
-	// embedded workers need the port) and drains on cancellation.
-	srv, err := httpx.StartDaemon(runCtx, "campaignd", listen, coord.Handler(), cluster.MaxFrame)
-	if err != nil {
-		return err
-	}
-	port := srv.Addr().(*net.TCPAddr).Port
-	log.Printf("coordinating %d cells on %s (%d embedded workers)", spec.NumCells(), srv.Addr(), workers)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
+	// Progress heartbeat for the operator's terminal; it stops with the
+	// campaign, which is also when Wait returns.
+	beatDone := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		coord.Run(runCtx)
-	}()
-	for i := 0; i < workers; i++ {
-		w, err := cluster.NewWorker(cluster.WorkerOptions{
-			ID:      fmt.Sprintf("embedded-%d", i),
-			BaseURL: fmt.Sprintf("http://127.0.0.1:%d", port),
-		})
-		if err != nil {
-			cancel()
-			wg.Wait()
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(runCtx); err != nil && runCtx.Err() == nil {
-				log.Printf("embedded worker %s: %v", w.ID(), err)
-			}
-		}()
-	}
-
-	// Progress heartbeat for the operator's terminal.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+		defer close(beatDone)
 		ticker := time.NewTicker(5 * time.Second)
 		defer ticker.Stop()
 		for {
 			select {
-			case <-runCtx.Done():
+			case <-ctx.Done():
 				return
 			case <-coord.Done():
 				return
@@ -192,24 +159,12 @@ func runCoordinator(ctx context.Context, listen string, workers int, seed int64,
 		}
 	}()
 
-	select {
-	case <-ctx.Done():
-		cancel()
-		wg.Wait()
-		_ = srv.Wait()
+	results, err := l.Wait(ctx)
+	<-beatDone
+	if ctx.Err() != nil {
 		cli.Interrupted()
 		return nil
-	case <-coord.Done():
 	}
-	cancel()
-	wg.Wait()
-	if err := srv.Wait(); err != nil {
-		return err
-	}
-	if err := coord.Err(); err != nil {
-		return err
-	}
-	results, err := coord.Results()
 	if err != nil {
 		return err
 	}

@@ -7,11 +7,8 @@
 // the run cleanly (exit 0), and -resume skips the completed cells —
 // yielding results identical to an uninterrupted evaluation.
 //
-// With -workers N the evaluation runs on the distributed campaign
-// engine (internal/cluster) in-process: a coordinator served over
-// loopback HTTP with N embedded workers speaking the real wire
-// protocol. Cell-level determinism makes the merged result bit-identical
-// to a sequential run with the same seed and sample counts.
+// The distributed campaign engine (cmd/campaignd) prints the same report
+// for the same -seed and -samples (without -ondie).
 package main
 
 import (
@@ -24,9 +21,7 @@ import (
 	"syscall"
 
 	"hbm2ecc/internal/campaign"
-	"hbm2ecc/internal/cluster"
 	"hbm2ecc/internal/core"
-	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/obs"
 	"hbm2ecc/internal/ondie"
@@ -35,8 +30,6 @@ import (
 func main() {
 	seed := flag.Int64("seed", 2021, "random seed")
 	samples := flag.Int("samples", 400_000, "Monte-Carlo samples per sampled pattern class (paper used 1e7/1e9)")
-	workers := flag.Int("workers", 0,
-		"run on the distributed campaign engine with this many in-process workers (0 = in-process evaluation, same results)")
 	withDSC := flag.Bool("dsc", false, "also evaluate the rejected (36,32) DSC organization (slow decoder)")
 	checkpoint := flag.String("checkpoint", "",
 		"snapshot each completed (scheme, pattern) cell to this file (atomic write)")
@@ -76,21 +69,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if stage != nil && *workers > 0 {
-		log.Fatal("-ondie is not supported with -workers: the cluster wire spec carries no error transform")
-	}
 
 	names := core.Table2Names()
 	if *withDSC {
 		names = append(names, "DSC")
 	}
 
-	var results []evalmc.SchemeResult
-	if *workers > 0 {
-		results, err = runCluster(ctx, names, *workers, *seed, *samples, *checkpoint, *resume)
-	} else {
-		results, err = runLocal(ctx, names, *seed, *samples, *checkpoint, *resume, *metrics != "", stage)
-	}
+	results, err := runLocal(ctx, names, *seed, *samples, *checkpoint, *resume, *metrics != "", stage)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -145,7 +130,7 @@ func runLocal(ctx context.Context, names []string, seed int64, samples int, chec
 		opts.ErrTransform = stage.TransformMask
 		opts.OnDie = stage.Name()
 	}
-	cli, err := openCheckpoint(opts, checkpoint, resume)
+	cli, err := campaign.OpenCLI(opts.Echo(), checkpoint, resume, evalmc.LoadCheckpoint, (*evalmc.Checkpoint).Save)
 	if err != nil {
 		return nil, err
 	}
@@ -156,51 +141,4 @@ func runLocal(ctx context.Context, names []string, seed int64, samples int, chec
 		return nil, nil
 	}
 	return results, nil
-}
-
-// openCheckpoint wires -checkpoint/-resume to an evalmc checkpoint. The
-// local and -workers paths share the file format and the echo, so a
-// checkpoint written by either one resumes in the other.
-func openCheckpoint(opts evalmc.Options, checkpoint, resume string) (*campaign.CLI[evalmc.Echo, errormodel.Pattern, evalmc.PatternResult], error) {
-	return campaign.OpenCLI(opts.Echo(), checkpoint, resume, evalmc.LoadCheckpoint, (*evalmc.Checkpoint).Save)
-}
-
-// runCluster evaluates on the distributed campaign engine over loopback
-// HTTP. Shards is pinned to 1, the local path's one stream per cell, so
-// the result is bit-identical to a run without -workers regardless of
-// worker count.
-func runCluster(ctx context.Context, names []string, workers int, seed int64, samples int, checkpoint, resume string) ([]evalmc.SchemeResult, error) {
-	spec := cluster.Spec{
-		Schemes:      names,
-		Seed:         seed,
-		Samples3b:    samples,
-		SamplesBeat:  samples,
-		SamplesEntry: samples,
-		Shards:       1,
-	}
-	cli, err := openCheckpoint(spec.Options(), checkpoint, resume)
-	if err != nil {
-		return nil, err
-	}
-	copts := cluster.CoordinatorOptions{Spec: spec, Resume: cli.Resume, Progress: cli.Progress}
-	results, coord, err := cluster.RunLocal(ctx, copts, workers, cluster.WorkerOptions{ID: "ecceval"})
-	if err != nil {
-		if ctx.Err() != nil {
-			cli.Interrupted()
-			return nil, nil
-		}
-		return nil, err
-	}
-	st := coord.Status()
-	fmt.Printf("Distributed campaign: %d cells over %d workers (%d re-queued, %d resumed from checkpoint).\n",
-		st.Total, workers, st.Requeues, st.Done-completedByWorkers(st))
-	return results, nil
-}
-
-func completedByWorkers(st cluster.StatusResponse) int {
-	n := 0
-	for _, w := range st.Workers {
-		n += w.Completed
-	}
-	return n
 }

@@ -50,6 +50,14 @@ const (
 	stateDone
 )
 
+// backoffBase and backoffMax bound the per-worker requeue backoff
+// window, with deterministic jitter from the spec seed via
+// resilience.RetryPolicy.
+const (
+	backoffBase = 250 * time.Millisecond
+	backoffMax  = 30 * time.Second
+)
+
 // CoordinatorOptions configures a campaign coordinator.
 type CoordinatorOptions struct {
 	// Spec is the campaign to run. Required, must validate.
@@ -57,18 +65,10 @@ type CoordinatorOptions struct {
 	// LeaseTTL is how long a worker holds a cell before it is re-queued
 	// (default 2m).
 	LeaseTTL time.Duration
-	// SweepEvery is the requeue scan interval of Run (default
-	// LeaseTTL/4; sweeps also happen opportunistically on every lease
-	// request).
-	SweepEvery time.Duration
 	// FailureBudget is the number of lease failures (expiries or
 	// invalid results) a worker may accumulate before eviction
 	// (default 8). Reuses the resilience DUE-budget pattern.
 	FailureBudget int
-	// BackoffBase and BackoffMax bound the per-worker requeue backoff
-	// window (defaults 250ms and 30s), with deterministic jitter from
-	// the spec seed via resilience.RetryPolicy.
-	BackoffBase, BackoffMax time.Duration
 	// MaxCellAttempts fails the campaign once any single cell has been
 	// re-queued this many times (default 32) — the backstop against a
 	// cell that crashes every worker that touches it.
@@ -89,17 +89,8 @@ func (o *CoordinatorOptions) defaults() {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 2 * time.Minute
 	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = o.LeaseTTL / 4
-	}
 	if o.FailureBudget <= 0 {
 		o.FailureBudget = 8
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 250 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 30 * time.Second
 	}
 	if o.MaxCellAttempts <= 0 {
 		o.MaxCellAttempts = 32
@@ -229,8 +220,8 @@ func (c *Coordinator) workerFor(id string) *workerState {
 			guard: resilience.NewDegradeGuard(c.opts.FailureBudget),
 			backoff: resilience.NewRetryPolicy(
 				c.opts.FailureBudget+1,
-				c.opts.BackoffBase.Seconds(),
-				c.opts.BackoffMax.Seconds(),
+				backoffBase.Seconds(),
+				backoffMax.Seconds(),
 				c.opts.Spec.Seed^int64(len(c.workers))),
 		}
 		c.workers[id] = w
@@ -326,7 +317,7 @@ func (c *Coordinator) grantLocked(w *workerState, req LeaseRequest, now time.Tim
 		resp.Spec = &spec
 	} else {
 		resp.Wait = true
-		resp.RetryMS = int64(c.opts.SweepEvery / time.Millisecond / 2)
+		resp.RetryMS = int64(c.sweepEvery() / time.Millisecond / 2)
 		if resp.RetryMS < 10 {
 			resp.RetryMS = 10
 		}
@@ -477,12 +468,15 @@ func (c *Coordinator) recordWorkerFailureLocked(w *workerState, now time.Time) {
 	}
 }
 
-// Run sweeps expired leases until the campaign completes or ctx is
-// cancelled. The coordinator still works without Run — Lease sweeps
-// opportunistically — but Run bounds requeue latency when no worker is
-// polling.
+// sweepEvery is Run's requeue scan interval, a quarter of the lease TTL.
+func (c *Coordinator) sweepEvery() time.Duration { return c.opts.LeaseTTL / 4 }
+
+// Run sweeps expired leases every LeaseTTL/4 until the campaign
+// completes or ctx is cancelled. The coordinator still works without
+// Run — Lease sweeps opportunistically — but Run bounds requeue latency
+// when no worker is polling.
 func (c *Coordinator) Run(ctx context.Context) {
-	ticker := time.NewTicker(c.opts.SweepEvery)
+	ticker := time.NewTicker(c.sweepEvery())
 	defer ticker.Stop()
 	for {
 		select {

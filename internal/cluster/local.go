@@ -3,59 +3,62 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"log"
 	"net"
+	"strconv"
 	"sync"
-	"time"
 
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/httpx"
 )
 
-// Local is an in-process cluster: a coordinator served over loopback
-// HTTP with embedded worker goroutines speaking the real wire protocol.
-// It is what `ecceval -workers N` and the scaling benchmark run — the
-// same engine as a multi-machine campaignd deployment, minus the
-// network between machines.
+// Local is the one in-process distributed campaign: a coordinator
+// served over HTTP with embedded worker goroutines speaking the real
+// wire protocol. campaignd's coordinator mode and the scaling benchmark
+// both run on it — the same engine as a multi-machine deployment, with
+// any further workers joining through BaseURL.
 type Local struct {
 	Coordinator *Coordinator
 	Workers     []*Worker
 
 	baseURL string
+	srv     *httpx.Daemon
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
-	errs    []error
-	mu      sync.Mutex
 }
 
-// StartLocal serves copts's coordinator on a loopback listener and
-// starts n embedded workers against it. Callers must Wait (or cancel
-// ctx) before reading results.
-func StartLocal(ctx context.Context, copts CoordinatorOptions, n int, wopts WorkerOptions) (*Local, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("cluster: need at least one worker, got %d", n)
+// StartLocal serves copts's coordinator on addr (":0" picks a free
+// port) through the campaignd daemon bootstrap and starts n >= 0
+// embedded workers against it. With n = 0 the campaign only progresses
+// as external workers join. Callers must Wait (or cancel ctx) before
+// reading results. Worker errors are logged as they happen.
+func StartLocal(ctx context.Context, addr string, copts CoordinatorOptions, n int, wopts WorkerOptions) (*Local, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("cluster: negative worker count %d", n)
 	}
 	coord, err := NewCoordinator(copts)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	runCtx, cancel := context.WithCancel(ctx)
+	srv, err := httpx.StartDaemon(runCtx, "campaignd", addr, coord.Handler(), MaxFrame)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
-	runCtx, cancel := context.WithCancel(ctx)
+	// Embedded workers dial the bound port; a wildcard bind is reached
+	// over loopback.
+	bound := srv.Addr().(*net.TCPAddr)
+	host := bound.IP.String()
+	if bound.IP.IsUnspecified() {
+		host = "127.0.0.1"
+	}
 	l := &Local{
 		Coordinator: coord,
-		baseURL:     "http://" + ln.Addr().String(),
+		baseURL:     "http://" + net.JoinHostPort(host, strconv.Itoa(bound.Port)),
+		srv:         srv,
 		cancel:      cancel,
 	}
-	srv := httpx.NewServerLimit("", coord.Handler(), MaxFrame)
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		if err := httpx.Serve(runCtx, srv, ln, 5*time.Second); err != nil {
-			l.recordErr(fmt.Errorf("cluster: loopback server: %w", err))
-		}
-	}()
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
@@ -71,76 +74,58 @@ func StartLocal(ctx context.Context, copts CoordinatorOptions, n int, wopts Work
 		wo.BaseURL = l.baseURL
 		w, err := NewWorker(wo)
 		if err != nil {
-			cancel()
-			l.wg.Wait()
+			l.stop()
 			return nil, err
 		}
 		l.Workers = append(l.Workers, w)
 	}
 	for _, w := range l.Workers {
-		w := w
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
 			if err := w.Run(runCtx); err != nil && runCtx.Err() == nil {
-				l.recordErr(fmt.Errorf("cluster: worker %s: %w", w.ID(), err))
+				log.Printf("embedded worker %s: %v", w.ID(), err)
 			}
 		}()
 	}
 	return l, nil
 }
 
-func (l *Local) recordErr(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.errs = append(l.errs, err)
-}
-
-// BaseURL returns the loopback coordinator address (external workers
-// may join an in-process campaign through it).
+// BaseURL returns the coordinator address external workers join
+// through.
 func (l *Local) BaseURL() string { return l.baseURL }
 
+// stop cancels the engine, waits for the workers and the sweeper, and
+// drains the server, logging a failed drain.
+func (l *Local) stop() {
+	l.cancel()
+	l.wg.Wait()
+	if err := l.srv.Wait(); err != nil {
+		log.Printf("campaignd server: %v", err)
+	}
+}
+
 // Wait blocks until the campaign completes or ctx is cancelled, then
-// tears the loopback server and workers down and returns the merged
-// results.
+// tears the server and workers down and returns the merged results.
 func (l *Local) Wait(ctx context.Context) ([]evalmc.SchemeResult, error) {
 	select {
 	case <-l.Coordinator.Done():
 	case <-ctx.Done():
 	}
-	l.cancel()
-	l.wg.Wait()
+	l.stop()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := l.Coordinator.Err(); err != nil {
 		return nil, err
 	}
-	res, err := l.Coordinator.Results()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, werr := range l.errs {
-		// Worker/server errors after a complete merge are harmless
-		// (e.g. a worker evicted mid-campaign while others finished),
-		// but surface the first one if the merge itself failed.
-		_ = werr
-	}
-	return res, nil
+	return l.Coordinator.Results()
 }
 
-// Stop cancels the engine without waiting for completion (checkpointed
-// progress survives; a later StartLocal with a Resume hook continues).
-func (l *Local) Stop() {
-	l.cancel()
-	l.wg.Wait()
-}
-
-// RunLocal is the one-call convenience: StartLocal + Wait.
+// RunLocal is the one-call convenience: StartLocal on a free loopback
+// port + Wait.
 func RunLocal(ctx context.Context, copts CoordinatorOptions, n int, wopts WorkerOptions) ([]evalmc.SchemeResult, *Coordinator, error) {
-	l, err := StartLocal(ctx, copts, n, wopts)
+	l, err := StartLocal(ctx, "127.0.0.1:0", copts, n, wopts)
 	if err != nil {
 		return nil, nil, err
 	}

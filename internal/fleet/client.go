@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hbm2ecc/internal/httpx"
-	"hbm2ecc/internal/resilience"
 )
 
 // Reporter is where a node agent's reports go: the in-process
@@ -48,20 +47,6 @@ func NewClient(base string, timeout time.Duration) *Client {
 	c := httpx.NewClient(timeout)
 	c.MaxBody = MaxFrame
 	return &Client{base: base, http: c}
-}
-
-// WithRetry arms the client's wire calls with jittered exponential
-// backoff (policy Base/Max in seconds): transient failures — network
-// errors, coordinator 5xx (a recovering fleetd answers 503), corrupted
-// response frames — are retried; validation rejections (4xx) and
-// context cancellation are not. Returns the client for chaining. A nil
-// policy installs the default schedule (4 attempts, 50ms..2s).
-func (c *Client) WithRetry(p *resilience.RetryPolicy) *Client {
-	if p == nil {
-		p = resilience.NewRetryPolicy(0, 0.05, 2.0, int64(len(c.base)))
-	}
-	c.http.Retry = p
-	return c
 }
 
 // WithTransport swaps the underlying HTTP transport — chaos tests use

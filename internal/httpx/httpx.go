@@ -27,12 +27,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
 	"hbm2ecc/internal/obs"
-	"hbm2ecc/internal/resilience"
 )
 
 // DefaultMaxBody bounds request and response bodies (1 MiB) unless the
@@ -45,17 +43,10 @@ const DefaultMaxBody = 1 << 20
 // to drain after its context is cancelled.
 const DefaultShutdownTimeout = 10 * time.Second
 
-// NewServer returns an *http.Server with the repository's hardened
-// defaults: header/read/write/idle timeouts sized for small JSON APIs.
-// The handler is wrapped with MaxBytes(DefaultMaxBody); pass a
-// pre-wrapped handler through NewServerLimit to pick another bound.
-func NewServer(addr string, h http.Handler) *http.Server {
-	return NewServerLimit(addr, h, DefaultMaxBody)
-}
-
-// NewServerLimit is NewServer with an explicit request-body bound
-// (limit <= 0 leaves bodies unbounded — only for handlers that never
-// read them).
+// NewServerLimit returns an *http.Server with the repository's hardened
+// defaults — header/read/write/idle timeouts sized for small JSON APIs —
+// and its request bodies bounded by limit (limit <= 0 leaves bodies
+// unbounded: only for handlers that never read them).
 func NewServerLimit(addr string, h http.Handler, limit int64) *http.Server {
 	if limit > 0 {
 		h = MaxBytes(h, limit)
@@ -107,15 +98,6 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, shutdownTimeo
 		<-errc // always http.ErrServerClosed after Shutdown
 		return nil
 	}
-}
-
-// ListenAndServe is Serve with a listener opened from srv.Addr.
-func ListenAndServe(ctx context.Context, srv *http.Server, shutdownTimeout time.Duration) error {
-	ln, err := net.Listen("tcp", srv.Addr)
-	if err != nil {
-		return err
-	}
-	return Serve(ctx, srv, ln, shutdownTimeout)
 }
 
 // SignalContext returns a context cancelled on SIGINT/SIGTERM — the
@@ -252,25 +234,15 @@ func DecodeStrict(prefix string, data []byte, v any, max int) error {
 }
 
 // Client is a hardened JSON-over-HTTP client: overall per-request
-// timeout, bounded response bodies, JSON round-tripping, and optional
-// jittered-backoff retries for transient failures.
+// timeout, bounded response bodies, JSON round-tripping. It sends each
+// request once; callers that ride out transient failures (the cluster
+// worker, the fleet outbox) retry on their own schedules.
 type Client struct {
 	// HTTP is the underlying client (its Timeout bounds each request
 	// end to end).
 	HTTP *http.Client
 	// MaxBody bounds response bodies (0 selects DefaultMaxBody).
 	MaxBody int64
-	// Retry, when non-nil, retries transient failures — network errors,
-	// 5xx and 429 responses, and undecodable (corrupted) response
-	// frames — with the policy's jittered exponential backoff (the
-	// policy's Base/Max are read as seconds). Context cancellation and
-	// other 4xx responses are never retried. Nil keeps the single-shot
-	// behavior.
-	Retry *resilience.RetryPolicy
-
-	// retryMu serializes draws from Retry's internal RNG when one
-	// client is shared across goroutines (cluster workers are).
-	retryMu sync.Mutex
 }
 
 // NewClient builds a Client with the given end-to-end request timeout
@@ -315,49 +287,6 @@ func (c *Client) do(req *http.Request, out any) error {
 	return nil
 }
 
-// doRetry runs build+do once, then — when Retry is set and the failure
-// is transient — again under the policy's backoff schedule until the
-// policy gives up or the context dies. The request is rebuilt for every
-// attempt so bodies are always fresh readers.
-func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error), out any) error {
-	for attempt := 0; ; attempt++ {
-		req, err := build()
-		if err != nil {
-			return err
-		}
-		err = c.do(req, out)
-		if err == nil || c.Retry == nil || !Retryable(err) {
-			return err
-		}
-		c.retryMu.Lock()
-		delay, ok := c.Retry.NextDelay(attempt)
-		c.retryMu.Unlock()
-		if !ok {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Duration(delay * float64(time.Second))):
-		}
-	}
-}
-
-// Retryable reports whether err is a transient failure a retry could
-// cure: network errors, corrupted/undecodable responses, and 5xx/429
-// statuses. Context cancellation and the remaining 4xx family (the
-// peer deliberately rejected the request) are permanent.
-func Retryable(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Code >= 500 || se.Code == http.StatusTooManyRequests
-	}
-	return true
-}
-
 // PostJSON POSTs in as JSON to url and decodes the response into out
 // (out may be nil to discard the body).
 func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
@@ -365,21 +294,21 @@ func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
 	if err != nil {
 		return fmt.Errorf("httpx: encoding request: %w", err)
 	}
-	return c.doRetry(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	}, out)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return c.do(req, out)
 }
 
 // GetJSON GETs url and decodes the response into out.
 func (c *Client) GetJSON(ctx context.Context, url string, out any) error {
-	return c.doRetry(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	}, out)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	return c.do(req, out)
 }
 
 // StatusError is a non-2xx HTTP response surfaced as an error.

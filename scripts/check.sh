@@ -49,26 +49,40 @@ go run ./cmd/bench -quick -gate -out "$bench_out" >/dev/null
 test -s "$bench_out"
 rm -f "$bench_out"
 
-echo "== ecceval differential: sequential vs -workers 2, checkpoint crossovers =="
-# The local run evaluates pattern columns (each trial drawn once and
-# decoded by every scheme); -workers 2 evaluates single (scheme, pattern)
+echo "== bench smoke: cmd/bench -cluster -quick =="
+cluster_out="${TMPDIR:-/tmp}/hbm2ecc_bench_cluster_smoke.json"
+go run ./cmd/bench -cluster -quick -out "$cluster_out" >/dev/null
+test -s "$cluster_out"
+rm -f "$cluster_out"
+
+echo "== campaign differential: ecceval vs campaignd, checkpoint round trips =="
+# ecceval evaluates pattern columns (each trial drawn once and decoded
+# by every scheme); campaignd's workers evaluate single (scheme, pattern)
 # cells. Each cell's trial stream depends only on the seed, the pattern
 # and the shard, never on the scheme, so both must print the same report,
-# and a checkpoint from either one must resume in the other.
+# straight through and after a checkpoint/resume round trip.
 ecc_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_ecceval.XXXXXX")"
 trap 'rm -rf "$ecc_dir"' EXIT
 go build -o "$ecc_dir/ecceval" ./cmd/ecceval
+go build -o "$ecc_dir/campaignd" ./cmd/campaignd
 "$ecc_dir/ecceval" -samples 2000 >"$ecc_dir/seq.txt"
-"$ecc_dir/ecceval" -workers 2 -samples 2000 | grep -v '^Distributed campaign:' >"$ecc_dir/workers.txt"
-diff "$ecc_dir/seq.txt" "$ecc_dir/workers.txt"
+"$ecc_dir/campaignd" -listen 127.0.0.1:0 -workers 2 -samples 2000 \
+	>"$ecc_dir/campaignd.txt" 2>"$ecc_dir/campaignd.log" || { cat "$ecc_dir/campaignd.log"; exit 1; }
+diff "$ecc_dir/seq.txt" "$ecc_dir/campaignd.txt"
+# Each round trip resumes a complete checkpoint: all 63 (scheme, pattern)
+# cells come from the file and the report must not change.
+resumed_ok() {
+	grep -qxF "Resuming from $1: 63 cells complete." "$2" || { echo "no full resume banner in $2"; cat "$2"; exit 1; }
+	grep -v '^Resuming from' "$2" | diff "$ecc_dir/seq.txt" -
+}
 "$ecc_dir/ecceval" -samples 2000 -checkpoint "$ecc_dir/ckpt.json" >/dev/null
-"$ecc_dir/ecceval" -workers 2 -samples 2000 -resume "$ecc_dir/ckpt.json" >"$ecc_dir/resumed.txt"
-cells="$(sed -n 's/^Distributed campaign: \([0-9]*\) cells .* \([0-9]*\) resumed from checkpoint.*/\1 \2/p' "$ecc_dir/resumed.txt")"
-read -r total resumed <<<"$cells"
-test -n "$total" && test "$total" = "$resumed" || { echo "crossover resumed '$cells' (total resumed)"; cat "$ecc_dir/resumed.txt"; exit 1; }
-grep -v '^Distributed campaign:\|^Resuming from' "$ecc_dir/resumed.txt" | diff "$ecc_dir/seq.txt" -
-"$ecc_dir/ecceval" -workers 2 -samples 2000 -checkpoint "$ecc_dir/wckpt.json" >/dev/null
-"$ecc_dir/ecceval" -samples 2000 -resume "$ecc_dir/wckpt.json" | grep -v '^Resuming from' | diff "$ecc_dir/seq.txt" -
+"$ecc_dir/ecceval" -samples 2000 -resume "$ecc_dir/ckpt.json" >"$ecc_dir/resumed.txt"
+resumed_ok "$ecc_dir/ckpt.json" "$ecc_dir/resumed.txt"
+"$ecc_dir/campaignd" -listen 127.0.0.1:0 -workers 2 -samples 2000 -checkpoint "$ecc_dir/env.json" \
+	>/dev/null 2>"$ecc_dir/campaignd.log" || { cat "$ecc_dir/campaignd.log"; exit 1; }
+"$ecc_dir/campaignd" -listen 127.0.0.1:0 -workers 2 -samples 2000 -resume "$ecc_dir/env.json" \
+	>"$ecc_dir/cresumed.txt" 2>"$ecc_dir/campaignd.log" || { cat "$ecc_dir/campaignd.log"; exit 1; }
+resumed_ok "$ecc_dir/env.json" "$ecc_dir/cresumed.txt"
 rm -rf "$ecc_dir"
 
 echo "== serve smoke: decoded + loadgen =="
