@@ -1,7 +1,7 @@
 // Command bench measures what the whole-job benchmark (perfbench) and
-// `go test` do not: kernel-level decode timings, the distributed
-// campaign engine's worker scaling, and the online decode service. Each
-// leg writes its results as JSON at the repo root.
+// `go test` do not: kernel-level decode timings and the distributed
+// campaign engine's worker scaling. Each leg writes its results as JSON
+// at the repo root.
 //
 // Usage:
 //
@@ -9,7 +9,6 @@
 //	go run ./cmd/bench -quick -out f    # CI smoke (scripts/check.sh)
 //	go run ./cmd/bench -quick -gate     # also fail if any scheme's batch decode is slower than single-shot
 //	go run ./cmd/bench -cluster         # distributed scaling, BENCH_cluster.json
-//	go run ./cmd/bench -serve           # online serving tier, BENCH_serve.json
 //
 // Numbers are wall-clock and machine-dependent; the speedup ratios
 // (reference vs fast path on the same machine) are the stable signal.
@@ -235,10 +234,9 @@ func runDecodeBench(out string, seed int64, corpus int, quick, gate bool, minTim
 }
 
 func main() {
-	out := flag.String("out", "", "output JSON path (default BENCH_decode.json, BENCH_cluster.json or BENCH_serve.json)")
+	out := flag.String("out", "", "output JSON path (default BENCH_decode.json or BENCH_cluster.json)")
 	quick := flag.Bool("quick", false, "CI smoke mode: small corpus and sample counts")
 	clusterBench := flag.Bool("cluster", false, "benchmark the distributed campaign engine's 1/2/4-worker scaling instead of decode throughput")
-	serveBench := flag.Bool("serve", false, "benchmark the online decode service (single vs micro-batched) instead of decode throughput")
 	gate := flag.Bool("gate", false, "regression gate: fail unless every scheme's batch decode is at least as fast as its single-shot fast decode on the errored corpus")
 	seed := flag.Int64("seed", 2021, "corpus and campaign seed")
 	corpus := flag.Int("corpus", 8192, "received words per decode corpus")
@@ -262,8 +260,6 @@ func main() {
 	switch {
 	case *clusterBench:
 		err = runClusterBench(outOr("BENCH_cluster.json"), *seed, *samples)
-	case *serveBench:
-		err = runServeBench(outOr("BENCH_serve.json"), *seed, *quick)
 	default:
 		err = runDecodeBench(outOr("BENCH_decode.json"), *seed, *corpus, *quick, *gate, *minTime)
 	}

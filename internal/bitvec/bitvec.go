@@ -26,7 +26,6 @@ const (
 	CheckBits         = 8   // check bits per beat
 	Beats             = 4   // beats per entry
 	EntryBits         = 288 // bits per entry (4 beats x 72 bits)
-	EntryBytes        = 36  // 32B data + 4B ECC
 	DataBytes         = 32  // user data bytes per entry
 	BytesPer72        = 9   // aligned bytes per beat
 	EntryAlignedBytes = 36

@@ -1,4 +1,4 @@
-// Bit-sliced structure-of-arrays layout (DESIGN.md §14): a Slab holds up
+// Bit-sliced structure-of-arrays layout (DESIGN.md §13): a Slab holds up
 // to 64 entries transposed so that lane word p carries bit p of every
 // entry, one entry per uint64 bit position. In this layout any GF(2)
 // parity check over entry bits becomes a straight-line XOR of lane words

@@ -3,7 +3,7 @@
 // modes a real datacenter interconnect produces — dropped requests,
 // added latency, duplicated deliveries, corrupted response frames, and
 // hard partitions — between any HTTP client and server in the test
-// suites (cluster workers, fleet agents, serve clients).
+// suites (cluster workers, fleet agents).
 //
 // It generalizes the ad-hoc flakyTransport that lived in
 // internal/cluster's chaos tests. All decisions are drawn from one

@@ -203,7 +203,7 @@ const binBatchChunk = 256
 // loads of consecutive entries overlap, then the (usually trivial)
 // per-entry resolution. The byte-sliced tables beat a bit-sliced slab
 // here: the 64x64 transpose alone costs more than the whole two-pass
-// sweep (~32ns vs ~15ns per clean entry, DESIGN.md §14).
+// sweep (~32ns vs ~15ns per clean entry, DESIGN.md §13).
 func (b *Binary) DecodeWireBatch(recv []bitvec.V288, out []WireResult) {
 	checkBatchOut(len(recv), len(out))
 	var synBuf [binBatchChunk]uint32

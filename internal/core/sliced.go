@@ -1,5 +1,5 @@
 // Bit-sliced 64-lane decode kernel behind Symbol.DecodeWireBatch
-// (DESIGN.md §14). A bitvec.Slab holds 64 entries transposed so lane word
+// (DESIGN.md §13). A bitvec.Slab holds 64 entries transposed so lane word
 // p carries bit p of every entry; in that layout each of a symbol scheme's
 // (at most 32) binary syndrome bits is a straight-line XOR of lane words
 // evaluated for all 64 entries at once, and "which entries need real

@@ -2,6 +2,7 @@ package evalmc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"hbm2ecc/internal/core"
@@ -162,6 +163,26 @@ func TestDataIndependenceForLinearCodes(t *testing.T) {
 	b := Evaluate(core.NewTrioECC(), optsB)
 	if a != b {
 		t.Fatal("linear code evaluation must be data-independent")
+	}
+}
+
+// TestPayloadInvariance locks the assumption behind every caller leaving
+// Options.Data zero: a random payload gives every Table-2 scheme the same
+// per-pattern outcomes as the zero payload.
+func TestPayloadInvariance(t *testing.T) {
+	zero := Options{Seed: 3, Samples3b: 3000, SamplesBeat: 3000, SamplesEntry: 3000}
+	random := zero
+	rand.New(rand.NewSource(11)).Read(random.Data[:])
+	schemes := core.Table2Schemes()
+	want := EvaluateAll(schemes, zero)
+	got := EvaluateAll(schemes, random)
+	for i, s := range schemes {
+		for p := errormodel.Bit1; p < errormodel.NumPatterns; p++ {
+			if got[i].PerPattern[p] != want[i].PerPattern[p] {
+				t.Errorf("%s / %s: random payload %+v, zero payload %+v",
+					s.Name(), p, got[i].PerPattern[p], want[i].PerPattern[p])
+			}
+		}
 	}
 }
 

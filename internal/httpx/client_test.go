@@ -14,10 +14,10 @@ import (
 	"hbm2ecc/internal/obs"
 )
 
-// TestClientCancelReleasesInFlightRequest locks the disconnect path the
-// serving tier depends on: cancelling the caller's context aborts an
-// in-flight request promptly (surfacing context.Canceled), and the
-// server-side request context is cancelled with it.
+// TestClientCancelReleasesInFlightRequest locks the client disconnect
+// path: cancelling the caller's context aborts an in-flight request
+// promptly (surfacing context.Canceled), and the server-side request
+// context is cancelled with it.
 func TestClientCancelReleasesInFlightRequest(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	serverSaw := make(chan struct{}, 1)

@@ -1,7 +1,6 @@
 // Package httpx centralizes the hardening every HTTP surface in the
-// repository applies — the fleet health plane, the cluster campaign
-// protocol and the decode service alike — so no server or client is
-// assembled ad hoc:
+// repository applies — the fleet health plane and the cluster campaign
+// protocol alike — so no server or client is assembled ad hoc:
 //
 //   - servers get conservative read/write/idle timeouts and a graceful
 //     drain on context cancellation (SIGINT-clean by construction);
@@ -101,8 +100,7 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, shutdownTimeo
 }
 
 // SignalContext returns a context cancelled on SIGINT/SIGTERM — the
-// shared first line of every daemon main (campaignd, decoded, fleetd,
-// obsd).
+// shared first line of every daemon main (campaignd, fleetd, obsd).
 func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }

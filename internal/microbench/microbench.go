@@ -16,7 +16,7 @@ package microbench
 import (
 	"context"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"hbm2ecc/internal/anenc"
 	"hbm2ecc/internal/beam"
@@ -194,7 +194,6 @@ func Run(cfg Config) *Log {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 			log.Cancelled = true
 			log.EndTime = t
-			sortRecords(log.Records)
 			return log
 		}
 		inverse := w%2 == 1
@@ -268,19 +267,32 @@ func Run(cfg Config) *Log {
 
 		if !cfg.Replay {
 			// Evaluate candidates against device state at their read times.
+			// Read passes outside and ascending entries inside visit read
+			// times in increasing order, so records come out sorted by Time.
 			evalSpan := cfg.Span.Child("evaluate")
-			for entry, firstRead := range candidates {
-				expected := dev.Expected(entry)
-				for r := firstRead; r < cfg.ReadsPerWrite; r++ {
+			entries := make([]int64, 0, len(candidates))
+			for entry := range candidates {
+				entries = append(entries, entry)
+			}
+			slices.Sort(entries)
+			expected := make([][hbm2.EntryBytes]byte, len(entries))
+			for i, entry := range entries {
+				expected[i] = dev.Expected(entry)
+			}
+			for r := 0; r < cfg.ReadsPerWrite; r++ {
+				for i, entry := range entries {
+					if r < candidates[entry] {
+						continue
+					}
 					tread := readStart + (float64(r)+readFrac(entry))*cfg.PassDuration
 					got := dev.ReadEntry(entry, tread)
-					if got != expected {
+					if got != expected[i] {
 						log.Records = append(log.Records, Record{
 							Time:      tread,
 							WritePass: w,
 							ReadPass:  r,
 							Entry:     entry,
-							Expected:  expected,
+							Expected:  expected[i],
 							Got:       got,
 						})
 					}
@@ -300,7 +312,6 @@ func Run(cfg Config) *Log {
 	if rng.Float64() < cfg.DiscardProb {
 		log.Discarded = true
 	}
-	sortRecords(log.Records)
 
 	mRuns.With(cfg.Pattern.String()).Inc()
 	if log.Discarded {
@@ -315,8 +326,4 @@ func markCandidate(m map[int64]int, entry int64, firstRead int) {
 	if cur, ok := m[entry]; !ok || firstRead < cur {
 		m[entry] = firstRead
 	}
-}
-
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 }

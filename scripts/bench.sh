@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Benchmark runner: regenerates BENCH_decode.json, BENCH_cluster.json,
-# and BENCH_serve.json at the repo root. Pass extra cmd/bench flags
-# through to every run, e.g.:
+# Benchmark runner: regenerates BENCH_decode.json and BENCH_cluster.json
+# at the repo root. Pass extra cmd/bench flags through to every run, e.g.:
 #
 #   scripts/bench.sh -quick
 #
@@ -22,6 +21,3 @@ go run ./cmd/bench "$@"
 
 echo "== distributed campaign scaling (BENCH_cluster.json) =="
 go run ./cmd/bench -cluster "$@"
-
-echo "== online serving tier (BENCH_serve.json) =="
-go run ./cmd/bench -serve "$@"

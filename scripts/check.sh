@@ -85,42 +85,21 @@ resumed_ok "$ecc_dir/ckpt.json" "$ecc_dir/resumed.txt"
 resumed_ok "$ecc_dir/env.json" "$ecc_dir/cresumed.txt"
 rm -rf "$ecc_dir"
 
-echo "== serve smoke: decoded + loadgen =="
-serve_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_serve_smoke.XXXXXX")"
-go build -o "$serve_dir/decoded" ./cmd/decoded
-"$serve_dir/decoded" -addr 127.0.0.1:0 -schemes DuetECC >"$serve_dir/decoded.log" 2>&1 &
-decoded_pid=$!
-trap 'kill "$decoded_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
-serve_url=""
-for _ in $(seq 1 100); do
-	serve_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$serve_dir/decoded.log" | head -n 1)"
-	[ -n "$serve_url" ] && break
-	sleep 0.1
-done
-test -n "$serve_url" || { cat "$serve_dir/decoded.log"; exit 1; }
-# loadgen exits nonzero on any codec violation or if completions fall
-# short, so this one line is the whole assertion.
-go run ./cmd/loadgen -url "$serve_url" -duration 2s -conns 4 -wait 5s -min-completions 1000
-kill -INT "$decoded_pid"
-wait "$decoded_pid"
-
-echo "== bench smoke: cmd/bench -serve -quick =="
-go run ./cmd/bench -serve -quick -out "$serve_dir/bench_serve.json" >/dev/null
-test -s "$serve_dir/bench_serve.json"
-
 echo "== fleet smoke: fleetd + simulated agents =="
-go build -o "$serve_dir/fleetd" ./cmd/fleetd
-"$serve_dir/fleetd" -addr 127.0.0.1:0 -nodes 50 -hours 48 -accel 50000 \
-	>"$serve_dir/fleetd.log" 2>&1 &
+smoke_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_smoke.XXXXXX")"
+trap 'rm -rf "$smoke_dir"' EXIT
+go build -o "$smoke_dir/fleetd" ./cmd/fleetd
+"$smoke_dir/fleetd" -addr 127.0.0.1:0 -nodes 50 -hours 48 -accel 50000 \
+	>"$smoke_dir/fleetd.log" 2>&1 &
 fleetd_pid=$!
-trap 'kill "$decoded_pid" "$fleetd_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
+trap 'kill "$fleetd_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
 fleet_url=""
 for _ in $(seq 1 100); do
-	fleet_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$serve_dir/fleetd.log" | head -n 1)"
+	fleet_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$smoke_dir/fleetd.log" | head -n 1)"
 	[ -n "$fleet_url" ] && break
 	sleep 0.1
 done
-test -n "$fleet_url" || { cat "$serve_dir/fleetd.log"; exit 1; }
+test -n "$fleet_url" || { cat "$smoke_dir/fleetd.log"; exit 1; }
 # The simulated agents report in; wait until the coordinator ranks at
 # least one node, then check the metric families are exported.
 ranked=""
@@ -129,7 +108,7 @@ for _ in $(seq 1 100); do
 	[ -n "$ranked" ] && break
 	sleep 0.1
 done
-test -n "$ranked" || { echo "no ranked node"; cat "$serve_dir/fleetd.log"; exit 1; }
+test -n "$ranked" || { echo "no ranked node"; cat "$smoke_dir/fleetd.log"; exit 1; }
 fleet_metrics="$(curl -sf "$fleet_url/metrics")"
 for fam in fleet_nodes fleet_reports_total fleetd_build_info fleetd_uptime_seconds; do
 	echo "$fleet_metrics" | grep -q "$fam" || { echo "/metrics missing $fam"; exit 1; }
@@ -139,19 +118,19 @@ kill -INT "$fleetd_pid"
 wait "$fleetd_pid"
 
 echo "== fleet durability smoke: kill -9, recover from state dir =="
-state_dir="$serve_dir/fleet_state"
+state_dir="$smoke_dir/fleet_state"
 mkdir -p "$state_dir"
-"$serve_dir/fleetd" -addr 127.0.0.1:0 -nodes 50 -hours 48 -accel 50000 \
-	-state-dir "$state_dir" >"$serve_dir/fleetd_wal.log" 2>&1 &
+"$smoke_dir/fleetd" -addr 127.0.0.1:0 -nodes 50 -hours 48 -accel 50000 \
+	-state-dir "$state_dir" >"$smoke_dir/fleetd_wal.log" 2>&1 &
 wal_pid=$!
-trap 'kill "$decoded_pid" "$fleetd_pid" "$wal_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
+trap 'kill "$fleetd_pid" "$wal_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
 wal_url=""
 for _ in $(seq 1 100); do
-	wal_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$serve_dir/fleetd_wal.log" | head -n 1)"
+	wal_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$smoke_dir/fleetd_wal.log" | head -n 1)"
 	[ -n "$wal_url" ] && break
 	sleep 0.1
 done
-test -n "$wal_url" || { cat "$serve_dir/fleetd_wal.log"; exit 1; }
+test -n "$wal_url" || { cat "$smoke_dir/fleetd_wal.log"; exit 1; }
 # Wait until every simulated node has reported in, then SIGKILL the
 # coordinator — no snapshot, no clean close; the WAL is all it gets.
 total=""
@@ -160,39 +139,39 @@ for _ in $(seq 1 100); do
 	[ "$total" = "50" ] && break
 	sleep 0.1
 done
-test "$total" = "50" || { echo "fleet never reached 50 nodes"; cat "$serve_dir/fleetd_wal.log"; exit 1; }
+test "$total" = "50" || { echo "fleet never reached 50 nodes"; cat "$smoke_dir/fleetd_wal.log"; exit 1; }
 kill -9 "$wal_pid"
 wait "$wal_pid" 2>/dev/null || true
 # Recover: an empty fleetd (-nodes 0) over the same state dir must
 # replay the WAL and serve the full pre-kill fleet picture.
-"$serve_dir/fleetd" -addr 127.0.0.1:0 -nodes 0 \
-	-state-dir "$state_dir" >"$serve_dir/fleetd_rec.log" 2>&1 &
+"$smoke_dir/fleetd" -addr 127.0.0.1:0 -nodes 0 \
+	-state-dir "$state_dir" >"$smoke_dir/fleetd_rec.log" 2>&1 &
 wal_pid=$!
 rec_url=""
 for _ in $(seq 1 100); do
-	rec_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$serve_dir/fleetd_rec.log" | head -n 1)"
+	rec_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$smoke_dir/fleetd_rec.log" | head -n 1)"
 	[ -n "$rec_url" ] && break
 	sleep 0.1
 done
-test -n "$rec_url" || { cat "$serve_dir/fleetd_rec.log"; exit 1; }
-grep -q 'durable state in' "$serve_dir/fleetd_rec.log" || { echo "no recovery log line"; cat "$serve_dir/fleetd_rec.log"; exit 1; }
+test -n "$rec_url" || { cat "$smoke_dir/fleetd_rec.log"; exit 1; }
+grep -q 'durable state in' "$smoke_dir/fleetd_rec.log" || { echo "no recovery log line"; cat "$smoke_dir/fleetd_rec.log"; exit 1; }
 rec_fleet="$(curl -sf "$rec_url/v1/fleet?top=1")"
-echo "$rec_fleet" | grep -q '"total":50' || { echo "recovered fleet lost nodes: $rec_fleet"; cat "$serve_dir/fleetd_rec.log"; exit 1; }
+echo "$rec_fleet" | grep -q '"total":50' || { echo "recovered fleet lost nodes: $rec_fleet"; cat "$smoke_dir/fleetd_rec.log"; exit 1; }
 echo "$rec_fleet" | grep -q '"id":"node-' || { echo "recovered fleet has no ranked node: $rec_fleet"; exit 1; }
 kill -INT "$wal_pid"
 wait "$wal_pid"
 
 echo "== obsd smoke: probes report to the fleet plane, deterministically =="
-go build -o "$serve_dir/obsd" ./cmd/obsd
-"$serve_dir/obsd" -once -devices 3 -seed 7 >"$serve_dir/obsd_a.json"
-"$serve_dir/obsd" -once -devices 3 -seed 7 >"$serve_dir/obsd_b.json"
-cmp "$serve_dir/obsd_a.json" "$serve_dir/obsd_b.json"
-grep -q '"total":3' "$serve_dir/obsd_a.json" || { echo "obsd fleet missing devices"; cat "$serve_dir/obsd_a.json"; exit 1; }
+go build -o "$smoke_dir/obsd" ./cmd/obsd
+"$smoke_dir/obsd" -once -devices 3 -seed 7 >"$smoke_dir/obsd_a.json"
+"$smoke_dir/obsd" -once -devices 3 -seed 7 >"$smoke_dir/obsd_b.json"
+cmp "$smoke_dir/obsd_a.json" "$smoke_dir/obsd_b.json"
+grep -q '"total":3' "$smoke_dir/obsd_a.json" || { echo "obsd fleet missing devices"; cat "$smoke_dir/obsd_a.json"; exit 1; }
 # A 2ms-MTTE beam floods the device: its agent must not report ok.
-"$serve_dir/obsd" -once -devices 1 -mtte 0.002 >"$serve_dir/obsd_flood.json"
-grep -q '"id":"gpu0"' "$serve_dir/obsd_flood.json" || { echo "obsd ranked no node"; cat "$serve_dir/obsd_flood.json"; exit 1; }
-if grep -q '"health":"ok"' "$serve_dir/obsd_flood.json"; then
-	echo "flooded device ranked healthy"; cat "$serve_dir/obsd_flood.json"; exit 1
+"$smoke_dir/obsd" -once -devices 1 -mtte 0.002 >"$smoke_dir/obsd_flood.json"
+grep -q '"id":"gpu0"' "$smoke_dir/obsd_flood.json" || { echo "obsd ranked no node"; cat "$smoke_dir/obsd_flood.json"; exit 1; }
+if grep -q '"health":"ok"' "$smoke_dir/obsd_flood.json"; then
+	echo "flooded device ranked healthy"; cat "$smoke_dir/obsd_flood.json"; exit 1
 fi
 
 echo "== workload smoke: all five outcome classes reachable =="
@@ -200,14 +179,14 @@ echo "== workload smoke: all five outcome classes reachable =="
 # grid over {none, DuetECC} x {gemm, dnn} must reach masked,
 # tolerable-SDC, critical-SDC, DUE and crash.
 go test -run TestOutcomeClassesReachable -count=1 ./internal/workload/
-wl_out="$serve_dir/ecceval_workload.txt"
+wl_out="$smoke_dir/ecceval_workload.txt"
 go run ./cmd/ecceval -workload -workload-runs 40 -workload-schemes none,DuetECC >"$wl_out"
 for col in masked "tolerable SDC" "critical SDC" DUE crash "End-to-end FIT"; do
 	grep -q "$col" "$wl_out" || { echo "workload report missing '$col'"; cat "$wl_out"; exit 1; }
 done
 
 echo "== on-die smoke: BEER inference recovers every known H-matrix =="
-ondie_out="$serve_dir/ecceval_ondie.txt"
+ondie_out="$smoke_dir/ecceval_ondie.txt"
 go run ./cmd/ecceval -ondie-infer >"$ondie_out"
 test "$(grep -c 'true' "$ondie_out")" = 4 || { echo "inference missed a candidate"; cat "$ondie_out"; exit 1; }
 if grep -q 'false' "$ondie_out"; then echo "inference mismatch"; cat "$ondie_out"; exit 1; fi
