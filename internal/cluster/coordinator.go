@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -52,7 +53,7 @@ const (
 
 // backoffBase and backoffMax bound the per-worker requeue backoff
 // window, with deterministic jitter from the spec seed via
-// resilience.RetryPolicy.
+// resilience.Backoff.
 const (
 	backoffBase = 250 * time.Millisecond
 	backoffMax  = 30 * time.Second
@@ -67,7 +68,7 @@ type CoordinatorOptions struct {
 	LeaseTTL time.Duration
 	// FailureBudget is the number of lease failures (expiries or
 	// invalid results) a worker may accumulate before eviction
-	// (default 8). Reuses the resilience DUE-budget pattern.
+	// (default 8).
 	FailureBudget int
 	// MaxCellAttempts fails the campaign once any single cell has been
 	// re-queued this many times (default 32) — the backstop against a
@@ -118,13 +119,11 @@ type cellState struct {
 
 type workerState struct {
 	id string
-	// guard spends the failure budget; exhaustion evicts the worker —
-	// the same cumulative-budget degrade pattern the device model uses
-	// for DUEs.
-	guard *resilience.DegradeGuard
-	// backoff issues the post-failure cool-down delays with
-	// deterministic jitter.
-	backoff      *resilience.RetryPolicy
+	// failures counts lease failures against FailureBudget; spending
+	// it evicts the worker.
+	failures int
+	// rng draws the jitter of the post-failure cool-down delays.
+	rng          *rand.Rand
 	consecFails  int
 	backoffUntil time.Time
 	// leaseSeq and lastLease are the worker's last numbered lease
@@ -216,13 +215,8 @@ func (c *Coordinator) workerFor(id string) *workerState {
 	w := c.workers[id]
 	if w == nil {
 		w = &workerState{
-			id:    id,
-			guard: resilience.NewDegradeGuard(c.opts.FailureBudget),
-			backoff: resilience.NewRetryPolicy(
-				c.opts.FailureBudget+1,
-				backoffBase.Seconds(),
-				backoffMax.Seconds(),
-				c.opts.Spec.Seed^int64(len(c.workers))),
+			id:  id,
+			rng: rand.New(rand.NewSource(c.opts.Spec.Seed ^ int64(len(c.workers)))),
 		}
 		c.workers[id] = w
 	}
@@ -458,10 +452,9 @@ func (c *Coordinator) recordWorkerFailureLocked(w *workerState, now time.Time) {
 		return
 	}
 	w.consecFails++
-	if delay, ok := w.backoff.NextDelay(w.consecFails); ok {
-		w.backoffUntil = now.Add(time.Duration(delay * float64(time.Second)))
-	}
-	if w.guard.RecordDUE() {
+	delay := resilience.Backoff(w.rng, w.consecFails, backoffBase.Seconds(), backoffMax.Seconds())
+	w.backoffUntil = now.Add(time.Duration(delay * float64(time.Second)))
+	if w.failures++; w.failures >= c.opts.FailureBudget {
 		w.evicted = true
 		c.evictions++
 		mEvictions.Inc()
@@ -542,7 +535,7 @@ func (c *Coordinator) Status() StatusResponse {
 		w := c.workers[id]
 		ws := WorkerStatus{
 			ID: w.id, Completed: w.completed, Trials: w.trials,
-			BusyNS: w.busyNS, Failures: w.guard.Spent(), Evicted: w.evicted,
+			BusyNS: w.busyNS, Failures: w.failures, Evicted: w.evicted,
 		}
 		if w.busyNS > 0 {
 			ws.TrialsPerSec = float64(w.trials) / (float64(w.busyNS) / 1e9)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -75,6 +77,9 @@ func (o *WorkerOptions) defaults() {
 type Worker struct {
 	opts    WorkerOptions
 	schemes map[string]core.Scheme
+	// rng draws retry jitter, seeded from the worker ID so workers
+	// that lose the coordinator together retry at different moments.
+	rng *rand.Rand
 
 	// completed and trials summarize this worker's own accounting.
 	completed int
@@ -92,7 +97,13 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		return nil, fmt.Errorf("cluster: worker needs a coordinator base URL")
 	}
 	opts.BaseURL = strings.TrimRight(opts.BaseURL, "/")
-	return &Worker{opts: opts, schemes: map[string]core.Scheme{}}, nil
+	h := fnv.New64a()
+	h.Write([]byte(opts.ID))
+	return &Worker{
+		opts:    opts,
+		schemes: map[string]core.Scheme{},
+		rng:     rand.New(rand.NewSource(int64(h.Sum64()))),
+	}, nil
 }
 
 // ID returns the worker's identifier.
@@ -116,33 +127,34 @@ func (w *Worker) schemeFor(name string) (core.Scheme, error) {
 	return s, nil
 }
 
+// retryDelay is the backoff before retry number attempt: 50ms doubling
+// to a 2s cap, jittered by the worker's own rng.
+func (w *Worker) retryDelay(attempt int) time.Duration {
+	return time.Duration(resilience.Backoff(w.rng, attempt, 0.05, 2.0) * float64(time.Second))
+}
+
 // postWithRetry POSTs with bounded retries and deterministic-jitter
-// backoff on transport errors; HTTP-level errors (4xx/5xx) are not
-// retried — the coordinator's answer is authoritative.
-func (w *Worker) postWithRetry(ctx context.Context, url string, in, out any) error {
-	backoff := resilience.NewRetryPolicy(w.opts.NetBudget, 0.05, 2.0, int64(len(url)))
-	attempt := 0
-	for {
-		err := w.opts.Client.PostJSON(ctx, url, in, out)
+// backoff on transport errors and returns the response body; HTTP-level
+// errors (4xx/5xx) are not retried — the coordinator's answer is
+// authoritative.
+func (w *Worker) postWithRetry(ctx context.Context, url string, in any) ([]byte, error) {
+	for attempt := 1; ; attempt++ {
+		body, err := w.opts.Client.Post(ctx, url, in)
 		if err == nil {
-			return nil
+			return body, nil
 		}
 		if _, ok := err.(*httpx.StatusError); ok {
-			return err
+			return nil, err
 		}
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
-		attempt++
-		delay, ok := backoff.NextDelay(attempt)
-		if !ok {
-			return fmt.Errorf("cluster: coordinator unreachable after %d attempts: %w", attempt, err)
+		if attempt >= w.opts.NetBudget {
+			return nil, fmt.Errorf("cluster: coordinator unreachable after %d attempts: %w", attempt, err)
 		}
 		mWorkerNetRetries.Inc()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Duration(delay * float64(time.Second))):
+		if err := sleepCtx(ctx, w.retryDelay(attempt)); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -167,12 +179,13 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var resp LeaseResponse
 		req := LeaseRequest{WorkerID: w.opts.ID, MaxCells: w.opts.MaxCells, Seq: seq}
-		if err := w.postWithRetry(ctx, leaseURL, req, &resp); err != nil {
+		body, err := w.postWithRetry(ctx, leaseURL, req)
+		if err != nil {
 			return err
 		}
-		if err := resp.Validate(); err != nil {
+		resp, err := DecodeLeaseResponse(body)
+		if err != nil {
 			return err
 		}
 		switch {
@@ -210,7 +223,6 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 			elapsed := time.Since(start)
-			var cresp CompleteResponse
 			creq := CompleteRequest{
 				WorkerID:  w.opts.ID,
 				LeaseID:   lease.ID,
@@ -218,7 +230,12 @@ func (w *Worker) Run(ctx context.Context) error {
 				Result:    r,
 				ElapsedNS: elapsed.Nanoseconds(),
 			}
-			if err := w.postWithRetry(ctx, completeURL, creq, &cresp); err != nil {
+			body, err := w.postWithRetry(ctx, completeURL, creq)
+			if err != nil {
+				return err
+			}
+			var cresp CompleteResponse
+			if err := decodeStrict(body, &cresp); err != nil {
 				return err
 			}
 			outcome := "completed"

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hbm2ecc/internal/classify"
+	"hbm2ecc/internal/obs"
 )
 
 // TestCampaignResumeEqualsUninterrupted is the resilience acceptance test:
@@ -96,5 +97,30 @@ func TestCampaignCheckpointMismatchRejected(t *testing.T) {
 	bad := &CampaignCheckpoint{Seed: 1, Runs: 6, MTTE: 5, Completed: 2}
 	if _, err := CampaignRun(CampaignConfig{Seed: 1, Runs: 6, Checkpoint: bad}); err == nil {
 		t.Fatal("checkpoint with missing logs accepted")
+	}
+}
+
+// TestCampaignPhaseCounts locks the phase table perfbench's microbench
+// layers read from obs.DefaultTracer: one campaign span, one span per
+// run, and per run one write_pass, read_scan and evaluate span for each
+// of the 10 write passes.
+func TestCampaignPhaseCounts(t *testing.T) {
+	counts := func() map[string]int {
+		m := map[string]int{}
+		for _, p := range obs.DefaultTracer.Phases() {
+			m[p.Name] = p.Count
+		}
+		return m
+	}
+	before := counts()
+	if _, err := CampaignRun(CampaignConfig{Seed: 5, Runs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	after := counts()
+	want := map[string]int{"campaign": 1, "run": 2, "write_pass": 20, "read_scan": 20, "evaluate": 20}
+	for name, n := range want {
+		if got := after[name] - before[name]; got != n {
+			t.Errorf("phase %q: %d spans, want %d", name, got, n)
+		}
 	}
 }

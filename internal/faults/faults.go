@@ -189,9 +189,6 @@ func (in *Injector) NewEvent(kind Kind) Event {
 	}
 }
 
-// RandomEvent draws a kind from the full mixture and expands it.
-func (in *Injector) RandomEvent() Event { return in.NewEvent(in.RandomKind(false, false)) }
-
 // RandomEventIn draws an event from the full mixture and rebases its
 // entry effects into the half-open arena [lo, hi): the anchor entry is
 // re-drawn uniformly inside the arena and every effect keeps its entry

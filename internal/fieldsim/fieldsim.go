@@ -118,6 +118,3 @@ func (r Result) MTTFHours() float64 {
 // DUERate returns the empirical per-event DUE probability with a 95%
 // Wilson interval, for comparison against the analytical Weighted figures.
 func (r Result) DUERate() stats.Proportion { return stats.NewProportion(r.DUE, r.Events) }
-
-// SDCRate returns the empirical per-event SDC probability with interval.
-func (r Result) SDCRate() stats.Proportion { return stats.NewProportion(r.SDC, r.Events) }

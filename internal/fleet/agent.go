@@ -12,10 +12,7 @@
 // (protocol.go) with the same codec discipline as internal/cluster.
 package fleet
 
-import (
-	"hbm2ecc/internal/fleet/xid"
-	"hbm2ecc/internal/resilience"
-)
+import "hbm2ecc/internal/fleet/xid"
 
 // Health is a node agent's summary self-assessment.
 type Health int
@@ -65,13 +62,18 @@ type AgentOptions struct {
 	// fires an Xid 92 weak-cell-storm event (default 16).
 	StormThreshold int
 	// DUEBudget is the detected-uncorrectable budget before the agent
-	// reports itself Critical and recommends a drain (default 4; the
-	// resilience DegradeGuard default of 100 is sized for accelerated
-	// beam runs, not field operation).
+	// reports itself Critical and recommends a drain (default 4).
 	DUEBudget int
-	// Retirement bounds the agent's weak-row retirement table.
-	Retirement resilience.RetirementPolicy
 }
+
+// Weak-row retirement: a row is remapped to a spare at its retireAfter-th
+// error — the paper's §4 rule that errors in two or more write passes
+// mean displacement damage — while any of the node's spareRows spares
+// is left. Past them every further error on such a row is an Xid 64.
+const (
+	retireAfter = 2
+	spareRows   = 64
+)
 
 func (o *AgentOptions) defaults() {
 	if o.WindowHours <= 0 {
@@ -146,16 +148,20 @@ func (w *window) total(h int64, code int) int {
 
 // Agent is one node's health component. It consumes raw decode
 // outcomes (corrected / DUE / uncontained / crash), maintains the
-// rolling window, weak-row retirement table, and DUE budget, and emits
+// rolling window, weak-row retirement, and DUE budget, and emits
 // deduplicated Xid events into an outbox the reporting loop drains.
 // Agents are not safe for concurrent use; each simulated node owns one.
 type Agent struct {
 	node string
 	opts AgentOptions
 
-	win    *window
-	rt     *resilience.RetirementTable
-	guard  *resilience.DegradeGuard
+	win *window
+	// rowErrs counts errors per row; retired holds the rows remapped
+	// to spares, whose later errors are ignored.
+	rowErrs map[int64]int
+	retired map[int64]struct{}
+	// dues counts detected-uncorrectable errors against DUEBudget.
+	dues   int
 	outbox []xid.Event
 	// dedup maps DedupKey -> outbox slot for the current reporting
 	// interval; cleared on Drain so its size is bounded by the distinct
@@ -170,12 +176,12 @@ type Agent struct {
 func NewAgent(node string, opts AgentOptions) *Agent {
 	opts.defaults()
 	return &Agent{
-		node:  node,
-		opts:  opts,
-		win:   newWindow(opts.WindowHours),
-		rt:    resilience.NewRetirementTable(opts.Retirement),
-		guard: resilience.NewDegradeGuard(opts.DUEBudget),
-		dedup: map[string]int{},
+		node:    node,
+		opts:    opts,
+		win:     newWindow(opts.WindowHours),
+		rowErrs: map[int64]int{},
+		retired: map[int64]struct{}{},
+		dedup:   map[string]int{},
 	}
 }
 
@@ -203,7 +209,7 @@ func (a *Agent) emit(e xid.Event) {
 }
 
 // ObserveCorrected records a corrected (DCE) error on row at simulated
-// time at: an Xid 94 event, retirement-table accounting (which may
+// time at: an Xid 94 event, row-retirement accounting (which may
 // cascade into Xid 63 remap or Xid 64 spare-exhaustion events), and
 // storm detection over the rolling window.
 func (a *Agent) ObserveCorrected(at float64, row int64) {
@@ -213,15 +219,7 @@ func (a *Agent) ObserveCorrected(at float64, row int64) {
 	h := int64(at)
 	a.win.add(h, xid.ContainedECC, 1)
 	a.emit(xid.Event{Node: a.node, Code: xid.ContainedECC, AtHours: at, Row: row})
-
-	before := a.rt.Dropped()
-	if a.rt.Record(row) {
-		a.win.add(h, xid.RowRemapRecorded, 1)
-		a.emit(xid.Event{Node: a.node, Code: xid.RowRemapRecorded, AtHours: at, Row: row})
-	} else if a.rt.Dropped() > before {
-		a.win.add(h, xid.RowRemapFailure, 1)
-		a.emit(xid.Event{Node: a.node, Code: xid.RowRemapFailure, AtHours: at, Row: row})
-	}
+	a.recordRowError(at, row)
 
 	if a.win.total(h, xid.ContainedECC) >= a.opts.StormThreshold && a.stormHour != h {
 		a.stormHour = h
@@ -244,16 +242,29 @@ func (a *Agent) ObserveDUE(at float64, row int64, uncontained bool) {
 	}
 	a.win.add(h, code, 1)
 	a.emit(xid.Event{Node: a.node, Code: code, AtHours: at, Row: row})
-	a.guard.RecordDUE()
+	a.dues++
+	a.recordRowError(at, row)
+}
 
-	before := a.rt.Dropped()
-	if a.rt.Record(row) {
-		a.win.add(h, xid.RowRemapRecorded, 1)
-		a.emit(xid.Event{Node: a.node, Code: xid.RowRemapRecorded, AtHours: at, Row: row})
-	} else if a.rt.Dropped() > before {
-		a.win.add(h, xid.RowRemapFailure, 1)
-		a.emit(xid.Event{Node: a.node, Code: xid.RowRemapFailure, AtHours: at, Row: row})
+// recordRowError counts one error on row: at its retireAfter-th error
+// the row is remapped to a spare (Xid 63), or, with every spare used,
+// the remap fails (Xid 64). Errors on retired rows are ignored (the
+// spare row is pristine).
+func (a *Agent) recordRowError(at float64, row int64) {
+	if _, ok := a.retired[row]; ok {
+		return
 	}
+	a.rowErrs[row]++
+	if a.rowErrs[row] < retireAfter {
+		return
+	}
+	code := xid.RowRemapFailure
+	if len(a.retired) < spareRows {
+		code = xid.RowRemapRecorded
+		a.retired[row] = struct{}{}
+	}
+	a.win.add(int64(at), code, 1)
+	a.emit(xid.Event{Node: a.node, Code: code, AtHours: at, Row: row})
 }
 
 // ObserveCrash records the node falling off the bus (Xid 79). The
@@ -307,7 +318,7 @@ func (a *Agent) Health(at float64) (Health, xid.Remediation) {
 		return Critical, xid.RemedRetire
 	case a.win.total(h, xid.UncontainedECC) > 0:
 		return Critical, xid.RemedDrain
-	case a.guard.Degraded():
+	case a.dues >= a.opts.DUEBudget:
 		return Critical, xid.RemedDrain
 	case a.win.total(h, xid.DoubleBitECC) > 0:
 		return Degraded, xid.RemedReset

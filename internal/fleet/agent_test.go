@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hbm2ecc/internal/fleet/xid"
-	"hbm2ecc/internal/resilience"
 )
 
 func TestAgentHealthyByDefault(t *testing.T) {
@@ -42,24 +41,48 @@ func TestAgentCorrectedEmitsAndDedups(t *testing.T) {
 	}
 }
 
+// TestAgentRowRetirementCascade checks weak-row retirement: the second
+// error on a row remaps it (Xid 63), later errors on it are ignored, a
+// DUE counts against its row like a corrected error, and once all
+// spareRows spares are used the next row to cross fails its remap
+// (Xid 64) and the node must be retired.
 func TestAgentRowRetirementCascade(t *testing.T) {
-	a := NewAgent("n1", AgentOptions{
-		Retirement: resilience.RetirementPolicy{ErrorThreshold: 2, SpareRows: 1},
-	})
-	// Two hits on row 7 cross the threshold: remap recorded.
+	a := NewAgent("n1", AgentOptions{})
+	remaps := func() int { return a.WindowCount(2, xid.RowRemapRecorded) }
 	a.ObserveCorrected(1, 7)
+	if remaps() != 0 {
+		t.Fatal("row retired after one error")
+	}
 	a.ObserveCorrected(1, 7)
-	if a.WindowCount(1, xid.RowRemapRecorded) != 1 {
-		t.Fatalf("remap window = %d, want 1", a.WindowCount(1, xid.RowRemapRecorded))
+	if remaps() != 1 {
+		t.Fatalf("remap window = %d, want 1", remaps())
 	}
 	if h, rec := a.Health(1); h != Degraded || rec != xid.RemedMonitor {
 		t.Errorf("after remap: %v/%v, want Degraded/monitor", h, rec)
 	}
-	// Row 9 also crosses, but the single spare is spent: remap failure.
+	a.ObserveCorrected(1, 7)
+	a.ObserveCorrected(1, 7)
+	if remaps() != 1 || a.rowErrs[7] != retireAfter {
+		t.Fatalf("retired row kept counting: remaps %d, errors %d", remaps(), a.rowErrs[7])
+	}
+	a.ObserveDUE(1, 8, false)
+	a.ObserveCorrected(1, 8)
+	if remaps() != 2 {
+		t.Fatalf("DUE not counted against its row: remaps %d, want 2", remaps())
+	}
+	for row := int64(100); row < 100+spareRows-2; row++ {
+		a.ObserveCorrected(2, row)
+		a.ObserveCorrected(2, row)
+	}
+	if remaps() != spareRows || a.WindowCount(2, xid.RowRemapFailure) != 0 {
+		t.Fatalf("all spares used: remaps %d, failures %d, want %d and 0",
+			remaps(), a.WindowCount(2, xid.RowRemapFailure), spareRows)
+	}
 	a.ObserveCorrected(2, 9)
 	a.ObserveCorrected(2, 9)
-	if a.WindowCount(2, xid.RowRemapFailure) != 1 {
-		t.Fatalf("remap-failure window = %d, want 1", a.WindowCount(2, xid.RowRemapFailure))
+	if remaps() != spareRows || a.WindowCount(2, xid.RowRemapFailure) != 1 {
+		t.Fatalf("past the spares: remaps %d, failures %d, want %d and 1",
+			remaps(), a.WindowCount(2, xid.RowRemapFailure), spareRows)
 	}
 	if h, rec := a.Health(2); h != Critical || rec != xid.RemedRetire {
 		t.Errorf("after spare exhaustion: %v/%v, want Critical/retire", h, rec)
@@ -148,8 +171,8 @@ func TestAgentWindowExpiry(t *testing.T) {
 		t.Error("DUE still visible after the window rolled past it")
 	}
 	if h, _ := a.Health(10); h != Healthy {
-		// The DegradeGuard budget is cumulative; with budget left the
-		// agent should read healthy once the window is clean.
+		// The DUE budget is cumulative; with budget left the agent
+		// should read healthy once the window is clean.
 		t.Errorf("agent %v after window expiry, want Healthy", h)
 	}
 }

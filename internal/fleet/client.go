@@ -57,16 +57,13 @@ func (c *Client) WithTransport(rt http.RoundTripper) *Client {
 	return c
 }
 
-// Report POSTs one report frame and validates the response.
+// Report POSTs one report frame and decodes the response strictly.
 func (c *Client) Report(ctx context.Context, req ReportRequest) (ReportResponse, error) {
-	var resp ReportResponse
-	if err := c.http.PostJSON(ctx, c.base+"/v1/report", &req, &resp); err != nil {
+	body, err := c.http.Post(ctx, c.base+"/v1/report", &req)
+	if err != nil {
 		return ReportResponse{}, err
 	}
-	if err := resp.Validate(); err != nil {
-		return ReportResponse{}, err
-	}
-	return resp, nil
+	return DecodeReportResponse(body)
 }
 
 // Fleet GETs the ranked fleet snapshot.

@@ -3,8 +3,10 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,5 +36,21 @@ func TestClientDoesNotRetryValidationRejections(t *testing.T) {
 	}
 	if served.Load() != 1 {
 		t.Fatalf("validation rejection retried: %d requests", served.Load())
+	}
+}
+
+// TestClientRefusesUnknownResponseField: Report decodes the response
+// with the strict codec the fuzz target locks, so a frame carrying a
+// field the protocol does not define is an error, not a silent ack.
+func TestClientRefusesUnknownResponseField(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"version":%d,"accepted":0,"lease_hours":12,"bogus":1}`, ProtocolVersion)
+	}))
+	defer srv.Close()
+
+	c := NewClient(srv.URL, 5*time.Second)
+	_, err := c.Report(context.Background(), ReportRequest{NodeID: "node-0", Seq: 1, AtHours: 1, Health: "ok"})
+	if err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("Report = %v, want an unknown-field decode error", err)
 	}
 }

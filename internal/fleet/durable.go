@@ -179,13 +179,6 @@ func (c *Coordinator) Recovery() RecoveryInfo {
 	return c.dur.recovered
 }
 
-// Durable reports whether the coordinator persists state.
-func (c *Coordinator) Durable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dur != nil
-}
-
 // Close flushes and compacts a durable coordinator (no-op otherwise):
 // a final snapshot is saved so the next open replays nothing.
 func (c *Coordinator) Close() error {

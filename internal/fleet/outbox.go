@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net/http"
 
 	"hbm2ecc/internal/httpx"
@@ -28,7 +29,7 @@ type Outbox struct {
 	opts OutboxOptions
 
 	queue   []ReportRequest
-	policy  *resilience.RetryPolicy
+	rng     *rand.Rand // backoff jitter
 	attempt int
 	gateAt  float64 // no sends before this simulated hour
 	stats   OutboxStats
@@ -83,11 +84,7 @@ func NewOutbox(rep Reporter, opts OutboxOptions) *Outbox {
 	return &Outbox{
 		rep:  rep,
 		opts: opts,
-		// MaxAttempts is a formality here: the outbox never abandons a
-		// frame on attempt count (the bounded queue is the give-up
-		// mechanism), so the attempt fed to NextDelay is capped below
-		// the budget and only shapes the doubling.
-		policy: resilience.NewRetryPolicy(1<<30, opts.BaseHours, opts.MaxHours, opts.Seed),
+		rng:  rand.New(rand.NewSource(opts.Seed)),
 	}
 }
 
@@ -153,13 +150,10 @@ func (o *Outbox) Flush(ctx context.Context, at float64) error {
 				continue
 			}
 			o.stats.Failures++
+			// No attempt budget: the bounded queue is the give-up
+			// mechanism.
 			o.attempt++
-			a := o.attempt
-			if a > 30 {
-				a = 30 // delay is capped at MaxHours long before this
-			}
-			delay, _ := o.policy.NextDelay(a)
-			o.gateAt = at + delay
+			o.gateAt = at + resilience.Backoff(o.rng, o.attempt, o.opts.BaseHours, o.opts.MaxHours)
 			return nil
 		}
 		o.queue = o.queue[1:]

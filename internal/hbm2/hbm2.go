@@ -114,12 +114,6 @@ func MatOfByte(b int) int { return b }
 // WordOfByte returns the 64b word (0..3) containing data byte b.
 func WordOfByte(b int) int { return b / 8 }
 
-// CellAddr identifies a single DRAM bit cell.
-type CellAddr struct {
-	Entry int64 // entry index
-	Bit   int   // 0..255 within the 32B data payload
-}
-
 // RowKey collapses an entry index to a key identifying its DRAM row
 // (clearing the column field): all 64 entries of one row share a key.
 // Row retirement operates at this granularity.
@@ -151,6 +145,3 @@ func (c Config) SameRowEntries(co Coord) []int64 {
 	}
 	return out
 }
-
-// RandomCoordFn adapts an entry-index source into Coords.
-type RandomCoordFn func() int64

@@ -62,7 +62,7 @@ func TestClientDeadlineBoundsSlowServer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := c.PostJSON(ctx, base+"/", map[string]int{"x": 1}, nil)
+	_, err := c.Post(ctx, base+"/", map[string]int{"x": 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -259,54 +259,57 @@ func (c *Client) maxBody() int64 {
 	return DefaultMaxBody
 }
 
-func (c *Client) do(req *http.Request, out any) error {
+// do sends req and returns its bounded 2xx response body.
+func (c *Client) do(req *http.Request) ([]byte, error) {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	limit := c.maxBody()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
-		return fmt.Errorf("httpx: reading response: %w", err)
+		return nil, fmt.Errorf("httpx: reading response: %w", err)
 	}
 	if int64(len(body)) > limit {
-		return fmt.Errorf("httpx: response body exceeds %d bytes", limit)
+		return nil, fmt.Errorf("httpx: response body exceeds %d bytes", limit)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return &StatusError{Code: resp.StatusCode, Body: string(truncate(body, 256))}
+		return nil, &StatusError{Code: resp.StatusCode, Body: string(truncate(body, 256))}
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("httpx: decoding response: %w", err)
-	}
-	return nil
+	return body, nil
 }
 
-// PostJSON POSTs in as JSON to url and decodes the response into out
-// (out may be nil to discard the body).
-func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
+// Post POSTs in as JSON to url and returns the response body, which the
+// caller decodes with its protocol's strict codec.
+func (c *Client) Post(ctx context.Context, url string, in any) ([]byte, error) {
 	payload, err := json.Marshal(in)
 	if err != nil {
-		return fmt.Errorf("httpx: encoding request: %w", err)
+		return nil, fmt.Errorf("httpx: encoding request: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
+	return c.do(req)
 }
 
-// GetJSON GETs url and decodes the response into out.
+// GetJSON GETs url and decodes the response into out (out may be nil
+// to discard the body).
 func (c *Client) GetJSON(ctx context.Context, url string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
 	}
-	return c.do(req, out)
+	body, err := c.do(req)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("httpx: decoding response: %w", err)
+	}
+	return nil
 }
 
 // StatusError is a non-2xx HTTP response surfaced as an error.

@@ -46,12 +46,12 @@ func TestMaxBytesRejectsOversizedBody(t *testing.T) {
 	}), 64)
 
 	c := NewClient(5 * time.Second)
-	err := c.PostJSON(context.Background(), base+"/", strings.Repeat("x", 1024), nil)
+	_, err := c.Post(context.Background(), base+"/", strings.Repeat("x", 1024))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized POST: err = %v, want 413", err)
 	}
-	if err := c.PostJSON(context.Background(), base+"/", "small", nil); err != nil {
+	if _, err := c.Post(context.Background(), base+"/", "small"); err != nil {
 		t.Fatalf("bounded POST failed: %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestReadBodyLimit(t *testing.T) {
 		WriteJSON(w, http.StatusOK, nil)
 	}), 0)
 	c := NewClient(5 * time.Second)
-	if err := c.PostJSON(context.Background(), base+"/", strings.Repeat("y", 64), nil); err != nil {
+	if _, err := c.Post(context.Background(), base+"/", strings.Repeat("y", 64)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-got; err == nil {

@@ -51,12 +51,12 @@ func TestJSONSnapshotRoundTrips(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "c", "x").With("1").Add(5)
 	r.Histogram("h_s", "h", []float64{1}).With().Observe(0.5)
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
+	raw, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal([]byte(b.String()), &snap); err != nil {
+	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
 	if len(snap.Families) != 2 {

@@ -1,10 +1,10 @@
 // Package obs is the repository's dependency-free observability layer:
 // a concurrency-safe metrics registry (counters, gauges, bucketed
-// histograms, all with labels) exposed both in Prometheus text format and
-// as a JSON snapshot, plus lightweight span tracing so long-running
-// campaigns decompose into timed phases. It is stdlib-only by design —
-// the same expvar-ish philosophy, but with label vectors, histograms and
-// an exposition format real scrapers understand.
+// histograms, all with labels) exposed in Prometheus text format and as
+// a JSON-marshalable Snapshot, plus lightweight span tracing so
+// long-running campaigns decompose into timed phases. It is stdlib-only
+// by design — the same expvar-ish philosophy, but with label vectors,
+// histograms and an exposition format real scrapers understand.
 //
 // Hot paths pay one atomic add per update: metric handles are resolved
 // once (typically into package-level vars) and are safe for concurrent
@@ -278,15 +278,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := 0; i < n; i++ {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n linearly spaced buckets.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = start + float64(i)*width
 	}
 	return out
 }

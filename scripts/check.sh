@@ -174,6 +174,18 @@ if grep -q '"health":"ok"' "$smoke_dir/obsd_flood.json"; then
 	echo "flooded device ranked healthy"; cat "$smoke_dir/obsd_flood.json"; exit 1
 fi
 
+echo "== telemetry smoke: beamsim -metrics prints phases and dumps spans =="
+# beamsim, ecceval and repro share the -metrics path: the phase table of
+# obs.DefaultTracer on stdout, then the Prometheus dump of obs.Default.
+go run ./cmd/beamsim -runs 6 -metrics "$smoke_dir/beamsim.prom" >"$smoke_dir/beamsim.txt"
+for phase in write_pass read_scan evaluate; do
+	grep -q "^$phase " "$smoke_dir/beamsim.txt" || { echo "no $phase phase row"; cat "$smoke_dir/beamsim.txt"; exit 1; }
+done
+grep -q '^obs_span_duration_seconds' "$smoke_dir/beamsim.prom" || { echo "metrics dump missing obs_span_duration_seconds"; exit 1; }
+if grep -q '^resilience_' "$smoke_dir/beamsim.prom"; then
+	echo "metrics dump still carries resilience_* families"; exit 1
+fi
+
 echo "== workload smoke: all five outcome classes reachable =="
 # Every campaign run carries exactly one forced fault event; a small
 # grid over {none, DuetECC} x {gemm, dnn} must reach masked,
