@@ -220,6 +220,25 @@ func (d *Device) RetentionShift() float64 { return d.retentionShift }
 // the wire image leaves the die — so rank-level codes above only ever see
 // the stage's corrected/miscorrected output.
 func (d *Device) ReadWire(idx int64, t float64) bitvec.V288 {
+	return d.read(idx, []float64{t}, nil)
+}
+
+// ReadSeries reads entry idx at each time in ts and stores the 32B data
+// payloads in out, which must be at least as long as ts. out[i] is the
+// data of ReadWire(idx, ts[i]), and an installed on-die stage corrects
+// each read once. The entry's state is looked up once, when ReadSeries
+// is called, so every read sees the corruption injected by then; the
+// microbenchmark reads a write pass's candidates after Beam.Expose has
+// injected all of the pass's corruption, so its series are exact.
+func (d *Device) ReadSeries(idx int64, ts []float64, out [][hbm2.EntryBytes]byte) {
+	d.read(idx, ts, out)
+}
+
+// read is the device's one read path. It looks up entry idx's written
+// pattern, wire image, corruption and weak cells once, then reads the
+// entry at each time in ts. It stores the data of read i in payloads[i]
+// unless payloads is nil, and returns the wire image of the last read.
+func (d *Device) read(idx int64, ts []float64, payloads [][hbm2.EntryBytes]byte) (wire bitvec.V288) {
 	data := d.pattern(idx)
 	var clean bitvec.V288
 	if d.wireFor != nil {
@@ -227,51 +246,59 @@ func (d *Device) ReadWire(idx int64, t float64) bitvec.V288 {
 	} else {
 		clean = bitvec.FromDataECC(data, [4]byte{})
 	}
-	wire := clean
+	stored := clean
 	if c, ok := d.corrupt[idx]; ok {
-		for i := range wire {
-			wire[i] = wire[i]&^c.SetMask[i] | c.SetVal[i]&c.SetMask[i]
+		for i := range stored {
+			stored[i] = stored[i]&^c.SetMask[i] | c.SetVal[i]&c.SetMask[i]
 		}
-		wire = wire.Xor(c.Xor)
+		stored = stored.Xor(c.Xor)
 	}
 	written := d.lastWrite
 	if rt, ok := d.rewriteAt[idx]; ok && rt > written {
 		written = rt
 	}
-	var parityErr uint64
+	weak := d.weak[idx]
 	storedParity, haveParity := uint64(0), false
-	for _, w := range d.weak[idx] {
-		eff := w.Retention + d.retentionShift
-		if eff >= d.RefreshPeriod || t-written <= eff {
-			continue
-		}
-		if w.Bit < bitvec.EntryBits {
-			if wire.Bit(w.Bit) != w.LeakTo&1 {
-				wire = wire.SetBit(w.Bit, w.LeakTo)
+	var last bitvec.V288
+	for i, t := range ts {
+		// Per read, only the weak cells that have leaked by t change.
+		wire = stored
+		var parityErr uint64
+		for _, w := range weak {
+			eff := w.Retention + d.retentionShift
+			if eff >= d.RefreshPeriod || t-written <= eff {
+				continue
 			}
-			continue
+			if w.Bit < bitvec.EntryBits {
+				if wire.Bit(w.Bit) != w.LeakTo&1 {
+					wire = wire.SetBit(w.Bit, w.LeakTo)
+				}
+				continue
+			}
+			if d.ondie == nil {
+				continue // orphaned parity cell of a removed stage
+			}
+			if !haveParity {
+				storedParity = d.ondie.Parity(clean)
+				haveParity = true
+			}
+			if p := w.Bit - bitvec.EntryBits; uint(storedParity>>uint(p))&1 != w.LeakTo&1 {
+				parityErr |= 1 << uint(p)
+			}
 		}
-		if d.ondie == nil {
-			continue // orphaned parity cell of a removed stage
+		if d.ondie != nil {
+			wire = d.ondie.Correct(clean, wire, parityErr)
 		}
-		if !haveParity {
-			storedParity = d.ondie.Parity(clean)
-			haveParity = true
+		switch {
+		case payloads == nil:
+		case i > 0 && wire == last:
+			payloads[i] = payloads[i-1]
+		default:
+			payloads[i], _ = wire.DataECC()
+			last = wire
 		}
-		if p := w.Bit - bitvec.EntryBits; uint(storedParity>>uint(p))&1 != w.LeakTo&1 {
-			parityErr |= 1 << uint(p)
-		}
-	}
-	if d.ondie != nil {
-		wire = d.ondie.Correct(clean, wire, parityErr)
 	}
 	return wire
-}
-
-// ReadEntry returns the 32B data payload at time t with fault effects.
-func (d *Device) ReadEntry(idx int64, t float64) [hbm2.EntryBytes]byte {
-	data, _ := d.ReadWire(idx, t).DataECC()
-	return data
 }
 
 // RetireEntries models a row swap to a pristine spare row: all recorded

@@ -17,11 +17,17 @@ func patConst(b byte) PatternFn {
 	}
 }
 
+// readData returns the 32B payload ReadWire delivers for entry idx at t.
+func readData(d *Device, idx int64, t float64) [hbm2.EntryBytes]byte {
+	data, _ := d.ReadWire(idx, t).DataECC()
+	return data
+}
+
 func TestCleanReads(t *testing.T) {
 	d := New(hbm2.V100(), DefaultRefreshPeriod)
 	d.WriteAll(patConst(0x5A), 0)
 	for _, idx := range []int64{0, 12345, 1 << 29} {
-		if got := d.ReadEntry(idx, 1.0); got != patConst(0x5A)(idx) {
+		if got := readData(d, idx, 1.0); got != patConst(0x5A)(idx) {
 			t.Fatalf("entry %d corrupted on clean device", idx)
 		}
 	}
@@ -37,17 +43,17 @@ func TestCorruptionXor(t *testing.T) {
 	c.Xor = c.Xor.FlipBit(bitvec.ByteBase(3) + 2)
 	d.InjectCorruption(42, c)
 
-	got := d.ReadEntry(42, 1.0)
+	got := readData(d, 42, 1.0)
 	if got[3] != 0x04 {
 		t.Fatalf("byte 3 = %#x, want 0x04", got[3])
 	}
 	// Other entries unaffected.
-	if d.ReadEntry(43, 1.0) != patConst(0)(43) {
+	if readData(d, 43, 1.0) != patConst(0)(43) {
 		t.Fatal("neighbor corrupted")
 	}
 	// A write clears the corruption (soft error semantics).
 	d.WriteAll(patConst(0), 2.0)
-	if d.ReadEntry(42, 3.0) != patConst(0)(42) {
+	if readData(d, 42, 3.0) != patConst(0)(42) {
 		t.Fatal("write did not clear corruption")
 	}
 }
@@ -64,13 +70,13 @@ func TestCorruptionStuckAt(t *testing.T) {
 	// SetVal stays zero: stuck at 0.
 	d.WriteAll(patConst(0), 0)
 	d.InjectCorruption(7, c)
-	if got := d.ReadEntry(7, 0.5); got != patConst(0)(7) {
+	if got := readData(d, 7, 0.5); got != patConst(0)(7) {
 		t.Fatal("stuck-at-0 visible under all-zero data")
 	}
 	d2 := New(hbm2.V100(), DefaultRefreshPeriod)
 	d2.WriteAll(patConst(0xFF), 0)
 	d2.InjectCorruption(7, c)
-	got := d2.ReadEntry(7, 0.5)
+	got := readData(d2, 7, 0.5)
 	if got[7] != 0 {
 		t.Fatalf("stuck byte reads %#x under all-ones", got[7])
 	}
@@ -106,16 +112,16 @@ func TestWeakCellRetention(t *testing.T) {
 	d.AddWeakCell(99, WeakCell{Bit: bit, Retention: 0.008, LeakTo: 0})
 
 	// Before the retention time elapses the cell still reads correctly.
-	if got := d.ReadEntry(99, 0.004); got[0] != 0xFF {
+	if got := readData(d, 99, 0.004); got[0] != 0xFF {
 		t.Fatalf("cell leaked too early: %#x", got[0])
 	}
 	// After retention, it reads 0.
-	if got := d.ReadEntry(99, 0.010); got[0] != 0xFE {
+	if got := readData(d, 99, 0.010); got[0] != 0xFE {
 		t.Fatalf("cell did not leak: %#x", got[0])
 	}
 	// With a refresh period below the retention time, refresh saves it.
 	d.RefreshPeriod = 0.004
-	if got := d.ReadEntry(99, 0.010); got[0] != 0xFF {
+	if got := readData(d, 99, 0.010); got[0] != 0xFF {
 		t.Fatalf("refresh did not save the cell: %#x", got[0])
 	}
 }
@@ -125,12 +131,12 @@ func TestWeakCellUnidirectional(t *testing.T) {
 	d := New(hbm2.V100(), 0.016)
 	d.WriteAll(patConst(0), 0)
 	d.AddWeakCell(5, WeakCell{Bit: 0, Retention: 0.001, LeakTo: 0})
-	if got := d.ReadEntry(5, 1.0); got[0] != 0 {
+	if got := readData(d, 5, 1.0); got[0] != 0 {
 		t.Fatalf("leak to stored value changed data: %#x", got[0])
 	}
 	// Writing ones exposes it.
 	d.WriteAll(patConst(0xFF), 2.0)
-	if got := d.ReadEntry(5, 3.0); got[0] != 0xFE {
+	if got := readData(d, 5, 3.0); got[0] != 0xFE {
 		t.Fatalf("leak not exposed: %#x", got[0])
 	}
 }
@@ -195,33 +201,33 @@ func TestRewriteEntryClearsCorruptionAndRestartsLeak(t *testing.T) {
 	var c Corruption
 	c.Xor = c.Xor.FlipBit(bitvec.ByteBase(0))
 	d.InjectCorruption(3, c)
-	if got := d.ReadEntry(3, 0.001); got[0] != 0xFE {
+	if got := readData(d, 3, 0.001); got[0] != 0xFE {
 		t.Fatalf("corruption not visible: %#x", got[0])
 	}
 	d.RewriteEntry(3, 0.002)
-	if got := d.ReadEntry(3, 0.003); got[0] != 0xFF {
+	if got := readData(d, 3, 0.003); got[0] != 0xFF {
 		t.Fatalf("rewrite did not clear corruption: %#x", got[0])
 	}
 
 	// A weak cell's leak clock restarts at the rewrite time.
 	d.AddWeakCell(9, WeakCell{Bit: bitvec.ByteBase(0), Retention: 0.008, LeakTo: 0})
-	if got := d.ReadEntry(9, 0.010); got[0] != 0xFE {
+	if got := readData(d, 9, 0.010); got[0] != 0xFE {
 		t.Fatalf("weak cell did not leak from t=0: %#x", got[0])
 	}
 	d.RewriteEntry(9, 0.009)
-	if got := d.ReadEntry(9, 0.012); got[0] != 0xFF {
+	if got := readData(d, 9, 0.012); got[0] != 0xFF {
 		t.Fatalf("rewrite did not restart leak clock: %#x", got[0])
 	}
-	if got := d.ReadEntry(9, 0.020); got[0] != 0xFE {
+	if got := readData(d, 9, 0.020); got[0] != 0xFE {
 		t.Fatalf("weak cell did not leak again after rewrite: %#x", got[0])
 	}
 
 	// A full-device write supersedes per-entry rewrite clocks.
 	d.WriteAll(patConst(0xFF), 1.0)
-	if got := d.ReadEntry(9, 1.004); got[0] != 0xFF {
+	if got := readData(d, 9, 1.004); got[0] != 0xFF {
 		t.Fatalf("cell leaked too early after WriteAll: %#x", got[0])
 	}
-	if got := d.ReadEntry(9, 1.010); got[0] != 0xFE {
+	if got := readData(d, 9, 1.010); got[0] != 0xFE {
 		t.Fatalf("cell did not leak after WriteAll: %#x", got[0])
 	}
 }
@@ -278,7 +284,7 @@ func TestRewriteEntryUnderEncoder(t *testing.T) {
 	if got := d.ReadWire(4, 0.002); got == cleanWire {
 		t.Fatal("check-area corruption not visible on wire")
 	}
-	if got := d.ReadEntry(4, 0.002); got != patConst(0x0F)(4) {
+	if got := readData(d, 4, 0.002); got != patConst(0x0F)(4) {
 		t.Fatal("check-area corruption leaked into data")
 	}
 	d.RewriteEntry(4, 0.003)
@@ -296,5 +302,118 @@ func TestRewriteEntryUnderEncoder(t *testing.T) {
 	d.RewriteEntry(4, 0.011)
 	if got := d.ReadWire(4, 0.014); got != cleanWire {
 		t.Fatal("rewrite did not restart check-area leak clock")
+	}
+}
+
+// countingStage is a fake on-die stage with 8 parity cells. Its parity
+// is a byte of the clean image, and Correct XORs the parity error into
+// the low wire bits, so leaked parity cells reach the data. It counts
+// its Correct calls.
+type countingStage struct{ corrects int }
+
+func (s *countingStage) ParityBits() int                 { return 8 }
+func (s *countingStage) Parity(clean bitvec.V288) uint64 { return clean[1] >> 8 & 0xFF }
+
+func (s *countingStage) Correct(clean, raw bitvec.V288, parityErr uint64) bitvec.V288 {
+	s.corrects++
+	raw[0] ^= parityErr
+	return raw
+}
+
+// FuzzReadSeriesVsReadWire requires each read of a series to equal the
+// data of ReadWire at the same time, over Xor and stuck-at corruption,
+// weak cells on wire and hidden parity bits, a retention shift, a
+// rewrite and an ECC generator, and an installed stage to correct each
+// read of the series exactly once.
+func FuzzReadSeriesVsReadWire(f *testing.F) {
+	f.Add([]byte{}, false, false, false)
+	f.Add([]byte{7, 3, 0x11, 0x22, 2, 1, 9, 1, 40, 0, 5, 3, 1, 30, 1, 1, 50, 4, 0, 20, 80, 200, 250, 10, 100}, true, true, true)
+	f.Add([]byte{200, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 255, 128, 64}, false, true, false)
+	f.Fuzz(func(t *testing.T, raw []byte, encoder, stage, rewrite bool) {
+		next := func() int {
+			if len(raw) == 0 {
+				return 0
+			}
+			b := raw[0]
+			raw = raw[1:]
+			return int(b)
+		}
+		d := New(hbm2.V100(), DefaultRefreshPeriod+float64(next())*1e-4)
+		st := &countingStage{}
+		cells := bitvec.EntryBits
+		if stage {
+			d.SetOnDie(st)
+			cells += st.ParityBits()
+		}
+		if encoder {
+			d.SetECCGenerator(func(data [hbm2.EntryBytes]byte) [4]byte {
+				return [4]byte{data[0] ^ data[5], data[9], ^data[17], data[31]}
+			})
+		}
+		key := byte(next())
+		d.WriteAll(func(idx int64) [hbm2.EntryBytes]byte {
+			var data [hbm2.EntryBytes]byte
+			for i := range data {
+				data[i] = byte(int(idx)*31+i*7) ^ key
+			}
+			return data
+		}, 0)
+		const idx = 12345
+		for n := next() % 6; n > 0; n-- {
+			d.AddWeakCell(idx, WeakCell{
+				Bit:       (next()<<8 | next()) % cells,
+				Retention: float64(next()) * 2e-4,
+				LeakTo:    uint(next() & 1),
+			})
+		}
+		d.SetRetentionShift(float64(int8(next())) * 1e-4)
+		if rewrite {
+			d.RewriteEntry(idx, float64(next())*1e-4)
+		}
+		var c Corruption
+		for n := next() % 4; n > 0; n-- {
+			c.Xor = c.Xor.FlipBit((next()<<8 | next()) % bitvec.EntryBits)
+		}
+		for n := next() % 3; n > 0; n-- {
+			b := (next()<<8 | next()) % bitvec.EntryBits
+			c.SetMask = c.SetMask.SetBit(b, 1)
+			c.SetVal = c.SetVal.SetBit(b, uint(next()&1))
+		}
+		d.InjectCorruption(idx, c)
+		ts := make([]float64, next()%24)
+		for i := range ts {
+			ts[i] = float64(next()) * 4e-4
+		}
+
+		for _, e := range []int64{idx, idx + 1} {
+			out := make([][hbm2.EntryBytes]byte, len(ts))
+			st.corrects = 0
+			d.ReadSeries(e, ts, out)
+			if stage && st.corrects != len(ts) {
+				t.Fatalf("entry %d: %d Correct calls for %d reads", e, st.corrects, len(ts))
+			}
+			for i, tr := range ts {
+				if want := readData(d, e, tr); out[i] != want {
+					t.Fatalf("entry %d, read %d at t=%g: series %x, ReadWire %x", e, i, tr, out[i], want)
+				}
+			}
+		}
+	})
+}
+
+func TestParityCellLeaksAgainstWrittenParity(t *testing.T) {
+	// The hidden parity cells store the parity of the entry as written,
+	// not of its corrupted image: countingStage's parity is wire byte
+	// 9 (data byte 8), all ones here. Corrupting that byte leaves the
+	// stored parity bit 0 at 1, so a leaked 1->0 parity cell 0 is an
+	// error, which countingStage XORs into wire bit 0.
+	d := New(hbm2.V100(), DefaultRefreshPeriod)
+	d.SetOnDie(&countingStage{})
+	d.WriteAll(patConst(0xFF), 0)
+	d.InjectCorruption(6, Corruption{Xor: bitvec.V288{}.FlipBit(72)})
+	d.AddWeakCell(6, WeakCell{Bit: bitvec.EntryBits, Retention: 0.001, LeakTo: 0})
+	got := readData(d, 6, 1.0)
+	if got[0] != 0xFE || got[8] != 0xFE {
+		t.Fatalf("bytes 0 and 8 read %#x and %#x, want 0xfe and 0xfe", got[0], got[8])
 	}
 }

@@ -306,17 +306,16 @@ func (in *Injector) matColumn() Event {
 
 // regionCorruption corrupts the given wire bits: stuck-at with probability
 // StuckProb, otherwise a uniform-random flip of each bit (requiring at
-// least minBits flips).
+// least minBits flips). The bits must be distinct. Each coin is
+// rng.Int63()>>32&1, which is what rng.Intn(2) draws, so the bits go
+// straight into the corruption's words without changing the rng stream.
 func (in *Injector) regionCorruption(wireBits []int, minBits int) dram.Corruption {
 	var c dram.Corruption
 	if in.rng.Float64() < StuckProb {
-		val := uint(0)
-		if in.rng.Intn(2) == 1 {
-			val = 1
-		}
+		val := uint64(in.rng.Int63() >> 32 & 1)
 		for _, b := range wireBits {
-			c.SetMask = c.SetMask.SetBit(b, 1)
-			c.SetVal = c.SetVal.SetBit(b, val)
+			c.SetMask[b>>6] |= 1 << uint(b&63)
+			c.SetVal[b>>6] |= val << uint(b&63)
 		}
 		return c
 	}
@@ -324,10 +323,9 @@ func (in *Injector) regionCorruption(wireBits []int, minBits int) dram.Corruptio
 		var xor bitvec.V288
 		n := 0
 		for _, b := range wireBits {
-			if in.rng.Intn(2) == 1 {
-				xor = xor.FlipBit(b)
-				n++
-			}
+			coin := uint64(in.rng.Int63() >> 32 & 1)
+			xor[b>>6] |= coin << uint(b&63)
+			n += int(coin)
 		}
 		if n >= minBits {
 			c.Xor = xor
@@ -383,27 +381,28 @@ func (in *Injector) beatLogic() Event {
 	return Event{Kind: BeatLogic, Effects: effects}
 }
 
-func allDataBits() []int {
+// allDataBits lists the wire positions of the 256 data bits, the region
+// of subarray and bank logic faults.
+var allDataBits = func() []int {
 	bits := make([]int, 0, 256)
 	for k := 0; k < 256; k++ {
 		bits = append(bits, dataBitToWire(k))
 	}
 	return bits
-}
+}()
 
 func (in *Injector) subarrayLogic() Event {
 	// One row, all mats: whole-entry corruption across 1..64 columns.
 	co := in.Cfg.CoordOf(in.randomEntry())
 	span := in.logUniform(hbm2.ColumnsPerRow)
 	startCol := in.rng.Intn(hbm2.ColumnsPerRow - span + 1)
-	bits := allDataBits()
 	var effects []EntryEffect
 	for cidx := 0; cidx < span; cidx++ {
 		cc := co
 		cc.Column = startCol + cidx
 		effects = append(effects, EntryEffect{
 			Entry: in.Cfg.EntryIndex(cc),
-			Corr:  in.regionCorruption(bits, 4),
+			Corr:  in.regionCorruption(allDataBits, 4),
 		})
 	}
 	return Event{Kind: SubarrayLogic, Effects: effects}
@@ -418,8 +417,7 @@ func (in *Injector) bankLogic() Event {
 	// across consecutive rows of one bank.
 	co := in.Cfg.CoordOf(in.randomEntry())
 	breadth := in.logUniform(MaxBankBreadth)
-	bits := allDataBits()
-	var effects []EntryEffect
+	effects := make([]EntryEffect, 0, breadth)
 	row, col := co.Row, 0
 	for i := 0; i < breadth; i++ {
 		cc := co
@@ -427,7 +425,7 @@ func (in *Injector) bankLogic() Event {
 		cc.Column = col
 		effects = append(effects, EntryEffect{
 			Entry: in.Cfg.EntryIndex(cc),
-			Corr:  in.regionCorruption(bits, 4),
+			Corr:  in.regionCorruption(allDataBits, 4),
 		})
 		col++
 		if col == hbm2.ColumnsPerRow {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hbm2ecc/internal/bitvec"
+	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/hbm2"
 )
@@ -278,4 +279,68 @@ func TestNewEventInPanicsOnEmptyArena(t *testing.T) {
 		}
 	}()
 	in.NewEventIn(in.RandomKind(false, false), 5, 5)
+}
+
+// regionCorruptionRef is the bit-at-a-time form of regionCorruption: one
+// rng.Intn(2) and one SetBit/FlipBit per bit.
+func (in *Injector) regionCorruptionRef(wireBits []int, minBits int) dram.Corruption {
+	var c dram.Corruption
+	if in.rng.Float64() < StuckProb {
+		val := uint(0)
+		if in.rng.Intn(2) == 1 {
+			val = 1
+		}
+		for _, b := range wireBits {
+			c.SetMask = c.SetMask.SetBit(b, 1)
+			c.SetVal = c.SetVal.SetBit(b, val)
+		}
+		return c
+	}
+	for {
+		var xor bitvec.V288
+		n := 0
+		for _, b := range wireBits {
+			if in.rng.Intn(2) == 1 {
+				xor = xor.FlipBit(b)
+				n++
+			}
+		}
+		if n >= minBits {
+			c.Xor = xor
+			return c
+		}
+	}
+}
+
+func TestRegionCorruptionMatchesBitLoop(t *testing.T) {
+	byteBits := make([]int, 8)
+	for k := range byteBits {
+		byteBits[k] = bitvec.ByteBase(13) + k
+	}
+	stuck, flipped := 0, 0
+	for _, bits := range [][]int{allDataBits, byteBits} {
+		for _, minBits := range []int{2, 4} {
+			for seed := int64(0); seed < 200; seed++ {
+				fast, ref := NewInjector(hbm2.V100(), seed), NewInjector(hbm2.V100(), seed)
+				for call := 0; call < 8; call++ {
+					got, want := fast.regionCorruption(bits, minBits), ref.regionCorruptionRef(bits, minBits)
+					if got != want {
+						t.Fatalf("%d bits, minBits %d, seed %d, call %d: corruption %+v, bit loop %+v",
+							len(bits), minBits, seed, call, got, want)
+					}
+					if got.Xor.IsZero() {
+						stuck++
+					} else {
+						flipped++
+					}
+				}
+				if a, b := fast.rng.Int63(), ref.rng.Int63(); a != b {
+					t.Fatalf("%d bits, minBits %d, seed %d: next draw %d, bit loop %d", len(bits), minBits, seed, a, b)
+				}
+			}
+		}
+	}
+	if stuck == 0 || flipped == 0 {
+		t.Fatalf("stuck %d, flipped %d: both branches must run", stuck, flipped)
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"hbm2ecc/internal/anenc"
 	"hbm2ecc/internal/beam"
@@ -180,7 +181,6 @@ func (c *Config) defaults() {
 func Run(cfg Config) *Log {
 	cfg.defaults()
 	dev := cfg.Device
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	log := &Log{Pattern: cfg.Pattern, StartTime: cfg.StartTime}
 
 	limit := int64(float64(dev.Cfg.Entries()) * cfg.Utilization)
@@ -188,12 +188,23 @@ func Run(cfg Config) *Log {
 		limit = 1
 	}
 	readFrac := func(entry int64) float64 { return float64(entry) / float64(limit) }
+	readTime := func(readStart float64, r int, entry int64) float64 {
+		return readStart + (float64(r)+readFrac(entry))*cfg.PassDuration
+	}
 
+	ev := scratchPool.Get().(*evalScratch)
+	ev.recs = ev.recs[:0]
+	defer scratchPool.Put(ev)
+	// candidates maps an entry to the earliest read pass that could
+	// observe a deviation.
+	candidates := map[int64]int{}
+	nr := cfg.ReadsPerWrite
 	t := cfg.StartTime
 	for w := 0; w < cfg.WritePasses; w++ {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 			log.Cancelled = true
 			log.EndTime = t
+			log.Records = ev.records()
 			return log
 		}
 		inverse := w%2 == 1
@@ -203,9 +214,7 @@ func Run(cfg Config) *Log {
 		writeSpan := cfg.Span.Child("write_pass")
 		dev.WriteAll(pat, t)
 		writeEnd := t + cfg.PassDuration
-		// candidates maps entry -> earliest read pass that could observe
-		// a deviation.
-		candidates := map[int64]int{}
+		clear(candidates)
 		if cfg.Beam != nil {
 			for _, te := range cfg.Beam.Expose(t, writeEnd, cfg.Utilization) {
 				for _, eff := range te.Event.Effects {
@@ -220,7 +229,7 @@ func Run(cfg Config) *Log {
 
 		readSpan := cfg.Span.Child("read_scan")
 		readStart := t
-		for r := 0; r < cfg.ReadsPerWrite; r++ {
+		for r := 0; r < nr; r++ {
 			passStart := readStart + float64(r)*cfg.PassDuration
 			passEnd := passStart + cfg.PassDuration
 			if cfg.Beam != nil {
@@ -253,9 +262,8 @@ func Run(cfg Config) *Log {
 				leakTime := dev.LastWrite() + eff
 				// First read pass whose read of this entry happens after the
 				// leak.
-				for r := 0; r < cfg.ReadsPerWrite; r++ {
-					tread := readStart + (float64(r)+readFrac(entry))*cfg.PassDuration
-					if tread > leakTime {
+				for r := 0; r < nr; r++ {
+					if readTime(readStart, r, entry) > leakTime {
 						markCandidate(candidates, entry, r)
 						break
 					}
@@ -266,41 +274,52 @@ func Run(cfg Config) *Log {
 		readSpan.Finish()
 
 		if !cfg.Replay {
-			// Evaluate candidates against device state at their read times.
-			// Read passes outside and ascending entries inside visit read
-			// times in increasing order, so records come out sorted by Time.
+			// Evaluate candidates against device state at their read times:
+			// each entry's reads are one series, since the pass's
+			// corruption is all injected by now. Emitting read passes
+			// outside and ascending entries inside visits read times in
+			// increasing order, so records come out sorted by Time.
 			evalSpan := cfg.Span.Child("evaluate")
-			entries := make([]int64, 0, len(candidates))
+			ev.entries = ev.entries[:0]
 			for entry := range candidates {
-				entries = append(entries, entry)
+				ev.entries = append(ev.entries, entry)
 			}
-			slices.Sort(entries)
-			expected := make([][hbm2.EntryBytes]byte, len(entries))
-			for i, entry := range entries {
-				expected[i] = dev.Expected(entry)
+			slices.Sort(ev.entries)
+			n := len(ev.entries)
+			ev.first = slices.Grow(ev.first[:0], n)[:n]
+			ev.expected = slices.Grow(ev.expected[:0], n)[:n]
+			ev.got = slices.Grow(ev.got[:0], n*nr)[:n*nr]
+			for i, entry := range ev.entries {
+				f := candidates[entry]
+				ev.first[i] = f
+				ev.expected[i] = dev.Expected(entry)
+				if f >= nr {
+					continue
+				}
+				ev.ts = ev.ts[:0]
+				for r := f; r < nr; r++ {
+					ev.ts = append(ev.ts, readTime(readStart, r, entry))
+				}
+				dev.ReadSeries(entry, ev.ts, ev.got[i*nr+f:(i+1)*nr])
 			}
-			for r := 0; r < cfg.ReadsPerWrite; r++ {
-				for i, entry := range entries {
-					if r < candidates[entry] {
+			for r := 0; r < nr; r++ {
+				for i, entry := range ev.entries {
+					if r < ev.first[i] || ev.got[i*nr+r] == ev.expected[i] {
 						continue
 					}
-					tread := readStart + (float64(r)+readFrac(entry))*cfg.PassDuration
-					got := dev.ReadEntry(entry, tread)
-					if got != expected[i] {
-						log.Records = append(log.Records, Record{
-							Time:      tread,
-							WritePass: w,
-							ReadPass:  r,
-							Entry:     entry,
-							Expected:  expected[i],
-							Got:       got,
-						})
-					}
+					ev.recs = append(ev.recs, Record{
+						Time:      readTime(readStart, r, entry),
+						WritePass: w,
+						ReadPass:  r,
+						Entry:     entry,
+						Expected:  ev.expected[i],
+						Got:       ev.got[i*nr+r],
+					})
 				}
 			}
 			evalSpan.Finish()
 		}
-		t = readStart + float64(cfg.ReadsPerWrite)*cfg.PassDuration
+		t = readStart + float64(nr)*cfg.PassDuration
 	}
 	log.EndTime = t
 	if cfg.Replay {
@@ -309,6 +328,8 @@ func Run(cfg Config) *Log {
 		// already counted).
 		return log
 	}
+	log.Records = ev.records()
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	if rng.Float64() < cfg.DiscardProb {
 		log.Discarded = true
 	}
@@ -320,6 +341,34 @@ func Run(cfg Config) *Log {
 	mRecords.With(cfg.Pattern.String()).Add(uint64(len(log.Records)))
 	mRecordsPerRun.Observe(float64(len(log.Records)))
 	return log
+}
+
+// evalScratch holds a run's candidate and read buffers, reused by its
+// write passes, and the records it has found so far. entries holds the
+// candidates sorted, first their first reads, expected their written
+// payloads and got row i entry i's reads, one per read pass.
+type evalScratch struct {
+	entries  []int64
+	first    []int
+	expected [][hbm2.EntryBytes]byte
+	got      [][hbm2.EntryBytes]byte
+	ts       []float64
+	recs     []Record
+}
+
+// scratchPool passes evalScratch from run to run, so that the runs of a
+// campaign do not regrow the buffers.
+var scratchPool = sync.Pool{New: func() any {
+	return new(evalScratch)
+}}
+
+// records returns the run's records in a slice of exactly their length,
+// or nil when there are none.
+func (ev *evalScratch) records() []Record {
+	if len(ev.recs) == 0 {
+		return nil
+	}
+	return slices.Clone(ev.recs)
 }
 
 func markCandidate(m map[int64]int, entry int64, firstRead int) {

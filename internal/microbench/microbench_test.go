@@ -1,6 +1,7 @@
 package microbench
 
 import (
+	"slices"
 	"testing"
 
 	"hbm2ecc/internal/anenc"
@@ -181,8 +182,49 @@ func TestErrMaskRoundTrip(t *testing.T) {
 	t0 := 0.0
 	dev.WriteAll(func(int64) [hbm2.EntryBytes]byte { return [hbm2.EntryBytes]byte{} }, t0)
 	dev.InjectCorruption(5, c)
-	got := dev.ReadEntry(5, 1)
+	got, _ := dev.ReadWire(5, 1).DataECC()
 	if got[0] != 1 {
 		t.Fatalf("corruption not visible: %v", got[0])
+	}
+}
+
+// passThrough is an on-die stage without parity cells that returns the
+// raw image unchanged and counts its Correct calls.
+type passThrough struct{ corrects int }
+
+func (p *passThrough) ParityBits() int           { return 0 }
+func (p *passThrough) Parity(bitvec.V288) uint64 { return 0 }
+func (p *passThrough) Correct(_, raw bitvec.V288, _ uint64) bitvec.V288 {
+	p.corrects++
+	return raw
+}
+
+func TestOneCorrectPerRead(t *testing.T) {
+	// A weak cell with retention 0 has leaked before every read, so its
+	// entry is read at every read pass of every write pass. Under All0 it
+	// leaks a stored 1 only on the inverse (all-ones) passes 1 and 3.
+	const writes, reads = 4, 5
+	run := func(stage dram.OnDieStage) *Log {
+		dev := dram.New(hbm2.V100(), dram.DefaultRefreshPeriod)
+		dev.SetOnDie(stage)
+		dev.AddWeakCell(321, dram.WeakCell{Bit: 6, Retention: 0, LeakTo: 0})
+		return Run(Config{Device: dev, Pattern: AllZero, WritePasses: writes, ReadsPerWrite: reads,
+			Seed: 4, DiscardProb: -1})
+	}
+	p := &passThrough{}
+	staged, plain := run(p), run(nil)
+	if p.corrects != writes*reads {
+		t.Fatalf("stage corrected %d reads, want %d", p.corrects, writes*reads)
+	}
+	if len(plain.Records) != 2*reads {
+		t.Fatalf("%d records, want %d", len(plain.Records), 2*reads)
+	}
+	if !slices.Equal(staged.Records, plain.Records) {
+		t.Fatal("records through a pass-through stage differ from the stage-less run")
+	}
+	for _, r := range plain.Records {
+		if r.Entry != 321 || r.WritePass%2 != 1 || r.Got[0] != 0xBF {
+			t.Fatalf("unexpected record %+v", r)
+		}
 	}
 }
