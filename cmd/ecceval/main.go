@@ -36,7 +36,7 @@ func main() {
 	resume := flag.String("resume", "",
 		"resume from this checkpoint file (same -seed/-samples required)")
 	metrics := flag.String("metrics", "",
-		"instrument every scheme's decode path and dump all metrics in Prometheus text format to this file on exit (\"-\" = stdout)")
+		"on exit, print per-phase span durations and dump all metrics in Prometheus text format to this file (\"-\" = stdout)")
 	wl := flag.Bool("workload", false,
 		"run the workload outcome engine instead: GEMM/reduction/DNN kernels over faulted device memory, per-scheme masked/SDC/DUE/crash tables and end-to-end FIT")
 	wlRuns := flag.Int("workload-runs", 400, "fault-injection runs per (scheme, kernel) cell with -workload")
@@ -75,7 +75,7 @@ func main() {
 		names = append(names, "DSC")
 	}
 
-	results, err := runLocal(ctx, names, *seed, *samples, *checkpoint, *resume, *metrics != "", stage)
+	results, err := runLocal(ctx, names, *seed, *samples, *checkpoint, *resume, stage)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,15 +110,12 @@ func main() {
 // runLocal is the in-process evaluation: pattern columns run in
 // parallel through the campaign engine, each drawing its trials once for
 // every scheme. The checkpoint still holds (scheme, pattern) cells.
-func runLocal(ctx context.Context, names []string, seed int64, samples int, checkpoint, resume string, instrument bool, stage *ondie.Stage) ([]evalmc.SchemeResult, error) {
+func runLocal(ctx context.Context, names []string, seed int64, samples int, checkpoint, resume string, stage *ondie.Stage) ([]evalmc.SchemeResult, error) {
 	schemes := make([]core.Scheme, len(names))
 	for i, name := range names {
 		s, err := core.SchemeByName(name)
 		if err != nil {
 			return nil, err
-		}
-		if instrument {
-			s = core.Instrumented(s)
 		}
 		schemes[i] = s
 	}

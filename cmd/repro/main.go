@@ -103,11 +103,6 @@ func main() {
 		core.NewSECDED(false, false), core.NewDuetECC(), core.NewTrioECC(),
 		core.NewSEC2bEC(false, false), core.NewSSC(true), core.NewSSCDSDPlus(),
 	}
-	if *metrics != "" {
-		for i, s := range schemes {
-			schemes[i] = core.Instrumented(s)
-		}
-	}
 	res, err := evalmc.EvaluateAllCtx(schemes, opts)
 	if err != nil {
 		fmt.Println("repro: interrupted during the ECC evaluation; exiting")

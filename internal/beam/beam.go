@@ -83,15 +83,12 @@ func (m DamageModel) ExpectedWeakCells(f float64) float64 {
 
 // Beam drives a device-under-test through beam exposure.
 type Beam struct {
-	Flux float64
+	Flux float64 // always ChipIRFlux
 	// SEURatePerFlux converts flux to soft-error events per second at
 	// full memory utilization: events/s = flux × SEURatePerFlux ×
 	// (arrayFraction + (1-arrayFraction)·utilization).
 	SEURatePerFlux float64
-	// ArrayFraction is the share of the event rate from array strikes
-	// (utilization-independent); the remainder is logic faults.
-	ArrayFraction float64
-	Damage        DamageModel
+	Damage         DamageModel // always DefaultDamage()
 
 	Injector *faults.Injector
 	Device   *dram.Device
@@ -113,43 +110,35 @@ func (b *Beam) SetContext(ctx context.Context) { b.ctx = ctx }
 
 // Config bundles beam construction parameters.
 type Config struct {
-	Flux           float64
 	SEURatePerFlux float64 // default: one event per ~30 beam-seconds
-	ArrayFraction  float64
-	Damage         DamageModel
 	Seed           int64
 }
 
-// New builds a beamline aimed at the given device.
-func New(dev *dram.Device, cfg Config) *Beam {
-	if cfg.Flux == 0 {
-		cfg.Flux = ChipIRFlux
+// arrayFraction is the share of the event rate from array strikes
+// (utilization-independent); the remainder is logic faults. It is the
+// array share of the fault mixture itself, so that at utilization 1 the
+// observed event mix equals the calibrated DefaultMix (≈65%).
+var arrayFraction = func() float64 {
+	sum, arr := 0.0, 0.0
+	for k := faults.Kind(0); k < faults.NumKinds; k++ {
+		sum += faults.DefaultMix[k]
+		if k.ArrayFault() {
+			arr += faults.DefaultMix[k]
+		}
 	}
+	return arr / sum
+}()
+
+// New builds a beamline at ChipIR flux aimed at the given device.
+func New(dev *dram.Device, cfg Config) *Beam {
 	if cfg.SEURatePerFlux == 0 {
 		// MTTE of ~30s at ChipIR flux and full utilization.
 		cfg.SEURatePerFlux = 1.0 / (30 * ChipIRFlux)
 	}
-	if cfg.ArrayFraction == 0 {
-		// Default to the array share of the fault mixture itself, so
-		// that at utilization 1 the observed event mix equals the
-		// calibrated DefaultMix (≈65%).
-		sum, arr := 0.0, 0.0
-		for k := faults.Kind(0); k < faults.NumKinds; k++ {
-			sum += faults.DefaultMix[k]
-			if k.ArrayFault() {
-				arr += faults.DefaultMix[k]
-			}
-		}
-		cfg.ArrayFraction = arr / sum
-	}
-	if cfg.Damage.Pool == 0 {
-		cfg.Damage = DefaultDamage()
-	}
 	return &Beam{
-		Flux:           cfg.Flux,
+		Flux:           ChipIRFlux,
 		SEURatePerFlux: cfg.SEURatePerFlux,
-		ArrayFraction:  cfg.ArrayFraction,
-		Damage:         cfg.Damage,
+		Damage:         DefaultDamage(),
 		Injector:       faults.NewInjector(dev.Cfg, cfg.Seed+1),
 		Device:         dev,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
@@ -193,8 +182,8 @@ func (b *Beam) Expose(t0, t1, utilization float64) []TimedEvent {
 	}
 
 	// Soft-error events: array rate + utilization-scaled logic rate.
-	arrayRate := b.Flux * b.SEURatePerFlux * b.ArrayFraction
-	logicRate := b.Flux * b.SEURatePerFlux * (1 - b.ArrayFraction) * utilization
+	arrayRate := b.Flux * b.SEURatePerFlux * arrayFraction
+	logicRate := b.Flux * b.SEURatePerFlux * (1 - arrayFraction) * utilization
 	var events []TimedEvent
 	for _, kindSel := range []struct {
 		rate      float64

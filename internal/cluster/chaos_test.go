@@ -61,11 +61,10 @@ func (h *harness) stop() {
 // returns; hook (optional) fires before each cell evaluation.
 func (h *harness) runWorker(ctx context.Context, id string, client *httpx.Client, hook func(Cell)) error {
 	w, err := NewWorker(WorkerOptions{
-		ID:        id,
-		BaseURL:   h.base,
-		Client:    client,
-		PollMax:   25 * time.Millisecond,
-		NetBudget: 8,
+		ID:      id,
+		BaseURL: h.base,
+		Client:  client,
+		PollMax: 25 * time.Millisecond,
 	})
 	if err != nil {
 		return err

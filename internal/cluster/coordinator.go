@@ -59,6 +59,16 @@ const (
 	backoffMax  = 30 * time.Second
 )
 
+// failureBudget is the number of lease failures (expiries or invalid
+// results) a worker may accumulate before eviction. maxCellAttempts
+// fails the campaign once any single cell has been re-queued that many
+// times: the backstop against a cell that crashes every worker that
+// touches it.
+const (
+	failureBudget   = 8
+	maxCellAttempts = 32
+)
+
 // CoordinatorOptions configures a campaign coordinator.
 type CoordinatorOptions struct {
 	// Spec is the campaign to run. Required, must validate.
@@ -66,14 +76,6 @@ type CoordinatorOptions struct {
 	// LeaseTTL is how long a worker holds a cell before it is re-queued
 	// (default 2m).
 	LeaseTTL time.Duration
-	// FailureBudget is the number of lease failures (expiries or
-	// invalid results) a worker may accumulate before eviction
-	// (default 8).
-	FailureBudget int
-	// MaxCellAttempts fails the campaign once any single cell has been
-	// re-queued this many times (default 32) — the backstop against a
-	// cell that crashes every worker that touches it.
-	MaxCellAttempts int
 	// Resume, when set, is consulted once per cell at construction;
 	// ok=true marks the cell done with the cached result (the
 	// evalmc.Checkpoint.Lookup signature, same as Options.Resume).
@@ -89,12 +91,6 @@ type CoordinatorOptions struct {
 func (o *CoordinatorOptions) defaults() {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 2 * time.Minute
-	}
-	if o.FailureBudget <= 0 {
-		o.FailureBudget = 8
-	}
-	if o.MaxCellAttempts <= 0 {
-		o.MaxCellAttempts = 32
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -119,7 +115,7 @@ type cellState struct {
 
 type workerState struct {
 	id string
-	// failures counts lease failures against FailureBudget; spending
+	// failures counts lease failures against failureBudget; spending
 	// it evicts the worker.
 	failures int
 	// rng draws the jitter of the post-failure cool-down delays.
@@ -434,7 +430,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			c.recordWorkerFailureLocked(w, now)
 		}
 		cs.worker = ""
-		if cs.attempts >= c.opts.MaxCellAttempts && c.failure == nil {
+		if cs.attempts >= maxCellAttempts && c.failure == nil {
 			c.failure = fmt.Errorf("cluster: cell %d (%s / %s) re-queued %d times; campaign failed",
 				cs.cell.ID, cs.cell.Scheme, cs.cell.PatternP(), cs.attempts)
 			if !c.closed {
@@ -454,7 +450,7 @@ func (c *Coordinator) recordWorkerFailureLocked(w *workerState, now time.Time) {
 	w.consecFails++
 	delay := resilience.Backoff(w.rng, w.consecFails, backoffBase.Seconds(), backoffMax.Seconds())
 	w.backoffUntil = now.Add(time.Duration(delay * float64(time.Second)))
-	if w.failures++; w.failures >= c.opts.FailureBudget {
+	if w.failures++; w.failures >= failureBudget {
 		w.evicted = true
 		c.evictions++
 		mEvictions.Inc()

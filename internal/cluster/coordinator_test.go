@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -14,13 +15,12 @@ type fakeClock struct{ now time.Time }
 func (f *fakeClock) Now() time.Time          { return f.now }
 func (f *fakeClock) Advance(d time.Duration) { f.now = f.now.Add(d) }
 
-func newTestCoordinator(t *testing.T, clock *fakeClock, budget int) *Coordinator {
+func newTestCoordinator(t *testing.T, clock *fakeClock) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(CoordinatorOptions{
-		Spec:          testSpec(),
-		LeaseTTL:      time.Second,
-		FailureBudget: budget,
-		Clock:         clock.Now,
+		Spec:     testSpec(),
+		LeaseTTL: time.Second,
+		Clock:    clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func resultFor(c *Coordinator, cell Cell) evalmc.PatternResult {
 
 func TestLeaseOrderIsLPT(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := newTestCoordinator(t, clock, 0)
+	c := newTestCoordinator(t, clock)
 	resp := c.Lease(LeaseRequest{WorkerID: "w1", MaxCells: 3})
 	if len(resp.Leases) != 3 {
 		t.Fatalf("granted %d leases, want 3", len(resp.Leases))
@@ -67,7 +67,7 @@ func TestLeaseOrderIsLPT(t *testing.T) {
 // phantom lease is left to expire against the worker's budget.
 func TestLeaseRedeliveryIsIdempotent(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := newTestCoordinator(t, clock, 0)
+	c := newTestCoordinator(t, clock)
 	first := c.Lease(LeaseRequest{WorkerID: "w1", Seq: 1})
 	again := c.Lease(LeaseRequest{WorkerID: "w1", Seq: 1})
 	if len(first.Leases) != 1 || len(again.Leases) != 1 || again.Leases[0] != first.Leases[0] {
@@ -83,7 +83,7 @@ func TestLeaseRedeliveryIsIdempotent(t *testing.T) {
 
 func TestLeaseExpiryRequeuesAndBacksOff(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := newTestCoordinator(t, clock, 3)
+	c := newTestCoordinator(t, clock)
 
 	resp := c.Lease(LeaseRequest{WorkerID: "w1"})
 	if len(resp.Leases) != 1 {
@@ -121,9 +121,9 @@ func TestLeaseExpiryRequeuesAndBacksOff(t *testing.T) {
 
 func TestWorkerEvictionAfterBudget(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := newTestCoordinator(t, clock, 2)
+	c := newTestCoordinator(t, clock)
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failureBudget; i++ {
 		// Exhaust any backoff, lease a cell, let it expire.
 		clock.Advance(time.Minute)
 		resp := c.Lease(LeaseRequest{WorkerID: "bad"})
@@ -150,7 +150,7 @@ func TestWorkerEvictionAfterBudget(t *testing.T) {
 
 func TestIdempotentDoubleCompletion(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := newTestCoordinator(t, clock, 0)
+	c := newTestCoordinator(t, clock)
 
 	resp := c.Lease(LeaseRequest{WorkerID: "w1"})
 	lease := resp.Leases[0]
@@ -188,7 +188,7 @@ func TestIdempotentDoubleCompletion(t *testing.T) {
 
 func TestStaleLeaseResultStillAccepted(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := newTestCoordinator(t, clock, 0)
+	c := newTestCoordinator(t, clock)
 
 	resp := c.Lease(LeaseRequest{WorkerID: "w1"})
 	lease := resp.Leases[0]
@@ -211,7 +211,7 @@ func TestStaleLeaseResultStillAccepted(t *testing.T) {
 
 func TestCompletionCountValidation(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := newTestCoordinator(t, clock, 0)
+	c := newTestCoordinator(t, clock)
 	resp := c.Lease(LeaseRequest{WorkerID: "w1"})
 	lease := resp.Leases[0]
 	res := resultFor(c, lease.Cell)
@@ -230,19 +230,12 @@ func TestCompletionCountValidation(t *testing.T) {
 
 func TestPoisonedCellFailsCampaign(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c, err := NewCoordinator(CoordinatorOptions{
-		Spec:            testSpec(),
-		LeaseTTL:        time.Second,
-		MaxCellAttempts: 2,
-		FailureBudget:   1000,
-		Clock:           clock.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
+	c := newTestCoordinator(t, clock)
+	// The expiries are spread over several workers so that none of them
+	// spends its failure budget before the cell is poisoned.
+	for i := 0; i < maxCellAttempts; i++ {
 		clock.Advance(time.Hour) // clear backoff
-		resp := c.Lease(LeaseRequest{WorkerID: "crashy"})
+		resp := c.Lease(LeaseRequest{WorkerID: fmt.Sprintf("crashy%d", i%(failureBudget-1))})
 		if len(resp.Leases) == 0 {
 			t.Fatalf("round %d: no lease: %+v", i, resp)
 		}

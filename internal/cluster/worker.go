@@ -33,18 +33,19 @@ type WorkerOptions struct {
 	// Client overrides the hardened default HTTP client (30s request
 	// timeout, bounded responses).
 	Client *httpx.Client
-	// MaxCells is how many cells to claim per lease request (default 1:
-	// finest-grained load balancing; raise it to amortize round trips
-	// on high-latency links).
-	MaxCells int
 	// PollMax bounds the wait between lease polls when the queue is
 	// drained but the campaign isn't done (default 2s).
 	PollMax time.Duration
-	// NetBudget is how many consecutive transport failures the worker
-	// tolerates before giving up (default 10), with resilience backoff
-	// between attempts.
-	NetBudget int
 }
+
+// A worker claims leaseCells cells per lease request: the
+// finest-grained load balancing. netBudget is how many consecutive
+// transport failures it tolerates before giving up, with backoff
+// between attempts.
+const (
+	leaseCells = 1
+	netBudget  = 10
+)
 
 func (o *WorkerOptions) defaults() {
 	if o.ID == "" {
@@ -57,17 +58,8 @@ func (o *WorkerOptions) defaults() {
 	if o.Client == nil {
 		o.Client = httpx.NewClient(30 * time.Second)
 	}
-	if o.MaxCells <= 0 {
-		o.MaxCells = 1
-	}
-	if o.MaxCells > MaxLeaseCells {
-		o.MaxCells = MaxLeaseCells
-	}
 	if o.PollMax <= 0 {
 		o.PollMax = 2 * time.Second
-	}
-	if o.NetBudget <= 0 {
-		o.NetBudget = 10
 	}
 }
 
@@ -149,7 +141,7 @@ func (w *Worker) postWithRetry(ctx context.Context, url string, in any) ([]byte,
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if attempt >= w.opts.NetBudget {
+		if attempt >= netBudget {
 			return nil, fmt.Errorf("cluster: coordinator unreachable after %d attempts: %w", attempt, err)
 		}
 		mWorkerNetRetries.Inc()
@@ -179,7 +171,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		req := LeaseRequest{WorkerID: w.opts.ID, MaxCells: w.opts.MaxCells, Seq: seq}
+		req := LeaseRequest{WorkerID: w.opts.ID, MaxCells: leaseCells, Seq: seq}
 		body, err := w.postWithRetry(ctx, leaseURL, req)
 		if err != nil {
 			return err

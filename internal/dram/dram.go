@@ -144,23 +144,12 @@ func (d *Device) RewriteEntry(idx int64, t float64) {
 	}
 }
 
-// SetECCGenerator installs a check-byte generator so that reads reconstruct
-// a full 36B wire image in the standard layout (used when simulating with
-// GPU DRAM ECC enabled). A nil generator leaves the ECC area zero.
-func (d *Device) SetECCGenerator(gen func(data [hbm2.EntryBytes]byte) [4]byte) {
-	if gen == nil {
-		d.wireFor = nil
-		return
-	}
-	d.wireFor = func(data [hbm2.EntryBytes]byte) bitvec.V288 {
-		return bitvec.FromDataECC(data, gen(data))
-	}
-}
-
-// SetWireEncoder installs an arbitrary payload-to-wire encoder — e.g. an
-// interleaved ECC scheme whose wire layout scrambles data and check bits.
-// Corruption and weak cells always act on physical wire bits, so fault
-// semantics are unchanged.
+// SetWireEncoder installs a payload-to-wire encoder — the standard layout
+// with generated check bytes (bitvec.FromDataECC) when simulating with
+// GPU DRAM ECC enabled, or e.g. an interleaved ECC scheme whose wire
+// layout scrambles data and check bits. Corruption and weak cells always
+// act on physical wire bits, so fault semantics are unchanged. A nil
+// encoder restores the standard layout with a zero ECC area.
 func (d *Device) SetWireEncoder(enc func(data [hbm2.EntryBytes]byte) bitvec.V288) {
 	d.wireFor = enc
 }

@@ -180,11 +180,17 @@ func TestInterestingEntriesSorted(t *testing.T) {
 	}
 }
 
+// eccEncoder is a standard-layout wire encoder: the payload followed by
+// the check bytes gen computes from it.
+func eccEncoder(gen func(data [hbm2.EntryBytes]byte) [4]byte) func([hbm2.EntryBytes]byte) bitvec.V288 {
+	return func(data [hbm2.EntryBytes]byte) bitvec.V288 { return bitvec.FromDataECC(data, gen(data)) }
+}
+
 func TestECCGenerator(t *testing.T) {
 	d := New(hbm2.V100(), 0.016)
-	d.SetECCGenerator(func(data [hbm2.EntryBytes]byte) [4]byte {
+	d.SetWireEncoder(eccEncoder(func(data [hbm2.EntryBytes]byte) [4]byte {
 		return [4]byte{data[0], data[1], data[2], data[3]}
-	})
+	}))
 	d.WriteAll(patConst(0xAB), 0)
 	wire := d.ReadWire(0, 1.0)
 	_, ecc := wire.DataECC()
@@ -249,18 +255,18 @@ func TestEncoderGeneratorInterplay(t *testing.T) {
 		t.Fatalf("wire encoder not in effect: bytes %#x %#x", wire.Byte(0), wire.Byte(1))
 	}
 
-	// Installing an ECC generator afterwards reverts to the standard
-	// layout with generated check bytes.
-	d.SetECCGenerator(func(data [hbm2.EntryBytes]byte) [4]byte {
+	// Installing a standard-layout encoder afterwards replaces it: the
+	// payload plus generated check bytes.
+	d.SetWireEncoder(eccEncoder(func(data [hbm2.EntryBytes]byte) [4]byte {
 		return [4]byte{^data[0], 0, 0, 0}
-	})
+	}))
 	data, ecc := d.ReadWire(5, 1.0).DataECC()
 	if data != patConst(0xC3)(5) || ecc != [4]byte{0x3C, 0, 0, 0} {
 		t.Fatalf("generator did not supersede encoder: data[0]=%#x ecc=%v", data[0], ecc)
 	}
 
-	// A nil generator clears the ECC area but keeps the standard layout.
-	d.SetECCGenerator(nil)
+	// A nil encoder clears the ECC area but keeps the standard layout.
+	d.SetWireEncoder(nil)
 	data, ecc = d.ReadWire(5, 1.0).DataECC()
 	if data != patConst(0xC3)(5) || ecc != [4]byte{} {
 		t.Fatalf("nil generator did not reset layout: data[0]=%#x ecc=%v", data[0], ecc)
@@ -271,9 +277,9 @@ func TestRewriteEntryUnderEncoder(t *testing.T) {
 	// RewriteEntry interacts with an installed encoder: corruption clears
 	// and the weak-cell leak clock restarts against the encoded wire.
 	d := New(hbm2.V100(), 0.016)
-	d.SetECCGenerator(func(data [hbm2.EntryBytes]byte) [4]byte {
+	d.SetWireEncoder(eccEncoder(func(data [hbm2.EntryBytes]byte) [4]byte {
 		return [4]byte{data[0] ^ 0xFF, 0, 0, 0}
-	})
+	}))
 	d.WriteAll(patConst(0x0F), 0)
 	cleanWire := d.ReadWire(4, 0.001)
 
@@ -346,9 +352,9 @@ func FuzzReadSeriesVsReadWire(f *testing.F) {
 			cells += st.ParityBits()
 		}
 		if encoder {
-			d.SetECCGenerator(func(data [hbm2.EntryBytes]byte) [4]byte {
+			d.SetWireEncoder(eccEncoder(func(data [hbm2.EntryBytes]byte) [4]byte {
 				return [4]byte{data[0] ^ data[5], data[9], ^data[17], data[31]}
-			})
+			}))
 		}
 		key := byte(next())
 		d.WriteAll(func(idx int64) [hbm2.EntryBytes]byte {

@@ -166,11 +166,6 @@ type CampaignConfig struct {
 	Seed int64
 	// Runs is the number of microbenchmark runs (patterns round-robin).
 	Runs int
-	// MTTE is the in-beam mean time to event in seconds (default 5;
-	// the real campaign's was tens of seconds — a faster rate shortens
-	// simulation without affecting clustering, since it stays far above
-	// the read-pass duration).
-	MTTE float64
 	// OnDie, when non-nil, installs a per-die SEC ECC stage on the
 	// campaign device before exposure: every microbenchmark read passes
 	// through the die's silent correct/miscorrect behavior, distorting

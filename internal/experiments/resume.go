@@ -12,6 +12,12 @@ import (
 	"hbm2ecc/internal/resilience"
 )
 
+// campaignMTTE is the in-beam mean time to event in seconds. The real
+// campaign's was tens of seconds; a faster rate shortens simulation
+// without affecting clustering, since it stays far above the read-pass
+// duration.
+const campaignMTTE float64 = 5
+
 var mResumedRuns = obs.NewCounter("campaign_resumed_runs_total",
 	"Completed runs replayed (not re-evaluated) when resuming a campaign "+
 		"from a checkpoint.").With()
@@ -21,9 +27,8 @@ var mResumedRuns = obs.NewCounter("campaign_resumed_runs_total",
 // completed logs carry everything needed to both continue (state is
 // rebuilt by replaying the exposure schedule) and post-process.
 type CampaignCheckpoint struct {
-	Seed int64   `json:"seed"`
-	Runs int     `json:"runs"`
-	MTTE float64 `json:"mtte"`
+	Seed int64 `json:"seed"`
+	Runs int   `json:"runs"`
 	// OnDie echoes the name of the campaign's on-die ECC stage (empty
 	// when none): observations depend on the stage, so resuming under a
 	// different one would silently mix distorted and raw records.
@@ -62,9 +67,9 @@ func LoadCampaignCheckpoint(path string) (*CampaignCheckpoint, error) {
 // compatible reports whether the checkpoint matches the (defaulted)
 // campaign config it is about to resume.
 func (c *CampaignCheckpoint) compatible(cfg CampaignConfig) error {
-	if c.Seed != cfg.Seed || c.Runs != cfg.Runs || c.MTTE != cfg.MTTE {
-		return fmt.Errorf("experiments: checkpoint (seed=%d runs=%d mtte=%g) does not match config (seed=%d runs=%d mtte=%g)",
-			c.Seed, c.Runs, c.MTTE, cfg.Seed, cfg.Runs, cfg.MTTE)
+	if c.Seed != cfg.Seed || c.Runs != cfg.Runs {
+		return fmt.Errorf("experiments: checkpoint (seed=%d runs=%d) does not match config (seed=%d runs=%d)",
+			c.Seed, c.Runs, cfg.Seed, cfg.Runs)
 	}
 	if c.OnDie != stageName(cfg.OnDie) {
 		return fmt.Errorf("experiments: checkpoint on-die stage %q does not match config %q",
@@ -94,9 +99,6 @@ func CampaignRun(cfg CampaignConfig) ([]*microbench.Log, error) {
 	if cfg.Runs == 0 {
 		cfg.Runs = 300
 	}
-	if cfg.MTTE == 0 {
-		cfg.MTTE = 5
-	}
 	start := 0
 	var logs []*microbench.Log
 	if cfg.Checkpoint != nil {
@@ -117,7 +119,7 @@ func CampaignRun(cfg CampaignConfig) ([]*microbench.Log, error) {
 	}
 	b := beam.New(dev, beam.Config{
 		Seed:           cfg.Seed,
-		SEURatePerFlux: 1 / (cfg.MTTE * beam.ChipIRFlux),
+		SEURatePerFlux: 1 / (campaignMTTE * beam.ChipIRFlux),
 	})
 	if cfg.Ctx != nil {
 		b.SetContext(cfg.Ctx)
@@ -164,7 +166,7 @@ func CampaignRun(cfg CampaignConfig) ([]*microbench.Log, error) {
 		}
 		if cfg.OnCheckpoint != nil {
 			cfg.OnCheckpoint(&CampaignCheckpoint{
-				Seed: cfg.Seed, Runs: cfg.Runs, MTTE: cfg.MTTE,
+				Seed: cfg.Seed, Runs: cfg.Runs,
 				OnDie:     stageName(cfg.OnDie),
 				Completed: len(logs), Clock: t, Logs: logs,
 			})

@@ -90,11 +90,11 @@ func TestCampaignCancelledBeforeStart(t *testing.T) {
 }
 
 func TestCampaignCheckpointMismatchRejected(t *testing.T) {
-	ckpt := &CampaignCheckpoint{Seed: 1, Runs: 6, MTTE: 5, Completed: 0}
+	ckpt := &CampaignCheckpoint{Seed: 1, Runs: 6, Completed: 0}
 	if _, err := CampaignRun(CampaignConfig{Seed: 2, Runs: 6, Checkpoint: ckpt}); err == nil {
 		t.Fatal("mismatched checkpoint accepted")
 	}
-	bad := &CampaignCheckpoint{Seed: 1, Runs: 6, MTTE: 5, Completed: 2}
+	bad := &CampaignCheckpoint{Seed: 1, Runs: 6, Completed: 2}
 	if _, err := CampaignRun(CampaignConfig{Seed: 1, Runs: 6, Checkpoint: bad}); err == nil {
 		t.Fatal("checkpoint with missing logs accepted")
 	}

@@ -71,7 +71,7 @@ func TestChaosKillAndPartitionConvergesToBaseline(t *testing.T) {
 	})
 
 	// Partition 30% of the fleet, drawn from the mult-1 population
-	// (indices 0..53 under DefaultRateClasses at 60 nodes) and — for
+	// (indices 0..53 under the rate-class mix at 60 nodes) and — for
 	// this seed — earning no remediation command while their frames are
 	// in flight. That restriction is load-bearing: a command applied
 	// late changes when the node leaves service, which changes the

@@ -26,10 +26,11 @@ type Config struct {
 	GPUs float64
 	// Hours of simulated deployment.
 	Hours float64
-	// RawFITPerGPU defaults to the paper's 12.51 FIT/Gb × 320 Gb.
-	RawFITPerGPU float64
-	Seed         int64
+	Seed  int64
 }
+
+// rawFITPerGPU is the paper's 12.51 FIT/Gb × 320 Gb.
+const rawFITPerGPU float64 = sysrel.RawFITPerGb * sysrel.A100MemoryGb
 
 // Result is the simulation outcome.
 type Result struct {
@@ -46,12 +47,9 @@ type Result struct {
 
 // Simulate runs the field simulation.
 func Simulate(cfg Config) Result {
-	if cfg.RawFITPerGPU == 0 {
-		cfg.RawFITPerGPU = sysrel.RawFITPerGb * sysrel.A100MemoryGb
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fleetHours := cfg.GPUs * cfg.Hours
-	mean := fleetHours * cfg.RawFITPerGPU * 1e-9
+	mean := fleetHours * rawFITPerGPU * 1e-9
 	n := stats.Poisson(rng, mean)
 
 	res := Result{Scheme: cfg.Scheme.Name(), Events: n, Hours: cfg.Hours, FleetHours: fleetHours}

@@ -12,7 +12,6 @@ import (
 	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/fleet"
 	"hbm2ecc/internal/stats"
-	"hbm2ecc/internal/sysrel"
 )
 
 // This file grows the single-fleet MTTI/MTTF estimator (fieldsim.go)
@@ -35,24 +34,32 @@ import (
 //     were suffered. That is the policy-quality metric (SDC avoided
 //     vs capacity lost) FleetResult.Quality reports.
 
-// RateClass is one slice of the per-node rate-multiplier mix.
-type RateClass struct {
-	// Frac is the fraction of nodes in this class; Mult multiplies the
-	// base soft-error rate for them.
-	Frac float64 `json:"frac"`
-	Mult float64 `json:"mult"`
+// rateClasses is the heavy-tailed bad-apple mix: most nodes at the
+// paper's base rate, a thin tail erroring 8x/40x/250x faster. frac is the
+// fraction of nodes in a class; mult multiplies the base soft-error rate
+// for them.
+var rateClasses = []struct{ frac, mult float64 }{
+	{frac: 0.90, mult: 1},
+	{frac: 0.07, mult: 8},
+	{frac: 0.025, mult: 40},
+	{frac: 0.005, mult: 250},
 }
 
-// DefaultRateClasses is the heavy-tailed bad-apple mix: most nodes at
-// the paper's base rate, a thin tail erroring 8x/40x/250x faster.
-func DefaultRateClasses() []RateClass {
-	return []RateClass{
-		{Frac: 0.90, Mult: 1},
-		{Frac: 0.07, Mult: 8},
-		{Frac: 0.025, Mult: 40},
-		{Frac: 0.005, Mult: 250},
-	}
-}
+// Fixed parameters of the fleet model.
+const (
+	// tickHours is the simulation step.
+	tickHours float64 = 1
+	// uncontainedFrac is the fraction of DUEs that escape containment
+	// (Xid 95 rather than 48).
+	uncontainedFrac float64 = 0.25
+	// reportEveryHours is the agent heartbeat interval.
+	reportEveryHours float64 = 6
+	// repairHours is how long a drained node is out before returning
+	// repaired: fresh agent, cleared windows.
+	repairHours float64 = 24
+	// rows is the per-node row address space for error placement.
+	rows int64 = 1 << 16
+)
 
 // FleetConfig sizes a fleet simulation.
 type FleetConfig struct {
@@ -63,10 +70,6 @@ type FleetConfig struct {
 	// Nodes is the fleet size; Hours the simulated deployment.
 	Nodes int
 	Hours float64
-	// TickHours is the simulation step (default 1).
-	TickHours float64
-	// RawFITPerGPU defaults to the paper's 12.51 FIT/Gb x 320 Gb.
-	RawFITPerGPU float64
 	// Accel multiplies the soft-error rate (default 1) — the same
 	// acceleration trick as beam testing, so months of field time
 	// produce benchable event volumes. Node crashes are not
@@ -79,27 +82,8 @@ type FleetConfig struct {
 	// Xid 79 report out before going silent (default 0.5; the silent
 	// half exercises the coordinator's lease-expiry path).
 	CrashReportProb float64
-	// UncontainedFrac is the fraction of DUEs that escape containment
-	// (Xid 95 rather than 48; default 0.25).
-	UncontainedFrac float64
-	// ReportEveryHours is the agent heartbeat interval (default 6).
-	ReportEveryHours float64
-	// RepairHours is how long a drained node is out before returning
-	// repaired — fresh agent, cleared windows (default 24).
-	RepairHours float64
-	// Rows is the per-node row address space for error placement
-	// (default 65536).
-	Rows int64
-	// RateClasses is the node rate-multiplier mix (default
-	// DefaultRateClasses).
-	RateClasses []RateClass
 	// Agent tunes the per-node agents.
 	Agent fleet.AgentOptions
-	// Outbox tunes the per-node report outboxes (queue bound, backoff).
-	// Its OnAck and Seed are owned by the simulation: acks drive the
-	// command bookkeeping, and each node derives its own jitter stream
-	// from Seed, so both are overwritten.
-	Outbox fleet.OutboxOptions
 	// ReporterFor, when set, supplies each node's reporter instead of
 	// the one passed to RunFleet — chaos tests use it to give every node
 	// its own faulty transport. The RunFleet rep argument is ignored
@@ -126,12 +110,6 @@ func (c *FleetConfig) defaults() error {
 	if c.Hours <= 0 {
 		return errors.New("fieldsim: fleet needs positive hours")
 	}
-	if c.TickHours <= 0 {
-		c.TickHours = 1
-	}
-	if c.RawFITPerGPU == 0 {
-		c.RawFITPerGPU = sysrel.RawFITPerGb * sysrel.A100MemoryGb
-	}
 	if c.Accel <= 0 {
 		c.Accel = 1
 	}
@@ -140,21 +118,6 @@ func (c *FleetConfig) defaults() error {
 	}
 	if c.CrashReportProb == 0 {
 		c.CrashReportProb = 0.5
-	}
-	if c.UncontainedFrac == 0 {
-		c.UncontainedFrac = 0.25
-	}
-	if c.ReportEveryHours <= 0 {
-		c.ReportEveryHours = 6
-	}
-	if c.RepairHours <= 0 {
-		c.RepairHours = 24
-	}
-	if c.Rows <= 0 {
-		c.Rows = 1 << 16
-	}
-	if len(c.RateClasses) == 0 {
-		c.RateClasses = DefaultRateClasses()
 	}
 	return nil
 }
@@ -235,21 +198,20 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 	// is unreachable frames buffer and catch up in order once it heals.
 	// flushAt tracks the simulated hour of the flush in progress so late
 	// acks apply commands at the time the node learns of them.
-	baseRate := cfg.RawFITPerGPU * 1e-9 * cfg.Accel // events/hour/node at mult 1
+	baseRate := rawFITPerGPU * 1e-9 * cfg.Accel // events/hour/node at mult 1
 	nodes := make([]*simNode, cfg.Nodes)
 	cum := make([]float64, cfg.Nodes) // cumulative event weight
 	total := 0.0
 	flushAt := 0.0
 	for i := range nodes {
-		mult := multFor(cfg.RateClasses, i, cfg.Nodes)
+		mult := multFor(i, cfg.Nodes)
 		n := &simNode{
 			id:   fmt.Sprintf("node-%05d", i),
 			rate: baseRate * mult,
-			next: cfg.ReportEveryHours * (0.5 + 0.5*float64(i)/float64(cfg.Nodes)), // stagger heartbeats
+			next: reportEveryHours * (0.5 + 0.5*float64(i)/float64(cfg.Nodes)), // stagger heartbeats
 		}
 		n.agent = fleet.NewAgent(n.id, cfg.Agent)
-		obox := cfg.Outbox
-		obox.Seed = cfg.Outbox.Seed + int64(i)*7919 + 1 // per-node jitter stream
+		obox := fleet.OutboxOptions{Seed: int64(i)*7919 + 1} // per-node jitter stream
 		obox.OnAck = func(req fleet.ReportRequest, resp fleet.ReportResponse) {
 			res.Reports++
 			for _, e := range req.Events {
@@ -263,7 +225,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 					n.out, n.outAt, n.retEnd = true, flushAt, math.Inf(1)
 					res.Quality.Retired++
 				case fleet.CommandDrain:
-					n.out, n.outAt, n.retEnd = true, flushAt, flushAt+cfg.RepairHours
+					n.out, n.outAt, n.retEnd = true, flushAt, flushAt+repairHours
 					res.Quality.Drained++
 				}
 			}
@@ -283,11 +245,11 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 		})
 	}
 
-	for t := 0.0; t < cfg.Hours; t += cfg.TickHours {
+	for t := 0.0; t < cfg.Hours; t += tickHours {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		now := t + cfg.TickHours
+		now := t + tickHours
 		if cfg.OnTick != nil {
 			cfg.OnTick(now)
 		}
@@ -303,7 +265,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 		// Soft-error events, fleet-wide Poisson placed by node weight.
 		// Out-of-service nodes still draw events: that is the
 		// counterfactual the policy is scored against.
-		events := stats.Poisson(rng, total*cfg.TickHours)
+		events := stats.Poisson(rng, total*tickHours)
 		for k := 0; k < events; k++ {
 			i := sort.SearchFloat64s(cum, rng.Float64()*total)
 			if i >= len(nodes) {
@@ -313,15 +275,15 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			if n.gone {
 				continue // dead hardware errors at no one
 			}
-			at := t + rng.Float64()*cfg.TickHours
-			row := rng.Int63n(cfg.Rows)
+			at := t + rng.Float64()*tickHours
+			row := rng.Int63n(rows)
 			_, e := smp.SampleEvent()
 			res.RawEvents++
 			switch decode(cfg.Scheme, wire, e) {
 			case due:
 				res.DUE++
 				if !n.out {
-					n.agent.ObserveDUE(at, row, rng.Float64() < cfg.UncontainedFrac)
+					n.agent.ObserveDUE(at, row, rng.Float64() < uncontainedFrac)
 				}
 			case dce:
 				res.DCE++
@@ -346,12 +308,12 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 				inService++
 			}
 		}
-		for k := stats.Poisson(rng, crashRate*cfg.TickHours*float64(inService)); k > 0; k-- {
+		for k := stats.Poisson(rng, crashRate*tickHours*float64(inService)); k > 0; k-- {
 			n := nodes[rng.Intn(len(nodes))]
 			if n.gone || n.out {
 				continue // thinning; close enough for a rare process
 			}
-			at := t + rng.Float64()*cfg.TickHours
+			at := t + rng.Float64()*tickHours
 			n.agent.ObserveCrash(at)
 			res.Crashes++
 			if rng.Float64() < cfg.CrashReportProb {
@@ -375,7 +337,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 					return res, err
 				}
 				for n.next <= now {
-					n.next += cfg.ReportEveryHours
+					n.next += reportEveryHours
 				}
 			}
 		}
@@ -397,7 +359,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 		// Capacity accounting: policy-removed, otherwise-alive nodes.
 		for _, n := range nodes {
 			if n.out && !n.gone {
-				res.Quality.LostNodeHours += cfg.TickHours
+				res.Quality.LostNodeHours += tickHours
 			}
 		}
 	}
@@ -451,16 +413,16 @@ func Frames(a *fleet.Agent, seq *uint64, at float64, send func(fleet.ReportReque
 // multFor deals node i of nodes its rate class by cumulative fraction,
 // so class populations are exact (not sampled) and runs are
 // deterministic in fleet size.
-func multFor(classes []RateClass, i, nodes int) float64 {
+func multFor(i, nodes int) float64 {
 	// Spread classes by interleaving on the unit interval: node i sits
 	// at position (i+0.5)/nodes and takes the class covering it.
 	pos := (float64(i) + 0.5) / float64(nodes)
 	cum := 0.0
-	for _, c := range classes {
-		cum += c.Frac
+	for _, c := range rateClasses {
+		cum += c.frac
 		if pos <= cum {
-			return c.Mult
+			return c.mult
 		}
 	}
-	return classes[len(classes)-1].Mult
+	return rateClasses[len(rateClasses)-1].mult
 }

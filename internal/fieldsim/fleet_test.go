@@ -148,10 +148,9 @@ func TestRunFleetConfigValidation(t *testing.T) {
 }
 
 func TestRateClassAssignment(t *testing.T) {
-	classes := DefaultRateClasses()
 	var frac float64
-	for _, c := range classes {
-		frac += c.Frac
+	for _, c := range rateClasses {
+		frac += c.frac
 	}
 	if frac < 0.999 || frac > 1.001 {
 		t.Fatalf("rate class fractions sum to %v", frac)
@@ -159,7 +158,7 @@ func TestRateClassAssignment(t *testing.T) {
 	// Class populations over 1000 nodes are exact, not sampled.
 	counts := map[float64]int{}
 	for i := 0; i < 1000; i++ {
-		counts[multFor(classes, i, 1000)]++
+		counts[multFor(i, 1000)]++
 	}
 	if counts[1] != 900 || counts[8] != 70 || counts[40] != 25 || counts[250] != 5 {
 		t.Errorf("class populations = %v, want 900/70/25/5", counts)

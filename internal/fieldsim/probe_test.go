@@ -112,7 +112,7 @@ func TestProbeRetiresWeakRow(t *testing.T) {
 // MaxEventsPerReport with consecutive sequence numbers, and stops at the
 // first send error.
 func TestFramesSplitsAndHeartbeats(t *testing.T) {
-	a := fleet.NewAgent("n1", fleet.AgentOptions{StormThreshold: 1 << 20})
+	a := fleet.NewAgent("n1", fleet.AgentOptions{})
 	var seq uint64
 	var got []fleet.ReportRequest
 	send := func(req fleet.ReportRequest) error {

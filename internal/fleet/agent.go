@@ -55,12 +55,6 @@ func HealthFromString(s string) (Health, bool) {
 
 // AgentOptions tunes one node agent.
 type AgentOptions struct {
-	// WindowHours is the rolling health window (default 24 simulated
-	// hours), bucketed per hour.
-	WindowHours int
-	// StormThreshold is the corrected-error count in the window that
-	// fires an Xid 92 weak-cell-storm event (default 16).
-	StormThreshold int
 	// DUEBudget is the detected-uncorrectable budget before the agent
 	// reports itself Critical and recommends a drain (default 4).
 	DUEBudget int
@@ -75,13 +69,15 @@ const (
 	spareRows   = 64
 )
 
+// agentWindowHours is the agent's rolling health window in simulated
+// hours, bucketed per hour; stormThreshold is the corrected-error count
+// in that window that fires an Xid 92 weak-cell-storm event.
+const (
+	agentWindowHours = 24
+	stormThreshold   = 16
+)
+
 func (o *AgentOptions) defaults() {
-	if o.WindowHours <= 0 {
-		o.WindowHours = 24
-	}
-	if o.StormThreshold <= 0 {
-		o.StormThreshold = 16
-	}
 	if o.DUEBudget <= 0 {
 		o.DUEBudget = 4
 	}
@@ -178,7 +174,7 @@ func NewAgent(node string, opts AgentOptions) *Agent {
 	return &Agent{
 		node:    node,
 		opts:    opts,
-		win:     newWindow(opts.WindowHours),
+		win:     newWindow(agentWindowHours),
 		rowErrs: map[int64]int{},
 		retired: map[int64]struct{}{},
 		dedup:   map[string]int{},
@@ -221,7 +217,7 @@ func (a *Agent) ObserveCorrected(at float64, row int64) {
 	a.emit(xid.Event{Node: a.node, Code: xid.ContainedECC, AtHours: at, Row: row})
 	a.recordRowError(at, row)
 
-	if a.win.total(h, xid.ContainedECC) >= a.opts.StormThreshold && a.stormHour != h {
+	if a.win.total(h, xid.ContainedECC) >= stormThreshold && a.stormHour != h {
 		a.stormHour = h
 		a.win.add(h, xid.HighSBERate, 1)
 		a.emit(xid.Event{Node: a.node, Code: xid.HighSBERate, AtHours: at, Row: -1})

@@ -90,15 +90,15 @@ func TestAgentRowRetirementCascade(t *testing.T) {
 }
 
 func TestAgentStormFiresOncePerHour(t *testing.T) {
-	a := NewAgent("n1", AgentOptions{StormThreshold: 4})
-	for i := 0; i < 10; i++ {
+	a := NewAgent("n1", AgentOptions{})
+	for i := 0; i < stormThreshold+4; i++ {
 		a.ObserveCorrected(3.2, int64(i))
 	}
 	if got := a.WindowCount(3.2, xid.HighSBERate); got != 1 {
 		t.Errorf("storm events in hour 3 = %d, want exactly 1", got)
 	}
 	// The next hour's storm fires again.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < stormThreshold+4; i++ {
 		a.ObserveCorrected(4.1, int64(i))
 	}
 	if got := a.WindowCount(4.1, xid.HighSBERate); got != 2 {
@@ -162,15 +162,15 @@ func TestAgentCrash(t *testing.T) {
 }
 
 func TestAgentWindowExpiry(t *testing.T) {
-	a := NewAgent("n1", AgentOptions{WindowHours: 4})
+	a := NewAgent("n1", AgentOptions{})
 	a.ObserveDUE(1, 5, false)
-	if a.WindowCount(2, xid.DoubleBitECC) != 1 {
+	if a.WindowCount(24, xid.DoubleBitECC) != 1 {
 		t.Fatal("DUE missing inside window")
 	}
-	if a.WindowCount(10, xid.DoubleBitECC) != 0 {
+	if a.WindowCount(30, xid.DoubleBitECC) != 0 {
 		t.Error("DUE still visible after the window rolled past it")
 	}
-	if h, _ := a.Health(10); h != Healthy {
+	if h, _ := a.Health(30); h != Healthy {
 		// The DUE budget is cumulative; with budget left the agent
 		// should read healthy once the window is clean.
 		t.Errorf("agent %v after window expiry, want Healthy", h)

@@ -67,19 +67,10 @@ type CoordinatorOptions struct {
 	// reported for this many simulated hours is swept to offline
 	// (default 12).
 	LeaseHours float64
-	// WindowHours is the coordinator-side rolling window per node
-	// (default 48), bucketed per simulated hour.
-	WindowHours int
 	// MaxNodes bounds the node table; reports from new nodes past the
 	// bound are rejected (default 20000). This is the coordinator's
 	// hard memory ceiling: per-node state is fixed-size.
 	MaxNodes int
-	// EventRing bounds the per-node recent-event ring (default 8);
-	// FleetRing the fleet-wide one (default 256).
-	EventRing int
-	FleetRing int
-	// Policy is the ranking/remediation policy (default DefaultPolicy).
-	Policy Policy
 
 	// StateDir, when set (via OpenCoordinator), makes the coordinator
 	// durable: every accepted report is appended to a CRC-framed WAL
@@ -90,33 +81,27 @@ type CoordinatorOptions struct {
 	// CompactEvery bounds WAL growth: after this many appends the node
 	// table is snapshotted and the log reset (default 1<<18 records).
 	CompactEvery int
-	// WALSyncEvery is the WAL fsync cadence in records (default 1024;
-	// negative disables). Each append is still a single write(2), so a
-	// process crash loses nothing — the cadence only bounds the loss
-	// window of a whole-machine crash.
-	WALSyncEvery int
 }
+
+// Fixed coordinator bounds: the per-node rolling window in simulated
+// hours (bucketed per hour), and the sizes of the per-node and
+// fleet-wide recent-event rings.
+const (
+	coordWindowHours = 48
+	eventRingSize    = 8
+	fleetRingSize    = 256
+)
 
 func (o *CoordinatorOptions) defaults() {
 	if o.LeaseHours <= 0 {
 		o.LeaseHours = 12
 	}
-	if o.WindowHours <= 0 {
-		o.WindowHours = 48
-	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 20000
-	}
-	if o.EventRing <= 0 {
-		o.EventRing = 8
-	}
-	if o.FleetRing <= 0 {
-		o.FleetRing = 256
 	}
 	if o.CompactEvery <= 0 {
 		o.CompactEvery = 1 << 18
 	}
-	o.Policy.defaults()
 }
 
 // nodeState is the coordinator's bounded per-node record: a fixed-size
@@ -195,7 +180,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:      opts,
 		nodes:     make(map[string]*nodeState),
-		fleetRing: make([]xid.Event, opts.FleetRing),
+		fleetRing: make([]xid.Event, fleetRingSize),
 		perXid:    make(map[int]*obs.Counter, 8),
 	}
 	for _, code := range xid.Codes() {
@@ -250,8 +235,8 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		}
 		n = &nodeState{
 			id:   req.NodeID,
-			win:  newWindow(c.opts.WindowHours),
-			ring: make([]xid.Event, c.opts.EventRing),
+			win:  newWindow(coordWindowHours),
+			ring: make([]xid.Event, eventRingSize),
 		}
 		c.nodes[req.NodeID] = n
 		c.statusCount[nodeOnline]++
@@ -330,13 +315,13 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		c.setStatusLocked(n, nodeOnline)
 	}
 
-	n.score = c.opts.Policy.Score(c.windowCountsLocked(n))
+	n.score = policy.Score(c.windowCountsLocked(n))
 	if n.status != nodeRetired {
 		rec, _ := remediationFromString(req.Recommend)
-		cmd := c.opts.Policy.Decide(n.score, rec)
+		cmd := policy.Decide(n.score, rec)
 		// Strikes rule: a node that keeps re-earning drains after repair
 		// is not repairable — retire it instead of cycling capacity.
-		if cmd == CommandDrain && n.drains >= c.opts.Policy.MaxDrains {
+		if cmd == CommandDrain && n.drains >= policy.MaxDrains {
 			cmd = CommandRetire
 		}
 		if cmd != "" && cmd != n.command {

@@ -99,15 +99,9 @@ func TestCoordinatorLeaseExpiry(t *testing.T) {
 }
 
 func TestCoordinatorPolicyDrainAndStrikes(t *testing.T) {
-	c := NewCoordinator(CoordinatorOptions{
-		Policy: Policy{
-			Weights:     map[int]float64{xid.DoubleBitECC: 25},
-			DrainScore:  40,
-			RetireScore: 1e9, // only the strikes rule can retire
-			MaxDrains:   2,
-		},
-		WindowHours: 4,
-	})
+	// Two DUEs score 2x20, at the drain threshold of 40 and far below
+	// the retire threshold of 200: only the strikes rule can retire.
+	c := NewCoordinator(CoordinatorOptions{})
 	at := 1.0
 	seq := uint64(1)
 	drainOnce := func() {
@@ -122,7 +116,7 @@ func TestCoordinatorPolicyDrainAndStrikes(t *testing.T) {
 			t.Fatalf("strike %d: command = %q, want drain (score path)", seq, resp.Command)
 		}
 		// Repair: the node reports again later with a clean window.
-		at += 24
+		at += coordWindowHours
 		resp, err = c.Report(report("bad", seq, at))
 		if err != nil {
 			t.Fatal(err)
@@ -133,9 +127,10 @@ func TestCoordinatorPolicyDrainAndStrikes(t *testing.T) {
 		}
 		at += 1
 	}
-	drainOnce()
-	drainOnce()
-	// Third strike: MaxDrains used up, escalate to retire.
+	for i := 0; i < policy.MaxDrains; i++ {
+		drainOnce()
+	}
+	// Next strike: MaxDrains used up, escalate to retire.
 	resp, err := c.Report(report("bad", seq, at, due("bad", at-0.5, 1), due("bad", at-0.25, 2)))
 	if err != nil {
 		t.Fatal(err)
@@ -187,21 +182,22 @@ func TestCoordinatorNodeTableBounded(t *testing.T) {
 }
 
 func TestCoordinatorEventRings(t *testing.T) {
-	c := NewCoordinator(CoordinatorOptions{EventRing: 2, FleetRing: 3})
+	c := NewCoordinator(CoordinatorOptions{})
 	var events []xid.Event
-	for i := 0; i < 5; i++ {
-		events = append(events, due("n1", float64(i), int64(i)))
+	for i := 0; i < fleetRingSize+3; i++ {
+		events = append(events, due("n1", 5, int64(i)))
 	}
 	if _, err := c.Report(ReportRequest{NodeID: "n1", Seq: 1, AtHours: 5, Health: "ok", Events: events}); err != nil {
 		t.Fatal(err)
 	}
-	per := c.Events("n1", 0, 0)
-	if len(per.Events) != 2 || per.Events[1].Row != 4 {
-		t.Errorf("per-node ring = %+v, want last 2 events", per.Events)
+	last := int64(fleetRingSize + 2)
+	per := c.Events("n1", 0, MaxTopNodes)
+	if len(per.Events) != eventRingSize || per.Events[eventRingSize-1].Row != last {
+		t.Errorf("per-node ring = %+v, want last %d events", per.Events, eventRingSize)
 	}
-	all := c.Events("", 0, 0)
-	if len(all.Events) != 3 || all.Events[2].Row != 4 {
-		t.Errorf("fleet ring = %+v, want last 3 events", all.Events)
+	all := c.Events("", 0, MaxTopNodes)
+	if len(all.Events) != fleetRingSize || all.Events[fleetRingSize-1].Row != last {
+		t.Errorf("fleet ring holds %d events, want the last %d", len(all.Events), fleetRingSize)
 	}
 	if got := c.Events("", xid.ContainedECC, 0); len(got.Events) != 0 {
 		t.Errorf("xid filter returned %+v", got.Events)
@@ -277,13 +273,7 @@ func readAll(t *testing.T, r interface{ Read([]byte) (int, error) }) string {
 }
 
 func TestCoordinatorMetricsGaugesTrackStatus(t *testing.T) {
-	c := NewCoordinator(CoordinatorOptions{Policy: Policy{
-		Weights:     map[int]float64{xid.OffTheBus: 1000},
-		DrainScore:  40,
-		RetireScore: 200,
-		FollowAgent: false,
-		MaxDrains:   3,
-	}})
+	c := NewCoordinator(CoordinatorOptions{})
 	if _, err := c.Report(report("ok", 1, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func OpenCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 
 	c.replaying = true
 	wal, err := resilience.OpenWAL(filepath.Join(opts.StateDir, walFile),
-		resilience.WALOptions{SyncEvery: opts.WALSyncEvery, MaxRecord: MaxFrame},
+		resilience.WALOptions{MaxRecord: MaxFrame},
 		func(rec []byte) error {
 			req, err := DecodeWALReport(rec)
 			if err != nil {
@@ -346,8 +346,8 @@ func (c *Coordinator) restoreSnapshot(snap *coordSnapshot) error {
 			score:     ns.Score,
 			drains:    ns.Drains,
 			events:    ns.Events,
-			win:       newWindow(c.opts.WindowHours),
-			ring:      make([]xid.Event, c.opts.EventRing),
+			win:       newWindow(coordWindowHours),
+			ring:      make([]xid.Event, eventRingSize),
 		}
 		for _, e := range ns.Ring {
 			n.pushEvent(e)

@@ -37,12 +37,6 @@ type Outbox struct {
 
 // OutboxOptions tunes an Outbox.
 type OutboxOptions struct {
-	// Max bounds the queue (default 64 frames); overflow sheds oldest.
-	Max int
-	// BaseHours / MaxHours shape the retry backoff in simulated hours
-	// (defaults 0.5 and 8).
-	BaseHours float64
-	MaxHours  float64
 	// Seed feeds the backoff jitter.
 	Seed int64
 	// OnAck fires for every frame the coordinator acknowledged,
@@ -66,21 +60,17 @@ type OutboxStats struct {
 	Rejected int64
 }
 
-func (o *OutboxOptions) defaults() {
-	if o.Max <= 0 {
-		o.Max = 64
-	}
-	if o.BaseHours <= 0 {
-		o.BaseHours = 0.5
-	}
-	if o.MaxHours <= 0 {
-		o.MaxHours = 8
-	}
-}
+// outboxMax bounds the queue in frames; overflow sheds oldest.
+// backoffBaseHours and backoffMaxHours shape the retry backoff in
+// simulated hours.
+const (
+	outboxMax        = 64
+	backoffBaseHours = 0.5
+	backoffMaxHours  = 8
+)
 
 // NewOutbox builds an outbox delivering to rep.
 func NewOutbox(rep Reporter, opts OutboxOptions) *Outbox {
-	opts.defaults()
 	return &Outbox{
 		rep:  rep,
 		opts: opts,
@@ -91,7 +81,7 @@ func NewOutbox(rep Reporter, opts OutboxOptions) *Outbox {
 // Enqueue adds one frame, shedding the oldest if the queue is full.
 func (o *Outbox) Enqueue(req ReportRequest) {
 	o.stats.Enqueued++
-	if len(o.queue) >= o.opts.Max {
+	if len(o.queue) >= outboxMax {
 		o.queue = o.queue[1:]
 		o.stats.Drops++
 	}
@@ -153,7 +143,7 @@ func (o *Outbox) Flush(ctx context.Context, at float64) error {
 			// No attempt budget: the bounded queue is the give-up
 			// mechanism.
 			o.attempt++
-			o.gateAt = at + resilience.Backoff(o.rng, o.attempt, o.opts.BaseHours, o.opts.MaxHours)
+			o.gateAt = at + resilience.Backoff(o.rng, o.attempt, backoffBaseHours, backoffMaxHours)
 			return nil
 		}
 		o.queue = o.queue[1:]

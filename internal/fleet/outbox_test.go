@@ -36,7 +36,6 @@ func TestOutboxBuffersThroughOutageAndCatchesUp(t *testing.T) {
 	rep := &scriptedReporter{coord: NewCoordinator(CoordinatorOptions{})}
 	var acked []uint64
 	box := NewOutbox(rep, OutboxOptions{
-		BaseHours: 1, MaxHours: 4,
 		OnAck: func(req ReportRequest, resp ReportResponse) {
 			if resp.Duplicate {
 				t.Errorf("fresh frame seq %d acked duplicate", req.Seq)
@@ -67,7 +66,7 @@ func TestOutboxBuffersThroughOutageAndCatchesUp(t *testing.T) {
 	// Heal; the next ungated flush drains everything in order, then new
 	// frames flow straight through.
 	rep.down = false
-	at += 10 // clear any backoff gate
+	at += backoffMaxHours + 1 // clear any backoff gate
 	box.Enqueue(frames[4])
 	if err := box.Flush(ctx, at); err != nil {
 		t.Fatal(err)
@@ -95,7 +94,7 @@ func TestOutboxBuffersThroughOutageAndCatchesUp(t *testing.T) {
 
 func TestOutboxBackoffGatesProbes(t *testing.T) {
 	rep := &scriptedReporter{coord: NewCoordinator(CoordinatorOptions{}), down: true}
-	box := NewOutbox(rep, OutboxOptions{BaseHours: 2, MaxHours: 8})
+	box := NewOutbox(rep, OutboxOptions{})
 	ctx := context.Background()
 	box.Enqueue(outboxFrames(1)[0])
 	if err := box.Flush(ctx, 1); err != nil {
@@ -105,9 +104,9 @@ func TestOutboxBackoffGatesProbes(t *testing.T) {
 	if probes != 1 {
 		t.Fatalf("first flush made %d probes", probes)
 	}
-	// Sub-gate flushes (the next few ticks) must not probe at all: the
-	// backoff gate sits at least BaseHours/2 away (jitter floor).
-	for at := 1.1; at < 2.0; at += 0.2 {
+	// Sub-gate flushes must not probe at all: the backoff gate sits at
+	// least backoffBaseHours/2 away (jitter floor).
+	for at := 1.05; at < 1+backoffBaseHours/2; at += 0.05 {
 		if err := box.Flush(ctx, at); err != nil {
 			t.Fatal(err)
 		}
@@ -128,15 +127,14 @@ func TestOutboxShedsOldestOnOverflow(t *testing.T) {
 	rep := &scriptedReporter{coord: NewCoordinator(CoordinatorOptions{}), down: true}
 	var acked []uint64
 	box := NewOutbox(rep, OutboxOptions{
-		Max:   4,
 		OnAck: func(req ReportRequest, _ ReportResponse) { acked = append(acked, req.Seq) },
 	})
 	ctx := context.Background()
-	for _, f := range outboxFrames(10) {
+	for _, f := range outboxFrames(outboxMax + 6) {
 		box.Enqueue(f)
 	}
-	if box.Len() != 4 {
-		t.Fatalf("queue %d, want bound 4", box.Len())
+	if box.Len() != outboxMax {
+		t.Fatalf("queue %d, want bound %d", box.Len(), outboxMax)
 	}
 	if st := box.Stats(); st.Drops != 6 {
 		t.Fatalf("drops = %d, want 6", st.Drops)
@@ -145,9 +143,12 @@ func TestOutboxShedsOldestOnOverflow(t *testing.T) {
 	if err := box.Flush(ctx, 100); err != nil {
 		t.Fatal(err)
 	}
-	// The newest four frames survived: seqs 7..10.
-	want := []uint64{7, 8, 9, 10}
-	if len(acked) != 4 {
+	// The newest outboxMax frames survived: seqs 7..outboxMax+6.
+	var want []uint64
+	for seq := uint64(7); seq <= outboxMax+6; seq++ {
+		want = append(want, seq)
+	}
+	if len(acked) != len(want) {
 		t.Fatalf("acked %v, want %v", acked, want)
 	}
 	for i := range want {
@@ -248,7 +249,7 @@ func TestOutboxPropagatesContextCancellation(t *testing.T) {
 func TestOutboxBackoffIsDeterministic(t *testing.T) {
 	gates := func() []float64 {
 		rep := &scriptedReporter{coord: NewCoordinator(CoordinatorOptions{}), down: true}
-		box := NewOutbox(rep, OutboxOptions{Seed: 5, BaseHours: 0.5, MaxHours: 8})
+		box := NewOutbox(rep, OutboxOptions{Seed: 5})
 		box.Enqueue(report("n1", 1, 1))
 		var out []float64
 		at := 0.0
@@ -269,7 +270,7 @@ func TestOutboxBackoffIsDeterministic(t *testing.T) {
 	}
 	// Delays grow toward the cap and never exceed at + MaxHours.
 	for i := 1; i < len(a); i++ {
-		if a[i]-a[i-1] > 8.002 {
+		if a[i]-a[i-1] > backoffMaxHours+0.002 {
 			t.Fatalf("backoff exceeded cap: %v", a)
 		}
 	}

@@ -22,43 +22,25 @@ type Policy struct {
 	FollowAgent bool
 	// MaxDrains is the strikes rule: a node already drained (and
 	// repaired) this many times is retired on its next strike instead
-	// of drained again — repair clearly is not fixing it (default 3).
+	// of drained again — repair clearly is not fixing it.
 	MaxDrains int
 }
 
-// DefaultPolicy returns the tuned default policy.
-func DefaultPolicy() Policy {
-	return Policy{
-		Weights: map[int]float64{
-			xid.ContainedECC:     0.1,
-			xid.RowRemapRecorded: 2,
-			xid.HighSBERate:      5,
-			xid.DoubleBitECC:     20,
-			xid.UncontainedECC:   50,
-			xid.RowRemapFailure:  200,
-			xid.OffTheBus:        1000,
-		},
-		DrainScore:  40,
-		RetireScore: 200,
-		FollowAgent: true,
-		MaxDrains:   3,
-	}
-}
-
-func (p *Policy) defaults() {
-	if p.Weights == nil {
-		*p = DefaultPolicy()
-		return
-	}
-	if p.DrainScore <= 0 {
-		p.DrainScore = 40
-	}
-	if p.RetireScore <= p.DrainScore {
-		p.RetireScore = 5 * p.DrainScore
-	}
-	if p.MaxDrains <= 0 {
-		p.MaxDrains = 3
-	}
+// policy is the tuned policy every coordinator runs.
+var policy = Policy{
+	Weights: map[int]float64{
+		xid.ContainedECC:     0.1,
+		xid.RowRemapRecorded: 2,
+		xid.HighSBERate:      5,
+		xid.DoubleBitECC:     20,
+		xid.UncontainedECC:   50,
+		xid.RowRemapFailure:  200,
+		xid.OffTheBus:        1000,
+	},
+	DrainScore:  40,
+	RetireScore: 200,
+	FollowAgent: true,
+	MaxDrains:   3,
 }
 
 // Score computes the predicted-failure score for one window (code ->

@@ -54,7 +54,8 @@ type InferOptions struct {
 	// Seed drives the validation phase's random experiments.
 	Seed int64
 	// Validate is the number of randomized cross-check experiments run
-	// against the recovered code (default 256, 0 < 0 disables).
+	// against the recovered code (default 256; a negative value
+	// disables the check).
 	Validate int
 }
 

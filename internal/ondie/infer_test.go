@@ -59,7 +59,7 @@ func TestInferRejectsEncodedDevice(t *testing.T) {
 	}
 	dev := dram.New(testCfg(), dram.DefaultRefreshPeriod)
 	dev.SetOnDie(truth)
-	dev.SetECCGenerator(func([32]byte) [4]byte { return [4]byte{0xFF, 0, 0, 0} })
+	dev.SetWireEncoder(func(d [32]byte) bitvec.V288 { return bitvec.FromDataECC(d, [4]byte{0xFF, 0, 0, 0}) })
 	if _, err := Infer(dev, GeometryOf(truth), InferOptions{Seed: 1, Validate: 1}); err == nil {
 		t.Fatal("inference against an encoded device did not error")
 	}

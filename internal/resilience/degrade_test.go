@@ -101,7 +101,7 @@ func TestRetirementSpareExhaustion(t *testing.T) {
 // node and asks for a reset, at it the node is Critical and drained,
 // and the spent budget outlives the health window.
 func TestDegradeGuard(t *testing.T) {
-	a := fleet.NewAgent("n1", fleet.AgentOptions{DUEBudget: 3, WindowHours: 4})
+	a := fleet.NewAgent("n1", fleet.AgentOptions{DUEBudget: 3})
 	for i, row := range []int64{1, 2} {
 		a.ObserveDUE(1, row, false)
 		if h, rec := a.Health(1); h != fleet.Degraded || rec != xid.RemedReset {
@@ -116,10 +116,10 @@ func TestDegradeGuard(t *testing.T) {
 	if h, rec := a.Health(1); h != fleet.Critical || rec != xid.RemedDrain {
 		t.Errorf("past the budget: %v/%v, want Critical/drain", h, rec)
 	}
-	if a.WindowCount(20, xid.DoubleBitECC) != 0 {
+	if a.WindowCount(30, xid.DoubleBitECC) != 0 {
 		t.Fatal("DUEs still in the window after it rolled past them")
 	}
-	if h, rec := a.Health(20); h != fleet.Critical || rec != xid.RemedDrain {
+	if h, rec := a.Health(30); h != fleet.Critical || rec != xid.RemedDrain {
 		t.Errorf("budget forgotten with the window: %v/%v, want Critical/drain", h, rec)
 	}
 }

@@ -20,16 +20,15 @@ import (
 // and appended with a single write(2), so every record acknowledged to
 // a caller has left the process before the ack — a SIGKILL loses
 // nothing that was acked. Machine-crash durability is governed by
-// SyncEvery: every N appended records the append path kicks a
+// syncEvery: every syncEvery appended records the append path kicks a
 // background syncer goroutine that fsyncs the file, so the dirty-page
 // writeback overlaps ingest instead of stalling it. The loss window of
 // a whole-machine crash is the tail appended since the last fsync that
-// completed — on the order of SyncEvery records, or ~50ms of ingest at
-// append rates high enough to hit the syncer's rate limit. Sync and
-// Close fsync
-// synchronously; a failed background fsync is sticky and fails the
-// next Append (durability can no longer be promised, so the caller
-// must stop acking).
+// completed — on the order of syncEvery records, or ~50ms of ingest at
+// append rates high enough to hit the syncer's rate limit. Sync, Reset
+// and Close fsync synchronously; a failed background fsync is sticky
+// and fails the next Append (durability can no longer be promised, so
+// the caller must stop acking).
 //
 // Replay is truncation-tolerant: OpenWAL scans the log record by
 // record and stops at the first frame that is short, oversized, or
@@ -59,22 +58,18 @@ type WAL struct {
 
 // WALOptions tunes a WAL.
 type WALOptions struct {
-	// SyncEvery kicks the background fsync after every N appended
-	// records (default 1024; negative disables fsync entirely — tests
-	// only). The cadence only bounds the loss window of a whole-machine
-	// crash: process death never loses an acked record regardless,
-	// because each append is a write(2) that reached the kernel before
-	// the ack.
-	SyncEvery int
 	// MaxRecord bounds one record's payload (default 1 MiB). Replay
 	// treats a frame claiming more as corruption.
 	MaxRecord int
 }
 
+// syncEvery kicks the background fsync after every syncEvery appended
+// records. The cadence only bounds the loss window of a whole-machine
+// crash: process death never loses an acked record regardless, because
+// each append is a write(2) that reached the kernel before the ack.
+const syncEvery = 1024
+
 func (o *WALOptions) defaults() {
-	if o.SyncEvery == 0 {
-		o.SyncEvery = 1024
-	}
 	if o.MaxRecord <= 0 {
 		o.MaxRecord = 1 << 20
 	}
@@ -99,11 +94,9 @@ func OpenWAL(path string, opts WALOptions, fn func(rec []byte) error) (*WAL, err
 		f.Close()
 		return nil, err
 	}
-	if opts.SyncEvery > 0 {
-		w.syncReq = make(chan struct{}, 1)
-		w.syncDone = make(chan struct{})
-		go w.syncLoop()
-	}
+	w.syncReq = make(chan struct{}, 1)
+	w.syncDone = make(chan struct{})
+	go w.syncLoop()
 	return w, nil
 }
 
@@ -140,22 +133,9 @@ func (w *WAL) syncLoop() {
 
 // bgErr reports the sticky background-sync failure, if any.
 func (w *WAL) bgErr() error {
-	if w.syncReq == nil {
-		return nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.syncErr
-}
-
-// stopSyncer shuts the background syncer down and waits for it.
-func (w *WAL) stopSyncer() {
-	if w.syncReq == nil {
-		return
-	}
-	close(w.syncReq)
-	<-w.syncDone
-	w.syncReq = nil
 }
 
 // replay scans the log from the start, calling fn per intact record,
@@ -228,7 +208,7 @@ func (w *WAL) Append(rec []byte) error {
 	w.records++
 	w.size += int64(need)
 	w.pending++
-	if w.opts.SyncEvery > 0 && w.pending >= w.opts.SyncEvery {
+	if w.pending >= syncEvery {
 		w.pending = 0
 		select {
 		case w.syncReq <- struct{}{}:
@@ -243,9 +223,6 @@ func (w *WAL) Append(rec []byte) error {
 // fsync on the same fd serializes in the kernel.
 func (w *WAL) Sync() error {
 	w.pending = 0
-	if w.opts.SyncEvery < 0 {
-		return nil
-	}
 	if err := w.bgErr(); err != nil {
 		return err
 	}
@@ -271,10 +248,8 @@ func (w *WAL) Reset() error {
 		return fmt.Errorf("wal: reset: %w", err)
 	}
 	w.records, w.size, w.pending = 0, 0, 0
-	if w.opts.SyncEvery >= 0 {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("wal: reset: %w", err)
-		}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("wal: reset: %w", err)
 	}
 	return nil
 }
@@ -294,7 +269,8 @@ func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	w.stopSyncer()
+	close(w.syncReq) // stop the background syncer and wait for it
+	<-w.syncDone
 	err := w.Sync()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
