@@ -29,9 +29,17 @@ func randomData(rng *rand.Rand) [bitvec.DataBytes]byte {
 	return d
 }
 
+// TestEncodeDecodeRoundTrip covers every registered scheme: gpusim's
+// read of a pristine entry returns the written payload without decoding
+// it, which is exact only because a clean codeword decodes to its own
+// data with status OK.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range allSchemes() {
+	for _, name := range SchemeNames() {
+		s, err := SchemeByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for trial := 0; trial < 50; trial++ {
 			data := randomData(rng)
 			wire := s.Encode(data)

@@ -423,3 +423,46 @@ func TestParityCellLeaksAgainstWrittenParity(t *testing.T) {
 		t.Fatalf("bytes 0 and 8 read %#x and %#x, want 0xfe and 0xfe", got[0], got[8])
 	}
 }
+
+func TestPristine(t *testing.T) {
+	d := New(hbm2.V100(), DefaultRefreshPeriod)
+	d.WriteAll(patConst(0x5A), 0)
+	if !d.Pristine(3) || !d.Pristine(4) {
+		t.Fatal("fresh entries must be pristine")
+	}
+
+	// Soft-error corruption clears with the entry's rewrite.
+	d.InjectCorruption(3, Corruption{Xor: bitvec.V288{}.FlipBit(9)})
+	if d.Pristine(3) || !d.Pristine(4) {
+		t.Fatal("corruption must make only its own entry not pristine")
+	}
+	d.RewriteEntry(3, 1)
+	if !d.Pristine(3) {
+		t.Fatal("RewriteEntry after corruption alone must restore pristine")
+	}
+
+	// A weak cell is physical damage: no write repairs it, however
+	// long its retention. Retirement maps the cells out.
+	d.AddWeakCell(3, WeakCell{Bit: 5, Retention: 1, LeakTo: 0})
+	d.RewriteEntry(3, 2)
+	d.WriteAll(patConst(0x5A), 3)
+	if d.Pristine(3) {
+		t.Fatal("a weak cell must keep its entry not pristine after rewrites")
+	}
+	d.InjectCorruption(3, Corruption{Xor: bitvec.V288{}.FlipBit(9)})
+	if d.RetireEntries([]int64{3}) != 1 || !d.Pristine(3) {
+		t.Fatal("RetireEntries must restore pristine")
+	}
+
+	// An on-die stage stands between every entry's cells and the wire.
+	d.SetOnDie(&countingStage{})
+	for _, idx := range []int64{0, 3, 4, 1 << 29} {
+		if d.Pristine(idx) {
+			t.Fatalf("entry %d pristine under an on-die stage", idx)
+		}
+	}
+	d.SetOnDie(nil)
+	if !d.Pristine(4) {
+		t.Fatal("removing the stage must restore pristine")
+	}
+}

@@ -1,8 +1,13 @@
 // Package gpusim wraps the DRAM model into a GPU-shaped device: device
 // memory with optional DRAM ECC (any entry-level scheme from
-// internal/core), a clock, and counters for corrected errors and DUEs.
-// The workload kernels run on it as the CUDA-visible GPU of §3: every
-// store and load goes through the memory controller's encode and decode.
+// internal/core) and a clock. The workload kernels run on it as the
+// CUDA-visible GPU of §3. The device stores scheme-encoded entries, and
+// a load of an entry the device holds a deviation for decodes its wire.
+// A load of a pristine entry (dram.Device.Pristine) returns the written
+// payload with status OK without the codec. The shortcut is exact
+// because New installs Scheme.Encode as Dev's wire encoder and a clean
+// codeword decodes to its own data with status OK, so Dev's encoder
+// must stay Scheme.Encode.
 package gpusim
 
 import (
@@ -14,18 +19,14 @@ import (
 
 // GPU is a simulated GPU with HBM2 device memory.
 type GPU struct {
+	// Dev is the device memory. Its wire encoder is Scheme.Encode (or the
+	// standard zero-ECC layout with ECC off), which Read relies on.
 	Dev *dram.Device
 	// Scheme is the DRAM ECC organization, or nil with ECC disabled
 	// (reads return raw device data, as in the paper's beam campaigns).
 	Scheme core.Scheme
 
 	clock float64
-
-	// Counters since construction.
-	Reads     int64
-	Writes    int64
-	Corrected int64
-	DUEs      int64
 }
 
 // New builds a GPU on a fresh device. With a non-nil scheme, DRAM ECC is
@@ -53,10 +54,7 @@ func (g *GPU) WritePattern(pat dram.PatternFn) { g.Dev.WriteAll(pat, g.clock) }
 // (see dram.RewriteEntry); the device clears the entry's recorded
 // soft-error corruption — the stored charge was replaced — and restarts
 // its weak-cell leak clocks.
-func (g *GPU) WriteEntry(idx int64) {
-	g.Writes++
-	g.Dev.RewriteEntry(idx, g.clock)
-}
+func (g *GPU) WriteEntry(idx int64) { g.Dev.RewriteEntry(idx, g.clock) }
 
 // ReadResult is the outcome of one ECC-protected read.
 type ReadResult struct {
@@ -64,25 +62,21 @@ type ReadResult struct {
 	Status ecc.Status
 }
 
-// ECCEnabled reports whether DRAM ECC is on.
-func (g *GPU) ECCEnabled() bool { return g.Scheme != nil }
-
 // Read performs one 32B read at the current clock. With ECC enabled the
 // entry is decoded (correcting or detecting errors); with ECC disabled
-// the raw (possibly corrupted) data is returned with status OK.
+// the raw (possibly corrupted) data is returned with status OK. A
+// pristine entry's read returns the written payload with status OK
+// directly: its wire is the clean image of that payload, which decodes
+// (or, with ECC off, unpacks) back to it unchanged.
 func (g *GPU) Read(idx int64) ReadResult {
-	g.Reads++
+	if g.Dev.Pristine(idx) {
+		return ReadResult{Data: g.Dev.Expected(idx), Status: ecc.OK}
+	}
 	wire := g.Dev.ReadWire(idx, g.clock)
 	if g.Scheme == nil {
 		data, _ := wire.DataECC()
 		return ReadResult{Data: data, Status: ecc.OK}
 	}
 	res := g.Scheme.Decode(wire)
-	switch res.Status {
-	case ecc.Corrected:
-		g.Corrected++
-	case ecc.Detected:
-		g.DUEs++
-	}
 	return ReadResult{Data: res.Data, Status: res.Status}
 }

@@ -40,8 +40,11 @@ type dramInjection struct {
 // reads through, an op counter that gives every load and store a
 // position on the run's timeline, and the armed fault events that fire
 // at their scheduled op index. Loads go through the GPU's ECC-protected
-// read path; a Detected decode kills the run (due). Not safe for
-// concurrent use — each run owns one.
+// read path; a Detected decode kills the run (due). A load of an entry
+// the device holds no fault for returns the backing store's payload
+// without the codec (gpusim.GPU.Read), which is exact while the GPU's
+// device encodes with its scheme. Not safe for concurrent use — each
+// run owns one.
 type Memory struct {
 	gpu  *gpusim.GPU
 	data [][hbm2.EntryBytes]byte
@@ -76,9 +79,7 @@ func (m *Memory) Alloc(n int) Tensor {
 	entries := (n + wordsPerEntry - 1) / wordsPerEntry
 	t := Tensor{base: m.next, n: n}
 	m.next += int64(entries)
-	for int64(len(m.data)) < m.next {
-		m.data = append(m.data, [hbm2.EntryBytes]byte{})
-	}
+	m.data = append(m.data, make([][hbm2.EntryBytes]byte, entries)...)
 	return t
 }
 
