@@ -62,6 +62,7 @@ func main() {
 		if err := runWorkload(ctx, *seed, *wlRuns, *wlSchemes, *checkpoint, *resume); err != nil {
 			log.Fatal(err)
 		}
+		dumpTelemetry(*metrics)
 		return
 	}
 
@@ -93,17 +94,25 @@ func main() {
 		printOnDieStats(stage)
 	}
 
-	if *metrics != "" {
-		fmt.Println("\n== telemetry: per-phase span durations ==")
-		if err := obs.DefaultTracer.WritePhaseSummary(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.Default.DumpPrometheus(*metrics); err != nil {
-			log.Fatalf("writing metrics: %v", err)
-		}
-		if *metrics != "-" {
-			fmt.Printf("metrics written to %s\n", *metrics)
-		}
+	dumpTelemetry(*metrics)
+}
+
+// dumpTelemetry prints the per-phase span durations and writes every
+// metric in Prometheus text format to path ("-" = stdout); an empty path
+// does nothing.
+func dumpTelemetry(path string) {
+	if path == "" {
+		return
+	}
+	fmt.Println("\n== telemetry: per-phase span durations ==")
+	if err := obs.DefaultTracer.WritePhaseSummary(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+	if err := obs.Default.DumpPrometheus(path); err != nil {
+		log.Fatalf("writing metrics: %v", err)
+	}
+	if path != "-" {
+		fmt.Printf("metrics written to %s\n", path)
 	}
 }
 

@@ -54,6 +54,53 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodePayloadInvariance covers every registered scheme: an XOR
+// error pattern decodes to the same status whatever the payload, and
+// unless the read is Detected to the same data error. The workload
+// campaign decides runs from one decode of Encode(0)^x per corrupted
+// entry on the strength of it. Patterns have 1 to 40 random wire bits,
+// and every fourth is a dense random entry, as whole-entry logic faults
+// produce.
+func TestDecodePayloadInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, name := range SchemeNames() {
+		s, err := SchemeByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero := s.Encode([bitvec.DataBytes]byte{})
+		for trial := 0; trial < 4000; trial++ {
+			var x bitvec.V288
+			if trial%4 == 3 {
+				for b := 0; b < bitvec.EntryBits; b++ {
+					if rng.Intn(2) == 1 {
+						x = x.FlipBit(b)
+					}
+				}
+			} else {
+				for n := 1 + rng.Intn(40); n > 0; n-- {
+					x = x.FlipBit(rng.Intn(bitvec.EntryBits))
+				}
+			}
+			p := randomData(rng)
+			want := s.Decode(zero.Xor(x))
+			got := s.Decode(s.Encode(p).Xor(x))
+			if got.Status != want.Status {
+				t.Fatalf("%s: status %v with a random payload, %v with zero (pattern %v)",
+					name, got.Status, want.Status, x)
+			}
+			if got.Status == ecc.Detected {
+				continue
+			}
+			for i := range p {
+				if got.Data[i]^p[i] != want.Data[i] {
+					t.Fatalf("%s: data error differs from the zero payload's (pattern %v)", name, x)
+				}
+			}
+		}
+	}
+}
+
 func TestAllSingleBitErrorsCorrected(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, s := range allSchemes() {

@@ -167,13 +167,20 @@ func TestDataIndependenceForLinearCodes(t *testing.T) {
 }
 
 // TestPayloadInvariance locks the assumption behind every caller leaving
-// Options.Data zero: a random payload gives every Table-2 scheme the same
-// per-pattern outcomes as the zero payload.
+// Options.Data zero: a random payload gives every registered scheme the
+// same per-pattern outcomes as the zero payload.
 func TestPayloadInvariance(t *testing.T) {
 	zero := Options{Seed: 3, Samples3b: 3000, SamplesBeat: 3000, SamplesEntry: 3000}
 	random := zero
 	rand.New(rand.NewSource(11)).Read(random.Data[:])
-	schemes := core.Table2Schemes()
+	var schemes []core.Scheme
+	for _, name := range core.SchemeNames() {
+		s, err := core.SchemeByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes = append(schemes, s)
+	}
 	want := EvaluateAll(schemes, zero)
 	got := EvaluateAll(schemes, random)
 	for i, s := range schemes {

@@ -162,34 +162,44 @@ func RunCell(scheme string, k Kernel, opts Options) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
+	return runCell(scheme, sch, k, opts)
+}
+
+// runCell is RunCell with the scheme already resolved from its name.
+func runCell(scheme string, sch core.Scheme, k Kernel, opts Options) (CellResult, error) {
 	if !k.Valid() {
 		return CellResult{}, fmt.Errorf("workload: invalid kernel %d", int(k))
 	}
 	start := time.Now()
 	seed := cellSeed(opts.Seed, scheme, k)
 
-	// Dry run: fixed op count for the injection timeline (kernels are
-	// data-oblivious, so any input data gives the same count) and a
+	// Dry run: the access trace every run of the cell shares (kernels
+	// are data-oblivious, so any input data gives the same trace) and a
 	// self-check that the kernel reproduces its golden output unfaulted.
-	totalOps, err := dryRun(sch, k, seed)
+	tr, err := dryRun(sch, k, seed)
 	if err != nil {
 		return CellResult{}, err
 	}
+	dec := newDecider(sch, tr)
 
-	res := CellResult{Scheme: scheme, Kernel: k, TotalOps: totalOps,
+	res := CellResult{Scheme: scheme, Kernel: k, TotalOps: tr.ops,
 		Ledger: make([]Outcome, 0, opts.Runs)}
 	var bySrc [faults.NumSources]int
+	decided := 0
 	for r := 0; r < opts.Runs; r++ {
 		if opts.Ctx != nil && r%cancelCheckStride == 0 && opts.Ctx.Err() != nil {
 			return CellResult{}, opts.Ctx.Err()
 		}
 		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + uint64(r)))))
-		outcome, src := runOne(sch, k, rng, totalOps)
+		outcome, src, ok := runOne(dec, k, rng)
 		res.Runs++
 		res.Outcomes[outcome]++
 		res.BySource[src][outcome]++
 		res.Ledger = append(res.Ledger, outcome)
 		bySrc[src]++
+		if ok {
+			decided++
+		}
 	}
 
 	// Publish telemetry once per cell — the hot loop stays untouched.
@@ -198,6 +208,7 @@ func RunCell(scheme string, k Kernel, opts Options) (CellResult, error) {
 			mRuns.With(k.String(), scheme, o.String()).Add(uint64(res.Outcomes[o]))
 		}
 	}
+	mDecided.With(k.String(), scheme).Add(uint64(decided))
 	for s := faults.Source(0); s < faults.NumSources; s++ {
 		if bySrc[s] > 0 {
 			mInjected.With(s.String()).Add(uint64(bySrc[s]))
@@ -209,18 +220,23 @@ func RunCell(scheme string, k Kernel, opts Options) (CellResult, error) {
 	return res, nil
 }
 
-// dryRun executes the kernel once with no faults, returning its op
-// count and verifying the device path reproduces the golden output.
-func dryRun(sch core.Scheme, k Kernel, seed int64) (int64, error) {
+// dryRun executes the kernel once with no faults, recording its access
+// trace and verifying the device path reproduces the golden output.
+func dryRun(sch core.Scheme, k Kernel, seed int64) (*trace, error) {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewMemory(gpusim.New(workloadConfig, sch))
+	m.trace = &trace{}
 	inst := newInstance(k, rng, m)
 	inst.run(m)
 	got := m.ReadOut(inst.out)
 	if classifyOutput(k, inst.golden, got) != Masked {
-		return 0, fmt.Errorf("workload: %s dry run diverged from golden output", k)
+		return nil, fmt.Errorf("workload: %s dry run diverged from golden output", k)
 	}
-	return m.Ops(), nil
+	if m.trace.arena != m.next {
+		return nil, fmt.Errorf("workload: %s allocates after its first access", k)
+	}
+	m.trace.ops = m.Ops()
+	return m.trace, nil
 }
 
 // drawSource picks the run's fault source from the FIT-weighted mixture
@@ -246,40 +262,51 @@ func drawSource(rng *rand.Rand) faults.Source {
 // (they are scheme-independent by construction), and simulate everything
 // else — DRAM events through the device and ECC decode path, cache
 // poison through a post-decode bit flip — classifying the output against
-// the golden result.
-func runOne(sch core.Scheme, k Kernel, rng *rand.Rand, totalOps int64) (Outcome, faults.Source) {
-	src := drawSource(rng)
-	strikeOp := rng.Int63n(totalOps)
+// the golden result. A DRAM event is drawn before the kernel runs, and
+// when d settles the run from the cell's trace the kernel is not
+// executed; decided reports that.
+func runOne(d *decider, k Kernel, rng *rand.Rand) (o Outcome, src faults.Source, decided bool) {
+	src = drawSource(rng)
+	strikeOp := rng.Int63n(d.tr.ops)
 
-	poisonBit := -1
 	if src != faults.SourceDRAM {
 		p := faults.DefaultProfiles[src]
 		x := rng.Float64()
 		switch {
 		case x < p.PDetected:
-			return DUE, src
+			return DUE, src, false
 		case x < p.PDetected+p.PCrash:
-			return Crash, src
-		default:
-			// Silent share: corrupted data continues into the pipeline
-			// past any DRAM ECC. Its application outcome is simulated.
-			poisonBit = rng.Intn(32)
+			return Crash, src, false
 		}
+		// Silent share: corrupted data continues into the pipeline past
+		// any DRAM ECC. Its application outcome is simulated.
+		poisonBit := rng.Intn(32)
+		return simulate(d.sch, k, rng, strikeOp, poisonBit, faults.Event{}), src, false
 	}
+	ev := faults.NewInjector(workloadConfig, rng.Int63()).RandomEventIn(0, d.tr.arena)
+	if o, ok := d.decide(ev, strikeOp); ok {
+		return o, src, true
+	}
+	return simulate(d.sch, k, rng, strikeOp, -1, ev), src, false
+}
 
+// simulate executes one run in full on a fresh device: the kernel's
+// inputs are drawn from rng, and either cache poison of poisonBit
+// (when >= 0) or the DRAM event ev strikes before op strikeOp.
+func simulate(sch core.Scheme, k Kernel, rng *rand.Rand, strikeOp int64, poisonBit int, ev faults.Event) Outcome {
 	m := NewMemory(gpusim.New(workloadConfig, sch))
 	if poisonBit >= 0 {
 		m.SchedulePoison(strikeOp, poisonBit)
 	} else {
-		m.ScheduleDRAM(strikeOp, faults.NewInjector(workloadConfig, rng.Int63()))
+		m.ScheduleDRAM(strikeOp, ev)
 	}
 	inst := newInstance(k, rng, m)
 	inst.run(m)
 	got := m.ReadOut(inst.out)
 	if m.Failed() {
-		return DUE, src
+		return DUE
 	}
-	return classifyOutput(k, inst.golden, got), src
+	return classifyOutput(k, inst.golden, got)
 }
 
 // Campaign evaluates the full scheme x kernel grid in spec order
@@ -290,6 +317,16 @@ func runOne(sch core.Scheme, k Kernel, rng *rand.Rand, totalOps int64) (Outcome,
 // context error.
 func Campaign(opts Options) ([]CellResult, error) {
 	opts.defaults()
+	// Schemes are safe for concurrent use, so one build serves every
+	// kernel's cell.
+	schemes := make(map[string]core.Scheme, len(opts.Schemes))
+	for _, s := range opts.Schemes {
+		sch, err := SchemeFor(s)
+		if err != nil {
+			return nil, err
+		}
+		schemes[s] = sch
+	}
 	var cells []campaign.Cell[Kernel]
 	for _, s := range opts.Schemes {
 		for _, k := range opts.Kernels {
@@ -298,7 +335,9 @@ func Campaign(opts Options) ([]CellResult, error) {
 	}
 	done, err := campaign.Run(opts.Ctx, cells, opts.Parallel,
 		campaign.Hooks[Kernel, CellResult]{Resume: opts.Resume, Progress: opts.Progress},
-		func(i int) (CellResult, error) { return RunCell(cells[i].Row, cells[i].Col, opts) })
+		func(i int) (CellResult, error) {
+			return runCell(cells[i].Row, schemes[cells[i].Row], cells[i].Col, opts)
+		})
 	out := make([]CellResult, len(done))
 	for i, d := range done {
 		out[i] = d.Result

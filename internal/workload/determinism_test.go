@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -113,5 +115,32 @@ func TestCheckpointResume(t *testing.T) {
 				t.Errorf("resumed campaign differs from uninterrupted run:\n%+v\nvs\n%+v", got, full)
 			}
 		})
+	}
+}
+
+// TestCampaignGoldenDigest pins the sha256 of the marshalled default
+// campaign at seed 2021 with 60 and with 6 runs per cell (the perfbench
+// workload_campaign full and reduced pins), so any change that moves a
+// workload outcome fails here.
+func TestCampaignGoldenDigest(t *testing.T) {
+	for _, tc := range []struct {
+		runs int
+		want string
+	}{
+		{60, "669ed04ed5ce5a147dbca554b02a0d05ab7577b29f6ac0a99b02b3e4c95436d3"},
+		{6, "10c2f1ecc52fc14bdb21b9012b30e1950d389201d10f8ec87b441e6d0d1e98b0"},
+	} {
+		res, err := Campaign(Options{Seed: 2021, Runs: tc.runs, Parallel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("runs=%d: digest %s, want %s", tc.runs, got, tc.want)
+		}
 	}
 }

@@ -28,11 +28,10 @@ type Tensor struct {
 func (t Tensor) Len() int { return t.n }
 
 // dramInjection is a DRAM fault event armed to strike when the op
-// counter reaches Op: the event is drawn at strike time so it lands in
-// the arena as allocated *then* (setup may still be growing it).
+// counter reaches Op.
 type dramInjection struct {
-	Op  int64
-	Inj *faults.Injector
+	Op int64
+	Ev faults.Event
 }
 
 // Memory is the kernel-visible device memory: a bump allocator over a
@@ -50,6 +49,9 @@ type Memory struct {
 	data [][hbm2.EntryBytes]byte
 	next int64
 	ops  int64
+	// trace, when non-nil, records every load and store (the dry run's
+	// access trace).
+	trace *trace
 
 	dram []dramInjection
 	// poisonOp/poisonBit arm a cache-style silent corruption: the first
@@ -91,10 +93,9 @@ func (m *Memory) Ops() int64 { return m.ops }
 func (m *Memory) Failed() bool { return m.due }
 
 // ScheduleDRAM arms a DRAM fault event to strike when the op counter
-// reaches op (before that operation executes). The event is drawn from
-// inj at strike time, rebased into the arena allocated by then.
-func (m *Memory) ScheduleDRAM(op int64, inj *faults.Injector) {
-	m.dram = append(m.dram, dramInjection{Op: op, Inj: inj})
+// reaches op (before that operation executes).
+func (m *Memory) ScheduleDRAM(op int64, ev faults.Event) {
+	m.dram = append(m.dram, dramInjection{Op: op, Ev: ev})
 }
 
 // SchedulePoison arms a cache-style silent corruption: the first load at
@@ -110,8 +111,7 @@ func (m *Memory) step() {
 			i++
 			continue
 		}
-		ev := m.dram[i].Inj.RandomEventIn(0, m.next)
-		for _, eff := range ev.Effects {
+		for _, eff := range m.dram[i].Ev.Effects {
 			m.gpu.Dev.InjectCorruption(eff.Entry, eff.Corr)
 		}
 		m.dram = append(m.dram[:i], m.dram[i+1:]...)
@@ -127,6 +127,9 @@ func (m *Memory) Load(t Tensor, i int) int32 {
 	}
 	m.step()
 	entry := t.base + int64(i/wordsPerEntry)
+	if m.trace != nil {
+		m.trace.record(m.ops-1, entry, m.next, false)
+	}
 	r := m.gpu.Read(entry)
 	if r.Status == ecc.Detected {
 		m.due = true
@@ -148,6 +151,9 @@ func (m *Memory) Store(t Tensor, i int, v int32) {
 	}
 	m.step()
 	entry := t.base + int64(i/wordsPerEntry)
+	if m.trace != nil {
+		m.trace.record(m.ops-1, entry, m.next, true)
+	}
 	binary.LittleEndian.PutUint32(m.data[entry][(i%wordsPerEntry)*4:], uint32(v))
 	m.gpu.WriteEntry(entry)
 }

@@ -39,6 +39,9 @@ var (
 	mRuns = obs.NewCounter("workload_runs_total",
 		"Workload campaign runs classified, by kernel, scheme and outcome.",
 		"kernel", "scheme", "outcome")
+	mDecided = obs.NewCounter("workload_runs_decided_total",
+		"Workload campaign runs settled from the kernel's access trace without executing the kernel, by kernel and scheme.",
+		"kernel", "scheme")
 	mRunRate = obs.NewGauge("workload_runs_per_sec",
 		"Throughput of the latest workload campaign cell.", "kernel", "scheme")
 	mInjected = obs.NewCounter("workload_faults_injected_total",

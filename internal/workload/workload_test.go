@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,22 +36,22 @@ func TestKernelGolden(t *testing.T) {
 	}
 }
 
-// TestKernelOpCountDeterministic checks that a kernel's op count does not
-// depend on its drawn data — the injection timeline contract.
+// TestKernelOpCountDeterministic checks that a kernel's op count, and
+// its whole access trace, do not depend on its drawn data — the
+// injection timeline contract the trace decision relies on.
 func TestKernelOpCountDeterministic(t *testing.T) {
 	for _, k := range Kernels() {
-		var ops []int64
+		var traces []*trace
 		for seed := int64(1); seed <= 3; seed++ {
-			m := NewMemory(gpusim.New(workloadConfig, nil))
-			inst := newInstance(k, rand.New(rand.NewSource(seed)), m)
-			inst.run(m)
-			m.ReadOut(inst.out)
-			ops = append(ops, m.Ops())
+			tr, _ := recordTrace(k, seed)
+			traces = append(traces, tr)
 		}
-		if ops[0] != ops[1] || ops[1] != ops[2] {
-			t.Errorf("%s: op count varies with data: %v", k, ops)
+		for _, tr := range traces[1:] {
+			if !reflect.DeepEqual(tr, traces[0]) {
+				t.Errorf("%s: access trace varies with data (op counts %d, %d)", k, traces[0].ops, tr.ops)
+			}
 		}
-		if ops[0] == 0 {
+		if traces[0].ops == 0 {
 			t.Errorf("%s: zero ops", k)
 		}
 	}

@@ -40,6 +40,7 @@ go test -run '^$' -fuzz FuzzSynBitRowsVsSyndromes -fuzztime 10s ./internal/rscod
 go test -run '^$' -fuzz FuzzOnDieDecodeVsRef -fuzztime 10s ./internal/ondie/
 go test -run '^$' -fuzz FuzzReadSeriesVsReadWire -fuzztime 10s ./internal/dram/
 go test -run '^$' -fuzz FuzzReadVsDecode -fuzztime 10s ./internal/gpusim/
+go test -run '^$' -fuzz FuzzDecideVsSimulate -fuzztime 10s ./internal/workload/
 
 echo "== bench smoke: one iteration of every benchmark =="
 HBM2ECC_MC_SAMPLES=2000 HBM2ECC_CAMPAIGN_RUNS=20 \
