@@ -20,7 +20,9 @@
 // The embedded simulation drives the coordinator over real loopback
 // HTTP through fleet.Client — the same frames, validation, and
 // error paths a remote agent would exercise. With -nodes 0 fleetd
-// serves an empty coordinator for external agents instead.
+// serves an empty coordinator for external agents instead. The fleet
+// picture lives in memory only: a restarted fleetd starts empty and
+// agents repopulate it on their next report.
 package main
 
 import (
@@ -47,7 +49,6 @@ func main() {
 	dueBudget := flag.Int("due-budget", 32, "agent DUE budget per rolling window before it recommends draining")
 	lease := flag.Float64("lease", 12, "coordinator liveness lease, simulated hours")
 	once := flag.Bool("once", false, "run the simulation, print the result JSON, exit")
-	stateDir := flag.String("state-dir", "", "durable state directory (snapshot + WAL); empty keeps the coordinator memory-only")
 	flag.Parse()
 
 	scheme, err := core.SchemeByName(*schemeName)
@@ -56,24 +57,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := fleet.CoordinatorOptions{
+	coord := fleet.NewCoordinator(fleet.CoordinatorOptions{
 		LeaseHours: *lease,
 		MaxNodes:   *nodes + 1024,
-		StateDir:   *stateDir,
-	}
-	var coord *fleet.Coordinator
-	if *stateDir != "" {
-		coord, err = fleet.OpenCoordinator(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleetd:", err)
-			os.Exit(1)
-		}
-		rec := coord.Recovery()
-		log.Printf("fleetd: durable state in %s: recovered %d nodes from snapshot, replayed %d/%d WAL records (sim clock %.1fh)",
-			*stateDir, rec.SnapshotNodes, rec.WALApplied, rec.WALRecords, rec.SimHours)
-	} else {
-		coord = fleet.NewCoordinator(opts)
-	}
+	})
 
 	ctx, stop := httpx.SignalContext()
 	defer stop()
@@ -122,22 +109,10 @@ func main() {
 			q.SDCAvoided, q.SDCTotal, 100*q.AvoidedFrac, 100*q.CapacityLostFrac, q.Drained, q.Retired)
 	}()
 
-	// closeState checkpoints and closes the durability layer on a clean
-	// shutdown (a kill -9 skips this — that is what the WAL is for).
-	closeState := func() {
-		if *stateDir == "" {
-			return
-		}
-		if err := coord.Close(); err != nil {
-			log.Printf("fleetd: closing durable state: %v", err)
-		}
-	}
-
 	if *once {
 		<-simDone
 		stop()
 		_ = d.Wait()
-		closeState()
 		if simErr != nil {
 			os.Exit(1)
 		}
@@ -153,6 +128,5 @@ func main() {
 		log.Printf("fleetd: %v", err)
 	}
 	<-simDone
-	closeState()
 	log.Print("fleetd: shut down cleanly")
 }

@@ -291,7 +291,7 @@ func (in *Injector) matColumn() Event {
 	// logUniform >= 1), so they classify as SBME rather than SBSE.
 	span := 1 + in.logUniform(hbm2.RowsPerSubarray-1)
 	startRow := in.rng.Intn(hbm2.RowsPerSubarray - span + 1)
-	var effects []EntryEffect
+	effects := make([]EntryEffect, 0, span)
 	for r := 0; r < span; r++ {
 		cc := co
 		cc.Row = startRow + r
@@ -346,7 +346,7 @@ func (in *Injector) localWordline() Event {
 	}
 	span := in.logUniform(hbm2.ColumnsPerRow)
 	startCol := in.rng.Intn(hbm2.ColumnsPerRow - span + 1)
-	var effects []EntryEffect
+	effects := make([]EntryEffect, 0, span)
 	for cidx := 0; cidx < span; cidx++ {
 		cc := co
 		cc.Column = startCol + cidx
@@ -369,7 +369,7 @@ func (in *Injector) beatLogic() Event {
 	}
 	span := in.logUniform(hbm2.ColumnsPerRow)
 	startCol := in.rng.Intn(hbm2.ColumnsPerRow - span + 1)
-	var effects []EntryEffect
+	effects := make([]EntryEffect, 0, span)
 	for cidx := 0; cidx < span; cidx++ {
 		cc := co
 		cc.Column = startCol + cidx
@@ -396,7 +396,7 @@ func (in *Injector) subarrayLogic() Event {
 	co := in.Cfg.CoordOf(in.randomEntry())
 	span := in.logUniform(hbm2.ColumnsPerRow)
 	startCol := in.rng.Intn(hbm2.ColumnsPerRow - span + 1)
-	var effects []EntryEffect
+	effects := make([]EntryEffect, 0, span)
 	for cidx := 0; cidx < span; cidx++ {
 		cc := co
 		cc.Column = startCol + cidx

@@ -90,8 +90,8 @@ type FleetConfig struct {
 	// (and may be nil) when ReporterFor is set.
 	ReporterFor func(i int, id string) fleet.Reporter
 	// OnTick, when set, fires at the start of every tick with the
-	// tick's end time — the seam chaos tests use to kill coordinators
-	// and toggle partitions mid-run.
+	// tick's end time — the seam chaos tests use to take the
+	// coordinator down and toggle partitions mid-run.
 	OnTick func(at float64)
 	Seed   int64
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -22,12 +21,12 @@ type inprocReporter struct{ c *Coordinator }
 
 func (r inprocReporter) Report(_ context.Context, req ReportRequest) (ReportResponse, error) {
 	resp, err := r.c.Report(req)
-	if err != nil && !errors.As(err, new(*UnavailableError)) {
+	if err != nil {
 		// A refused report stays refused: the same permanent 422 the
 		// HTTP surface answers, so an outbox drops it instead of retrying.
 		return resp, &httpx.StatusError{Code: http.StatusUnprocessableEntity, Body: err.Error()}
 	}
-	return resp, err
+	return resp, nil
 }
 
 // Loopback wraps the coordinator as an in-process Reporter.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -71,16 +70,6 @@ type CoordinatorOptions struct {
 	// bound are rejected (default 20000). This is the coordinator's
 	// hard memory ceiling: per-node state is fixed-size.
 	MaxNodes int
-
-	// StateDir, when set (via OpenCoordinator), makes the coordinator
-	// durable: every accepted report is appended to a CRC-framed WAL
-	// before it is acked, and the node table is checkpointed
-	// atomically at each compaction, so a crash or SIGKILL loses no
-	// acked report. Empty keeps the coordinator memory-only.
-	StateDir string
-	// CompactEvery bounds WAL growth: after this many appends the node
-	// table is snapshotted and the log reset (default 1<<18 records).
-	CompactEvery int
 }
 
 // Fixed coordinator bounds: the per-node rolling window in simulated
@@ -98,9 +87,6 @@ func (o *CoordinatorOptions) defaults() {
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 20000
-	}
-	if o.CompactEvery <= 0 {
-		o.CompactEvery = 1 << 18
 	}
 }
 
@@ -166,12 +152,6 @@ type Coordinator struct {
 	statusGauge [4]*obs.Gauge
 	// perXid caches counter handles (label resolution off the hot path).
 	perXid map[int]*obs.Counter
-
-	// dur is the durability layer (nil for a memory-only coordinator);
-	// replaying suppresses WAL appends and counter bumps while recovery
-	// re-drives logged reports through Report.
-	dur       *durability
-	replaying bool
 }
 
 // NewCoordinator builds an empty coordinator.
@@ -208,9 +188,7 @@ func (c *Coordinator) setStatusLocked(n *nodeState, status int) {
 
 // Report ingests one node report: lease renewal, event ingest into the
 // rolling window and rings, re-scoring, and the policy decision. The
-// returned error means the report was rejected (HTTP 422), except an
-// *UnavailableError (durable coordinator that could not log the
-// report), which maps to a retryable HTTP 503.
+// returned error means the report was rejected (HTTP 422).
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	start := time.Now()
 	if err := req.Validate(); err != nil {
@@ -218,16 +196,12 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		return ReportResponse{}, err
 	}
 	c.mu.Lock()
-	live := !c.replaying
 	defer func() {
 		c.mu.Unlock()
-		if live {
-			mFleetIngestH.Observe(time.Since(start).Seconds())
-		}
+		mFleetIngestH.Observe(time.Since(start).Seconds())
 	}()
 
 	n := c.nodes[req.NodeID]
-	created := false
 	if n == nil {
 		if len(c.nodes) >= c.opts.MaxNodes {
 			mFleetRejected.Inc()
@@ -241,37 +215,16 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		c.nodes[req.NodeID] = n
 		c.statusCount[nodeOnline]++
 		c.statusGauge[nodeOnline].Set(float64(c.statusCount[nodeOnline]))
-		created = true
 	}
 
 	resp := ReportResponse{Version: ProtocolVersion, LeaseHours: c.opts.LeaseHours}
 	if req.Seq <= n.seq {
-		if live {
-			mFleetReplays.Inc()
-		}
+		// Redelivery of an ingested report: acknowledged, not re-applied.
+		mFleetReplays.Inc()
 		resp.Duplicate = true
 		resp.Command = n.command
 		return resp, nil
 	}
-	// Durability barrier: the report is logged before any state it will
-	// change is touched, so an acked report is always recoverable and a
-	// failed append leaves memory and disk agreeing (the freshly created
-	// node record is rolled back).
-	if c.dur != nil && live {
-		if err := c.dur.appendLocked(&req); err != nil {
-			if created {
-				delete(c.nodes, req.NodeID)
-				c.statusCount[nodeOnline]--
-				c.statusGauge[nodeOnline].Set(float64(c.statusCount[nodeOnline]))
-			}
-			mFleetRejected.Inc()
-			return ReportResponse{}, &UnavailableError{Err: err}
-		}
-	}
-	// Every mutation below this point is durably logged (or the
-	// coordinator is memory-only): the simulated clock, the amortized
-	// lease sweep and the node apply all replay identically on
-	// recovery. Duplicates bailed out above without touching state.
 	if req.AtHours > c.simHours {
 		c.simHours = req.AtHours
 		mFleetSimHours.Set(c.simHours)
@@ -296,14 +249,10 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		if c.fleetLen < len(c.fleetRing) {
 			c.fleetLen++
 		}
-		if live {
-			c.perXid[e.Code].Add(uint64(e.N()))
-		}
+		c.perXid[e.Code].Add(uint64(e.N()))
 	}
 	resp.Accepted = len(req.Events)
-	if live {
-		mFleetReports.Inc()
-	}
+	mFleetReports.Inc()
 
 	// A draining node reporting again has been repaired and returned to
 	// service; it re-earns its command from a clean slate. Retirement is
@@ -326,9 +275,7 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		}
 		if cmd != "" && cmd != n.command {
 			n.command = cmd
-			if live {
-				mFleetCommands.With(cmd).Inc()
-			}
+			mFleetCommands.With(cmd).Inc()
 			switch cmd {
 			case CommandRetire:
 				c.setStatusLocked(n, nodeRetired)
@@ -339,9 +286,6 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		}
 	}
 	resp.Command = n.command
-	if c.dur != nil && live && c.dur.compactionDue() {
-		c.compactLocked()
-	}
 	return resp, nil
 }
 
@@ -380,9 +324,7 @@ func (c *Coordinator) sweepLocked() {
 	for _, n := range c.nodes {
 		if n.status == nodeOnline && c.simHours-n.lastSeen > c.opts.LeaseHours {
 			c.setStatusLocked(n, nodeOffline)
-			if !c.replaying {
-				mFleetExpiries.Inc()
-			}
+			mFleetExpiries.Inc()
 		}
 	}
 }
@@ -525,12 +467,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		resp, err := c.Report(req)
 		if err != nil {
-			var ue *UnavailableError
-			if errors.As(err, &ue) {
-				// Durability failure, not a bad report: retryable.
-				httpx.Error(w, http.StatusServiceUnavailable, err.Error())
-				return
-			}
 			httpx.Error(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		}

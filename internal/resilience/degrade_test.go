@@ -1,6 +1,6 @@
 package resilience_test
 
-// Graceful degradation is the policy this package's durability and
+// Graceful degradation is the policy this package's checkpoints and
 // backoff serve: weak rows are retired to spares and a node that spends
 // its DUE budget is drained. The policy lives in fleet.Agent (two
 // constants and a counter); these tests pin it through the agent's

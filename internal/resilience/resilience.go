@@ -1,9 +1,8 @@
-// Package resilience holds the durability and retry primitives the
+// Package resilience holds the checkpoint and retry primitives the
 // long-running tools and daemons share: atomic JSON checkpoints
 // (SaveJSON/LoadJSON) so campaigns can be killed and resumed without
-// losing or skewing statistics, a CRC-framed write-ahead log (WAL) for
-// stateful daemons, and the jittered exponential Backoff every retry
-// loop draws its delays from.
+// losing or skewing statistics, and the jittered exponential Backoff
+// every retry loop draws its delays from.
 package resilience
 
 import "math/rand"
