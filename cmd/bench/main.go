@@ -1,21 +1,18 @@
 // Command bench measures what the whole-job benchmark (perfbench) and
-// `go test` do not: kernel-level decode timings and the distributed
-// campaign engine's worker scaling. Each leg writes its results as JSON
-// at the repo root.
+// `go test` do not: kernel-level decode timings. It writes its results
+// as JSON at the repo root.
 //
 // Usage:
 //
 //	go run ./cmd/bench                  # decode kernels, writes BENCH_decode.json
 //	go run ./cmd/bench -quick -out f    # CI smoke (scripts/check.sh)
 //	go run ./cmd/bench -quick -gate     # also fail if any scheme's batch decode is slower than single-shot
-//	go run ./cmd/bench -cluster         # distributed scaling, BENCH_cluster.json
 //
 // Numbers are wall-clock and machine-dependent; the speedup ratios
 // (reference vs fast path on the same machine) are the stable signal.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -25,10 +22,8 @@ import (
 	"time"
 
 	"hbm2ecc/internal/bitvec"
-	"hbm2ecc/internal/cluster"
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/errormodel"
-	"hbm2ecc/internal/evalmc"
 )
 
 // Header opens every report: what was measured, and on what.
@@ -234,175 +229,20 @@ func runDecodeBench(out string, seed int64, corpus int, quick, gate bool, minTim
 }
 
 func main() {
-	out := flag.String("out", "", "output JSON path (default BENCH_decode.json or BENCH_cluster.json)")
-	quick := flag.Bool("quick", false, "CI smoke mode: small corpus and sample counts")
-	clusterBench := flag.Bool("cluster", false, "benchmark the distributed campaign engine's 1/2/4-worker scaling instead of decode throughput")
+	out := flag.String("out", "BENCH_decode.json", "output JSON path")
+	quick := flag.Bool("quick", false, "CI smoke mode: small corpus")
 	gate := flag.Bool("gate", false, "regression gate: fail unless every scheme's batch decode is at least as fast as its single-shot fast decode on the errored corpus")
-	seed := flag.Int64("seed", 2021, "corpus and campaign seed")
+	seed := flag.Int64("seed", 2021, "corpus seed")
 	corpus := flag.Int("corpus", 8192, "received words per decode corpus")
-	samples := flag.Int("samples", 50_000, "Monte-Carlo samples per sampled class in the -cluster campaign")
 	minTime := flag.Duration("mintime", 300*time.Millisecond, "minimum measurement time per timing")
 	flag.Parse()
 
 	if *quick {
 		*corpus = 2048
-		*samples = 5_000
 		*minTime = 25 * time.Millisecond
 	}
-	outOr := func(def string) string {
-		if *out != "" {
-			return *out
-		}
-		return def
-	}
-
-	var err error
-	switch {
-	case *clusterBench:
-		err = runClusterBench(outOr("BENCH_cluster.json"), *seed, *samples)
-	default:
-		err = runDecodeBench(outOr("BENCH_decode.json"), *seed, *corpus, *quick, *gate, *minTime)
-	}
-	if err != nil {
+	if err := runDecodeBench(*out, *seed, *corpus, *quick, *gate, *minTime); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-}
-
-// ClusterWorkerBench is one worker-count point of the scaling curve.
-type ClusterWorkerBench struct {
-	Workers int `json:"workers"`
-	// MakespanMS is the campaign's critical path: the maximum over
-	// workers of the summed calibrated costs of the cells that worker
-	// actually completed under the real lease protocol.
-	MakespanMS float64 `json:"makespan_ms"`
-	// TrialsPerSec is total trials divided by the makespan — the
-	// aggregate throughput the assignment achieves on a machine with at
-	// least `workers` idle cores.
-	TrialsPerSec float64 `json:"trials_per_sec"`
-	// Speedup is this row's TrialsPerSec over the 1-worker row's.
-	Speedup float64 `json:"speedup_vs_1"`
-	// WallMS is the measured single-machine wall clock of the run, for
-	// transparency (on a 1-core machine it shows no scaling: workers
-	// time-share the CPU).
-	WallMS          float64   `json:"wall_ms"`
-	Requeues        uint64    `json:"requeues"`
-	CellsPerWorker  []int     `json:"cells_per_worker"`
-	BusyMSPerWorker []float64 `json:"busy_ms_per_worker"`
-}
-
-// ClusterReport is the BENCH_cluster.json schema.
-type ClusterReport struct {
-	Header
-	Samples       int                  `json:"samples_per_class"`
-	Trials        int                  `json:"trials"`
-	Method        string               `json:"method"`
-	CalibrationMS float64              `json:"calibration_wall_ms"`
-	Workers       []ClusterWorkerBench `json:"workers"`
-}
-
-const clusterMethod = "Per-cell costs are calibrated by timing every (scheme, pattern) cell " +
-	"sequentially on one core (after a warm-up pass). Each worker count then runs the real " +
-	"cluster engine — coordinator over loopback HTTP, lease protocol, LPT scheduling — and " +
-	"the reported makespan is the maximum over workers of the summed calibrated costs of the " +
-	"cells each worker actually completed. That is the campaign's critical path, i.e. the " +
-	"wall clock on a machine with >= `workers` idle cores; it is reported instead of raw " +
-	"wall clock because this environment may expose fewer cores than workers, in which case " +
-	"concurrent workers time-share the CPU and wall clock cannot show scaling. The measured " +
-	"wall_ms is included alongside for transparency."
-
-// runClusterBench measures the distributed campaign engine's scaling
-// over the Table-2 corpus at 1, 2 and 4 workers.
-func runClusterBench(out string, seed int64, samples int) error {
-	spec := cluster.Spec{
-		Schemes:      core.Table2Names(),
-		Seed:         seed,
-		Samples3b:    samples,
-		SamplesBeat:  samples,
-		SamplesEntry: samples,
-		Shards:       1,
-	}
-	opts := spec.Options()
-
-	rep := ClusterReport{
-		Header:  newHeader("hbm2ecc/bench_cluster/v1", seed),
-		Samples: samples,
-		Method:  clusterMethod,
-	}
-
-	// Calibrate per-cell costs sequentially: warm pass (scheme table
-	// construction, caches), then the timed pass.
-	schemes := map[string]core.Scheme{}
-	for _, name := range spec.Schemes {
-		s, err := core.SchemeByName(name)
-		if err != nil {
-			return err
-		}
-		schemes[name] = s
-	}
-	cost := make([]float64, spec.NumCells()) // seconds per cell
-	for pass := 0; pass < 2; pass++ {
-		start := time.Now()
-		rep.Trials = 0
-		for id := 0; id < spec.NumCells(); id++ {
-			c, err := spec.Cell(id)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			r, err := evalmc.EvaluateCell(schemes[c.Scheme], c.PatternP(), opts)
-			if err != nil {
-				return err
-			}
-			cost[id] = time.Since(t0).Seconds()
-			rep.Trials += r.N
-		}
-		rep.CalibrationMS = float64(time.Since(start).Microseconds()) / 1000
-	}
-	fmt.Printf("calibrated %d cells, %d trials in %.1fms\n",
-		spec.NumCells(), rep.Trials, rep.CalibrationMS)
-
-	for _, n := range []int{1, 2, 4} {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-		start := time.Now()
-		_, coord, err := cluster.RunLocal(ctx, cluster.CoordinatorOptions{Spec: spec}, n,
-			cluster.WorkerOptions{ID: "bench", PollMax: 5 * time.Millisecond})
-		cancel()
-		if err != nil {
-			return err
-		}
-		wall := time.Since(start)
-
-		perWorker := map[string]float64{}
-		counts := map[string]int{}
-		for _, a := range coord.Assignments() {
-			perWorker[a.Worker] += cost[a.Cell.ID]
-			counts[a.Worker]++
-		}
-		wb := ClusterWorkerBench{
-			Workers:  n,
-			WallMS:   float64(wall.Microseconds()) / 1000,
-			Requeues: coord.Status().Requeues,
-		}
-		var makespan float64
-		for w, busy := range perWorker {
-			if busy > makespan {
-				makespan = busy
-			}
-			wb.CellsPerWorker = append(wb.CellsPerWorker, counts[w])
-			wb.BusyMSPerWorker = append(wb.BusyMSPerWorker, busy*1000)
-		}
-		wb.MakespanMS = makespan * 1000
-		wb.TrialsPerSec = float64(rep.Trials) / makespan
-		if len(rep.Workers) == 0 {
-			wb.Speedup = 1
-		} else {
-			wb.Speedup = wb.TrialsPerSec / rep.Workers[0].TrialsPerSec
-		}
-		rep.Workers = append(rep.Workers, wb)
-		fmt.Printf("workers=%d  makespan=%.1fms  %.2fM trials/sec  speedup=%.2fx  (wall %.1fms)\n",
-			n, wb.MakespanMS, wb.TrialsPerSec/1e6, wb.Speedup, wb.WallMS)
-	}
-
-	return writeReport(out, rep)
 }

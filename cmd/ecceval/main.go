@@ -7,8 +7,9 @@
 // the run cleanly (exit 0), and -resume skips the completed cells —
 // yielding results identical to an uninterrupted evaluation.
 //
-// The distributed campaign engine (cmd/campaignd) prints the same report
-// for the same -seed and -samples (without -ondie).
+// With -workload it runs the workload outcome engine instead, under the
+// same checkpoint discipline. A sample budget too large for one sitting
+// (the paper's 1e9) is one long run resumed as often as needed.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 
 	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/core"
+	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/obs"
 	"hbm2ecc/internal/ondie"
@@ -47,6 +49,16 @@ func main() {
 	ondieInfer := flag.Bool("ondie-infer", false,
 		"run the BEER-style H-matrix reverse-engineering demo against every candidate on-die code and exit")
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"samples", *samples}, {"workload-runs", *wlRuns}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "ecceval: -%s must be at least 1, got %d\n", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -136,7 +148,7 @@ func runLocal(ctx context.Context, names []string, seed int64, samples int, chec
 		opts.ErrTransform = stage.TransformMask
 		opts.OnDie = stage.Name()
 	}
-	cli, err := campaign.OpenCLI(opts.Echo(), checkpoint, resume, evalmc.LoadCheckpoint, (*evalmc.Checkpoint).Save)
+	cli, err := campaign.OpenCLI[evalmc.Echo, errormodel.Pattern, evalmc.PatternResult](opts.Echo(), checkpoint, resume)
 	if err != nil {
 		return nil, err
 	}

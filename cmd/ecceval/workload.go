@@ -27,7 +27,7 @@ func runWorkload(ctx context.Context, seed int64, runs int, schemeList, checkpoi
 		}
 	}
 
-	cli, err := campaign.OpenCLI(opts.Echo(), checkpoint, resume, workload.LoadCheckpoint, (*workload.Checkpoint).Save)
+	cli, err := campaign.OpenCLI[workload.Echo, workload.Kernel, workload.CellResult](opts.Echo(), checkpoint, resume)
 	if err != nil {
 		return err
 	}

@@ -31,6 +31,11 @@ func main() {
 	metrics := flag.String("metrics", "",
 		"on exit, print per-phase span durations and dump all metrics in Prometheus text format to this file (\"-\" = stdout)")
 	flag.Parse()
+	if *samples < 1 {
+		fmt.Fprintf(os.Stderr, "repro: -samples must be at least 1, got %d\n", *samples)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// SIGINT/SIGTERM cancels the long-running stages; repro has no
 	// checkpoint (it is a verification driver), so it simply stops early

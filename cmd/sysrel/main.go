@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/evalmc"
@@ -18,6 +19,11 @@ func main() {
 	seed := flag.Int64("seed", 2021, "random seed")
 	samples := flag.Int("samples", 400_000, "Monte-Carlo samples per sampled pattern class")
 	flag.Parse()
+	if *samples < 1 {
+		fmt.Fprintf(os.Stderr, "sysrel: -samples must be at least 1, got %d\n", *samples)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	opts := evalmc.Options{Seed: *seed, Samples3b: *samples, SamplesBeat: *samples,
 		SamplesEntry: *samples, Parallel: true}

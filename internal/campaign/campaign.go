@@ -5,9 +5,8 @@
 //
 // Because no cell's result depends on any other cell, cells may run in
 // any order, concurrently, or across resumes, and the merged result is
-// the same. The Monte-Carlo evaluator (internal/evalmc), the workload
-// outcome engine (internal/workload) and the distributed coordinator's
-// checkpoint envelope (internal/cluster) are thin instantiations of it.
+// the same. The Monte-Carlo evaluator (internal/evalmc) and the workload
+// outcome engine (internal/workload) are thin instantiations of it.
 // Beam campaigns (internal/experiments) are not: their runs share
 // device, beam and clock state and resume by replay.
 package campaign

@@ -12,20 +12,17 @@ import (
 type CLI[E comparable, K, R any] struct {
 	ckpt *Checkpoint[E, K, R]
 	path string
-	save func(*Checkpoint[E, K, R], string) error
 }
 
-// OpenCLI loads the -resume file through load and checks it against
-// echo, or starts an empty checkpoint when only -checkpoint is set.
-// Progress is saved through save to the -checkpoint path, or back to
-// the -resume file when -checkpoint is empty.
-func OpenCLI[E comparable, K, R any](echo E, checkpoint, resume string,
-	load func(string) (*Checkpoint[E, K, R], error),
-	save func(*Checkpoint[E, K, R], string) error) (*CLI[E, K, R], error) {
-	c := &CLI[E, K, R]{path: checkpoint, save: save}
+// OpenCLI loads the -resume file and checks it against echo, or starts
+// an empty checkpoint when only -checkpoint is set. Progress is saved
+// to the -checkpoint path, or back to the -resume file when -checkpoint
+// is empty.
+func OpenCLI[E comparable, K, R any](echo E, checkpoint, resume string) (*CLI[E, K, R], error) {
+	c := &CLI[E, K, R]{path: checkpoint}
 	switch {
 	case resume != "":
-		loaded, err := load(resume)
+		loaded, err := Load[E, K, R](resume)
 		if err != nil {
 			return nil, fmt.Errorf("loading checkpoint: %w", err)
 		}
@@ -59,7 +56,7 @@ func (c *CLI[E, K, R]) Progress(row string, col K, r R) {
 		return
 	}
 	c.ckpt.Store(row, col, r)
-	if err := c.save(c.ckpt, c.path); err != nil {
+	if err := c.ckpt.Save(c.path); err != nil {
 		log.Fatalf("writing checkpoint: %v", err)
 	}
 }

@@ -345,6 +345,26 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
+// TestSchemeRegistryRoundTrip checks that every registered name resolves to a
+// scheme reporting that same name, and that unknown names are refused.
+func TestSchemeRegistryRoundTrip(t *testing.T) {
+	for _, name := range SchemeNames() {
+		s, err := SchemeByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name() != name {
+			t.Errorf("SchemeByName(%q).Name() = %q", name, s.Name())
+		}
+	}
+	if len(Table2Names()) != 9 {
+		t.Fatalf("Table2Names = %v", Table2Names())
+	}
+	if _, err := SchemeByName("bogus"); err == nil {
+		t.Error("unknown scheme name accepted")
+	}
+}
+
 func TestBinaryFlagAccessors(t *testing.T) {
 	trio := NewTrioECC()
 	if !trio.Interleaved() || !trio.HasCSC() || !trio.Corrects2b() {

@@ -7,9 +7,8 @@ import (
 
 // schemeCtors maps every Table-2 row label (plus the rejected
 // organizations evaluated in §7) to its constructor. The names are the
-// Scheme.Name() strings, so a scheme can round-trip through its label —
-// the property the distributed campaign engine relies on to ship cell
-// descriptors as plain JSON.
+// Scheme.Name() strings, so a scheme can round-trip through its label:
+// command-line scheme lists and checkpoint rows name schemes this way.
 var schemeCtors = map[string]func() Scheme{
 	"NI:SEC-DED":      func() Scheme { return NewSECDED(false, false) },
 	"I:SEC-DED":       func() Scheme { return NewSECDED(true, false) },
@@ -49,7 +48,7 @@ func SchemeNames() []string {
 
 // Table2Schemes returns the paper's nine evaluated organizations in
 // Table-2 row order — the canonical evaluation corpus shared by
-// ecceval, campaignd, cmd/bench and the golden tests.
+// ecceval, cmd/bench and the golden tests.
 func Table2Schemes() []Scheme {
 	return []Scheme{
 		NewSECDED(false, false),

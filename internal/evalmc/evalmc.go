@@ -68,8 +68,8 @@ type Options struct {
 	// Shards is the number of deterministic sampler streams a sampled
 	// pattern class is split into, each run by its own goroutine; zero
 	// means one stream. The streams, and therefore the results, depend
-	// only on Shards, never on GOMAXPROCS or Parallel. The distributed
-	// campaign engine pins Shards in its wire spec.
+	// only on Shards, never on GOMAXPROCS or Parallel, and the checkpoint
+	// echo records it.
 	Shards int
 	// Ctx, when non-nil, makes the evaluation cancellable: EvaluateCtx
 	// stops between pattern columns and (for sampled classes) between
@@ -210,10 +210,9 @@ func EvaluateCtx(s core.Scheme, opts Options) (SchemeResult, error) {
 // EvaluateCell evaluates a single (scheme, pattern) cell: a pattern
 // column over one scheme. Every scheme of a column decodes the same
 // deterministic trial stream, so the full grid can be evaluated in any
-// order — or by different processes — and merged into a result
-// bit-identical to a sequential EvaluateCtx with the same options. This
-// is the unit of work the distributed campaign engine (internal/cluster)
-// leases to workers. The Resume and Progress hooks are ignored;
+// order and merged into a result bit-identical to a sequential
+// EvaluateCtx with the same options (TestColumnMatchesCells locks this).
+// The Resume and Progress hooks are ignored;
 // cancellation mid-cell returns the context error and drops the partial
 // counts (they would bias the estimator).
 func EvaluateCell(s core.Scheme, p errormodel.Pattern, opts Options) (PatternResult, error) {

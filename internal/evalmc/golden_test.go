@@ -27,8 +27,8 @@ const (
 )
 
 // goldenSchemes is the Table-2 scheme list in row order — the shared
-// registry corpus, so the golden master and the distributed campaign
-// engine's byte-identity test (internal/cluster) evaluate the same grid.
+// registry corpus, so the golden master evaluates the grid ecceval
+// prints.
 func goldenSchemes() []core.Scheme {
 	return core.Table2Schemes()
 }

@@ -11,9 +11,8 @@ import (
 // WriteReport renders the paper-reproduction summary of an evaluation —
 // Table 2 (per-pattern SDC risk), the sampled-class confidence
 // intervals, the Fig. 8 Table-1-weighted outcome probabilities, and the
-// headline reduction ratios — to w. It is the shared presentation layer
-// of cmd/ecceval and cmd/campaignd, so a distributed run reports
-// exactly like a single-process one.
+// headline reduction ratios — to w. It is the presentation layer of
+// cmd/ecceval.
 //
 // The reduction footers look schemes up by name (SEC-DED baseline,
 // DuetECC, TrioECC, I:SSC±CSC) and are skipped when a scheme subset

@@ -64,8 +64,8 @@ func (s Source) String() string {
 func (s Source) Valid() bool { return s >= 0 && s < NumSources }
 
 // ParseSource maps a wire name back to its Source, rejecting unknown
-// names — the strict-codec discipline of internal/cluster and
-// internal/fleet applied to this enum.
+// names — the strict-codec discipline of internal/fleet applied to this
+// enum.
 func ParseSource(name string) (Source, error) {
 	for s := Source(0); s < NumSources; s++ {
 		if sourceNames[s] == name {

@@ -19,7 +19,7 @@ import (
 // coordinator over loopback (the uninterrupted baseline) and once over
 // real HTTP against a coordinator whose endpoint answers 503 for one
 // simulated hour mid-run, while 30% of the fleet's quiet nodes ride out
-// a network partition behind seeded netchaos transports. The two runs
+// a network partition behind netchaos transports. The two runs
 // must converge to identical results: the outbox buffers and redelivers
 // in order, and the coordinator's sequence dedup absorbs redelivery.
 
@@ -76,7 +76,7 @@ func TestChaosOutageAndPartitionConvergesToBaseline(t *testing.T) {
 	// their moment have no cost.
 	parts := make(map[int]*netchaos.Transport)
 	for _, i := range []int{0, 2, 3, 7, 10, 11, 15, 17, 19, 21, 22, 28, 29, 31, 32, 36, 40, 45} {
-		parts[i] = netchaos.New(netchaos.Plan{}, nil)
+		parts[i] = &netchaos.Transport{}
 	}
 	if got, want := len(parts), (cfg.Nodes*30+99)/100; got != want {
 		t.Fatalf("partition set is %d nodes, want %d (30%%)", got, want)
@@ -135,7 +135,7 @@ func TestChaosOutageAndPartitionConvergesToBaseline(t *testing.T) {
 	// outboxes buffered and retried, and nothing was shed or poisoned.
 	var partDrops int64
 	for _, tr := range parts {
-		partDrops += tr.Stats().Partition
+		partDrops += tr.Refused()
 	}
 	if partDrops == 0 {
 		t.Fatal("partition never blocked a request")

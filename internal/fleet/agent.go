@@ -9,7 +9,7 @@
 // on-node component (local classification, dedup, health state), the
 // coordinator is the control plane (fleet-wide ranking, remediation
 // commands), and the wire between them is a strict JSON protocol
-// (protocol.go) with the same codec discipline as internal/cluster.
+// (protocol.go) that rejects unknown fields and trailing data.
 package fleet
 
 import "hbm2ecc/internal/fleet/xid"

@@ -10,8 +10,8 @@ import (
 )
 
 // Wire protocol (all bodies are single JSON documents bounded by
-// MaxFrame, decoded with the same unknown-field/trailing-garbage
-// rejection as internal/cluster):
+// MaxFrame, decoded with unknown-field/trailing-garbage rejection by
+// httpx.DecodeStrict):
 //
 //	POST /v1/report       ReportRequest -> ReportResponse
 //	GET  /v1/fleet        ?top=N        -> FleetResponse (ranked nodes)

@@ -108,9 +108,9 @@ func TestDecodeStrict(t *testing.T) {
 	}
 }
 
-// FuzzDecodeReportRequest mirrors the cluster protocol discipline:
-// arbitrary bytes never panic, and anything that decodes re-validates
-// and survives a JSON round trip.
+// FuzzDecodeReportRequest locks the strict codec: arbitrary bytes never
+// panic, and anything that decodes re-validates and survives a JSON
+// round trip.
 func FuzzDecodeReportRequest(f *testing.F) {
 	seed, _ := json.Marshal(validReport())
 	f.Add(seed)

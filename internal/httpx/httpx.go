@@ -1,6 +1,6 @@
 // Package httpx centralizes the hardening every HTTP surface in the
-// repository applies — the fleet health plane and the cluster campaign
-// protocol alike — so no server or client is assembled ad hoc:
+// repository applies — the fleet health plane's daemons and agents — so
+// no server or client is assembled ad hoc:
 //
 //   - servers get conservative read/write/idle timeouts and a graceful
 //     drain on context cancellation (SIGINT-clean by construction);
@@ -34,24 +34,22 @@ import (
 
 // DefaultMaxBody bounds request and response bodies (1 MiB) unless the
 // caller picks a different limit. Every protocol in this repository
-// fits comfortably: the largest frame is a campaign checkpoint envelope
-// at a few tens of KiB.
+// fits comfortably.
 const DefaultMaxBody = 1 << 20
 
-// DefaultShutdownTimeout is how long Serve waits for in-flight requests
-// to drain after its context is cancelled.
-const DefaultShutdownTimeout = 10 * time.Second
+// shutdownTimeout is how long a daemon waits for in-flight requests to
+// drain after its context is cancelled.
+const shutdownTimeout = 10 * time.Second
 
-// NewServerLimit returns an *http.Server with the repository's hardened
+// newServer returns an *http.Server with the repository's hardened
 // defaults — header/read/write/idle timeouts sized for small JSON APIs —
 // and its request bodies bounded by limit (limit <= 0 leaves bodies
 // unbounded: only for handlers that never read them).
-func NewServerLimit(addr string, h http.Handler, limit int64) *http.Server {
+func newServer(h http.Handler, limit int64) *http.Server {
 	if limit > 0 {
-		h = MaxBytes(h, limit)
+		h = maxBytes(h, limit)
 	}
 	return &http.Server{
-		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
@@ -60,10 +58,10 @@ func NewServerLimit(addr string, h http.Handler, limit int64) *http.Server {
 	}
 }
 
-// MaxBytes bounds every request body seen by next: reads past limit
+// maxBytes bounds every request body seen by next: reads past limit
 // fail, and handlers decoding JSON surface the standard
 // *http.MaxBytesError.
-func MaxBytes(next http.Handler, limit int64) http.Handler {
+func maxBytes(next http.Handler, limit int64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, limit)
@@ -72,14 +70,10 @@ func MaxBytes(next http.Handler, limit int64) http.Handler {
 	})
 }
 
-// Serve runs srv on ln until ctx is cancelled, then shuts it down
-// gracefully, waiting up to shutdownTimeout (<=0 selects the default)
-// for in-flight requests. It returns nil on a clean shutdown and the
-// serve error otherwise.
-func Serve(ctx context.Context, srv *http.Server, ln net.Listener, shutdownTimeout time.Duration) error {
-	if shutdownTimeout <= 0 {
-		shutdownTimeout = DefaultShutdownTimeout
-	}
+// serve runs srv on ln until ctx is cancelled, then shuts it down
+// gracefully, waiting up to drain for in-flight requests. It returns
+// nil on a clean shutdown and the serve error otherwise.
+func serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -89,7 +83,7 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, shutdownTimeo
 		}
 		return err
 	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		sctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			return fmt.Errorf("httpx: shutdown: %w", err)
@@ -100,7 +94,7 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, shutdownTimeo
 }
 
 // SignalContext returns a context cancelled on SIGINT/SIGTERM — the
-// shared first line of every daemon main (campaignd, fleetd, obsd).
+// shared first line of every daemon main (fleetd, obsd).
 func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
@@ -117,7 +111,7 @@ type Daemon struct {
 	done chan error
 }
 
-// StartDaemon listens on addr and serves h (wrapped with MaxBytes when
+// StartDaemon listens on addr and serves h (wrapped with maxBytes when
 // limit > 0) until ctx is cancelled. The returned Daemon is already
 // accepting connections; call Wait to block for the graceful drain.
 //
@@ -132,12 +126,12 @@ func StartDaemon(ctx context.Context, component, addr string, h http.Handler, li
 		return nil, err
 	}
 	d := &Daemon{
-		srv:  NewServerLimit("", h, limit),
+		srv:  newServer(h, limit),
 		ln:   ln,
 		done: make(chan error, 1),
 	}
 	registerDaemonMetrics(ctx, component)
-	go func() { d.done <- Serve(ctx, d.srv, ln, DefaultShutdownTimeout) }()
+	go func() { d.done <- serve(ctx, d.srv, ln, shutdownTimeout) }()
 	return d, nil
 }
 
@@ -196,7 +190,7 @@ func Error(w http.ResponseWriter, code int, msg string) {
 }
 
 // ReadBody reads a request body to completion under limit (<=0 selects
-// DefaultMaxBody). It composes with MaxBytes: whichever bound is
+// DefaultMaxBody). It composes with maxBytes: whichever bound is
 // tighter wins.
 func ReadBody(r *http.Request, limit int64) ([]byte, error) {
 	if limit <= 0 {
@@ -233,8 +227,8 @@ func DecodeStrict(prefix string, data []byte, v any, max int) error {
 
 // Client is a hardened JSON-over-HTTP client: overall per-request
 // timeout, bounded response bodies, JSON round-tripping. It sends each
-// request once; callers that ride out transient failures (the cluster
-// worker, the fleet outbox) retry on their own schedules.
+// request once; callers that ride out transient failures (the fleet
+// outbox) retry on their own schedules.
 type Client struct {
 	// HTTP is the underlying client (its Timeout bounds each request
 	// end to end).

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// startServer serves h on a loopback listener through Serve and returns
+// startServer serves h on a loopback listener through serve and returns
 // its base URL plus a shutdown function.
 func startServer(t *testing.T, h http.Handler, limit int64) (string, context.CancelFunc) {
 	t.Helper()
@@ -22,11 +22,11 @@ func startServer(t *testing.T, h http.Handler, limit int64) (string, context.Can
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- Serve(ctx, NewServerLimit("", h, limit), ln, time.Second) }()
+	go func() { done <- serve(ctx, newServer(h, limit), ln, time.Second) }()
 	t.Cleanup(func() {
 		cancel()
 		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
+			t.Errorf("serve: %v", err)
 		}
 	})
 	return "http://" + ln.Addr().String(), cancel

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sync"
 	"time"
 
 	"hbm2ecc/internal/campaign"
@@ -162,24 +163,18 @@ func RunCell(scheme string, k Kernel, opts Options) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	return runCell(scheme, sch, k, opts)
-}
-
-// runCell is RunCell with the scheme already resolved from its name.
-func runCell(scheme string, sch core.Scheme, k Kernel, opts Options) (CellResult, error) {
-	if !k.Valid() {
-		return CellResult{}, fmt.Errorf("workload: invalid kernel %d", int(k))
-	}
-	start := time.Now()
-	seed := cellSeed(opts.Seed, scheme, k)
-
-	// Dry run: the access trace every run of the cell shares (kernels
-	// are data-oblivious, so any input data gives the same trace) and a
-	// self-check that the kernel reproduces its golden output unfaulted.
-	tr, err := dryRun(sch, k, seed)
+	tr, err := dryRun(k, opts.Seed)
 	if err != nil {
 		return CellResult{}, err
 	}
+	return runCell(scheme, sch, k, tr, opts)
+}
+
+// runCell is RunCell with the scheme already resolved from its name and
+// the kernel's trace already recorded.
+func runCell(scheme string, sch core.Scheme, k Kernel, tr *trace, opts Options) (CellResult, error) {
+	start := time.Now()
+	seed := cellSeed(opts.Seed, scheme, k)
 	dec := newDecider(sch, tr)
 
 	res := CellResult{Scheme: scheme, Kernel: k, TotalOps: tr.ops,
@@ -220,11 +215,18 @@ func runCell(scheme string, sch core.Scheme, k Kernel, opts Options) (CellResult
 	return res, nil
 }
 
-// dryRun executes the kernel once with no faults, recording its access
-// trace and verifying the device path reproduces the golden output.
-func dryRun(sch core.Scheme, k Kernel, seed int64) (*trace, error) {
+// dryRun executes the kernel once with no faults and ECC off, recording
+// the access trace every run of the kernel shares under every scheme,
+// and verifies the device path reproduces the golden output. Kernels are
+// data-oblivious, so the inputs drawn from seed do not change the trace;
+// and an unfaulted load never reaches a scheme's codec, so a dry run
+// under ECC would check nothing more.
+func dryRun(k Kernel, seed int64) (*trace, error) {
+	if !k.Valid() {
+		return nil, fmt.Errorf("workload: invalid kernel %d", int(k))
+	}
 	rng := rand.New(rand.NewSource(seed))
-	m := NewMemory(gpusim.New(workloadConfig, sch))
+	m := NewMemory(gpusim.New(workloadConfig, nil))
 	m.trace = &trace{}
 	inst := newInstance(k, rng, m)
 	inst.run(m)
@@ -327,6 +329,12 @@ func Campaign(opts Options) ([]CellResult, error) {
 		}
 		schemes[s] = sch
 	}
+	// One dry run per kernel serves all its cells, recorded by the
+	// first cell that needs it; the trace is read-only afterwards.
+	traces := make(map[Kernel]func() (*trace, error), len(opts.Kernels))
+	for _, k := range opts.Kernels {
+		traces[k] = sync.OnceValues(func() (*trace, error) { return dryRun(k, opts.Seed) })
+	}
 	var cells []campaign.Cell[Kernel]
 	for _, s := range opts.Schemes {
 		for _, k := range opts.Kernels {
@@ -336,7 +344,12 @@ func Campaign(opts Options) ([]CellResult, error) {
 	done, err := campaign.Run(opts.Ctx, cells, opts.Parallel,
 		campaign.Hooks[Kernel, CellResult]{Resume: opts.Resume, Progress: opts.Progress},
 		func(i int) (CellResult, error) {
-			return runCell(cells[i].Row, schemes[cells[i].Row], cells[i].Col, opts)
+			c := cells[i]
+			tr, err := traces[c.Col]()
+			if err != nil {
+				return CellResult{}, err
+			}
+			return runCell(c.Row, schemes[c.Row], c.Col, tr, opts)
 		})
 	out := make([]CellResult, len(done))
 	for i, d := range done {

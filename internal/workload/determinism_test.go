@@ -15,8 +15,9 @@ import (
 // TestCampaignDeterministicConcurrent runs eight full campaigns
 // concurrently (each itself cell-parallel) and requires byte-identical
 // marshalled outcome ledgers — the determinism contract the checkpoint
-// and the distributed sharding rely on. Run under -race this also
-// checks the campaign engine shares nothing across campaigns.
+// relies on. Run under -race this also checks the campaign engine
+// shares nothing across campaigns, and that both schemes' cells read
+// the kernel's one trace without a race.
 func TestCampaignDeterministicConcurrent(t *testing.T) {
 	opts := Options{Seed: 11, Runs: 40, Schemes: []string{NoECC, "DuetECC"},
 		Kernels: []Kernel{DNN}, Parallel: true}

@@ -89,7 +89,7 @@ func TestTraceDecisionMatchesSimulation(t *testing.T) {
 	for _, sch := range allSchemes() {
 		for _, k := range Kernels() {
 			seed := cellSeed(17, schemeName(sch), k)
-			tr, err := dryRun(sch, k, seed)
+			tr, err := dryRun(k, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ var fuzzCells = sync.OnceValues(func() ([]core.Scheme, [][NumKernels]*decider) {
 	decs := make([][NumKernels]*decider, len(schemes))
 	for i, sch := range schemes {
 		for _, k := range Kernels() {
-			tr, err := dryRun(sch, k, int64(i))
+			tr, err := dryRun(k, int64(i))
 			if err != nil {
 				panic(err)
 			}

@@ -5,9 +5,9 @@
 // *application* experienced: masked, tolerable SDC (DNN top-1
 // unchanged), critical SDC, DUE, or crash.
 //
-// The Monte-Carlo evaluator (internal/evalmc and the distributed cluster on
-// top of it) reports per-pattern correction rates; the field cares about
-// end-to-end outcomes, which diverge sharply from raw bit rates.
+// The Monte-Carlo evaluator (internal/evalmc) reports per-pattern
+// correction rates; the field cares about end-to-end outcomes, which
+// diverge sharply from raw bit rates.
 // "Characterizing a Neutron-Induced Fault Model for DNNs" (PAPERS.md)
 // measures DNN inference masking the large majority of injected faults;
 // "Experimental Findings on the Sources of Detected Unrecoverable

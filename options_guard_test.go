@@ -19,8 +19,6 @@ import (
 var optionFieldAllowlist = map[string]string{
 	"hbm2ecc/internal/classify.Options.ClusterGap":          "perfbench names classify.Options at its call site; dropping the type waits for a benchmark change",
 	"hbm2ecc/internal/classify.Options.DamageThreshold":     "perfbench names classify.Options at its call site; dropping the type waits for a benchmark change",
-	"hbm2ecc/internal/cluster.CoordinatorOptions.Clock":     "test seam: tests substitute a fake clock to expire leases",
-	"hbm2ecc/internal/cluster.WorkerOptions.Client":         "test seam: tests substitute a lossy transport",
 	"hbm2ecc/internal/evalmc.Options.Data":                  "payload-invariance lock: tests show outcomes do not depend on the data word",
 	"hbm2ecc/internal/fieldsim.FleetConfig.ReporterFor":     "test seam: the chaos soak substitutes HTTP agents behind netchaos transports",
 	"hbm2ecc/internal/fieldsim.FleetConfig.OnTick":          "test seam: the chaos soak takes the coordinator down and partitions nodes between ticks",

@@ -52,40 +52,35 @@ go run ./cmd/bench -quick -gate -out "$bench_out" >/dev/null
 test -s "$bench_out"
 rm -f "$bench_out"
 
-echo "== bench smoke: cmd/bench -cluster -quick =="
-cluster_out="${TMPDIR:-/tmp}/hbm2ecc_bench_cluster_smoke.json"
-go run ./cmd/bench -cluster -quick -out "$cluster_out" >/dev/null
-test -s "$cluster_out"
-rm -f "$cluster_out"
-
-echo "== campaign differential: ecceval vs campaignd, checkpoint round trips =="
-# ecceval evaluates pattern columns (each trial drawn once and decoded
-# by every scheme); campaignd's workers evaluate single (scheme, pattern)
-# cells. Each cell's trial stream depends only on the seed, the pattern
-# and the shard, never on the scheme, so both must print the same report,
-# straight through and after a checkpoint/resume round trip.
+echo "== campaign round trips: ecceval straight vs checkpoint/resume =="
+# Each round trip resumes a complete checkpoint: every cell comes from
+# the file and the report must not change. The evaluation has 63
+# (scheme, pattern) cells; the workload grid {none, DuetECC} x 3 kernels
+# has 6 (scheme, kernel) cells.
 ecc_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_ecceval.XXXXXX")"
 trap 'rm -rf "$ecc_dir"' EXIT
-go build -o "$ecc_dir/ecceval" ./cmd/ecceval
-go build -o "$ecc_dir/campaignd" ./cmd/campaignd
-"$ecc_dir/ecceval" -samples 2000 >"$ecc_dir/seq.txt"
-"$ecc_dir/campaignd" -listen 127.0.0.1:0 -workers 2 -samples 2000 \
-	>"$ecc_dir/campaignd.txt" 2>"$ecc_dir/campaignd.log" || { cat "$ecc_dir/campaignd.log"; exit 1; }
-diff "$ecc_dir/seq.txt" "$ecc_dir/campaignd.txt"
-# Each round trip resumes a complete checkpoint: all 63 (scheme, pattern)
-# cells come from the file and the report must not change.
-resumed_ok() {
-	grep -qxF "Resuming from $1: 63 cells complete." "$2" || { echo "no full resume banner in $2"; cat "$2"; exit 1; }
-	grep -v '^Resuming from' "$2" | diff "$ecc_dir/seq.txt" -
+go build -o "$ecc_dir/" ./cmd/ecceval ./cmd/repro ./cmd/sysrel
+round_trip() { # round_trip NAME CELLS ECCEVAL_ARGS...
+	local name="$1" cells="$2"
+	shift 2
+	"$ecc_dir/ecceval" "$@" >"$ecc_dir/$name.txt"
+	"$ecc_dir/ecceval" "$@" -checkpoint "$ecc_dir/$name.json" >/dev/null
+	"$ecc_dir/ecceval" "$@" -resume "$ecc_dir/$name.json" >"$ecc_dir/$name.resumed.txt"
+	grep -qxF "Resuming from $ecc_dir/$name.json: $cells cells complete." "$ecc_dir/$name.resumed.txt" ||
+		{ echo "no full resume banner for $name"; cat "$ecc_dir/$name.resumed.txt"; exit 1; }
+	grep -v '^Resuming from' "$ecc_dir/$name.resumed.txt" | diff "$ecc_dir/$name.txt" -
 }
-"$ecc_dir/ecceval" -samples 2000 -checkpoint "$ecc_dir/ckpt.json" >/dev/null
-"$ecc_dir/ecceval" -samples 2000 -resume "$ecc_dir/ckpt.json" >"$ecc_dir/resumed.txt"
-resumed_ok "$ecc_dir/ckpt.json" "$ecc_dir/resumed.txt"
-"$ecc_dir/campaignd" -listen 127.0.0.1:0 -workers 2 -samples 2000 -checkpoint "$ecc_dir/env.json" \
-	>/dev/null 2>"$ecc_dir/campaignd.log" || { cat "$ecc_dir/campaignd.log"; exit 1; }
-"$ecc_dir/campaignd" -listen 127.0.0.1:0 -workers 2 -samples 2000 -resume "$ecc_dir/env.json" \
-	>"$ecc_dir/cresumed.txt" 2>"$ecc_dir/campaignd.log" || { cat "$ecc_dir/campaignd.log"; exit 1; }
-resumed_ok "$ecc_dir/env.json" "$ecc_dir/cresumed.txt"
+round_trip eval 63 -samples 2000
+round_trip workload 6 -workload -workload-runs 20 -workload-schemes none,DuetECC
+
+echo "== usage errors: out-of-range counts exit nonzero =="
+for cmd in "ecceval -samples 0" "ecceval -samples -5" "ecceval -workload -workload-runs 0" \
+	"repro -samples 0" "sysrel -samples 0"; do
+	status=0
+	# shellcheck disable=SC2086 # cmd is split into binary and flags on purpose
+	"$ecc_dir"/$cmd >/dev/null 2>&1 || status=$?
+	[ "$status" = 2 ] || { echo "'$cmd' exited $status; want usage error 2"; exit 1; }
+done
 rm -rf "$ecc_dir"
 
 echo "== fleet smoke: fleetd + simulated agents =="
