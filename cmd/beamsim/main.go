@@ -2,10 +2,9 @@
 // GPU: the displacement-damage studies (Fig. 3) or a full soft-error
 // pattern campaign whose mismatch log feeds cmd/classify.
 //
-// Campaigns are interruptible: with -checkpoint, progress is snapshotted
-// atomically after every run, SIGINT/SIGTERM stops the campaign cleanly
-// (exit 0) after writing a final checkpoint, and -resume continues from
-// the snapshot — producing statistics identical to an uninterrupted run.
+// Campaigns are interruptible: SIGINT/SIGTERM stops a campaign cleanly
+// (exit 0) after its last completed run. There is no resume; a default
+// 300-run campaign reruns in under a second.
 package main
 
 import (
@@ -35,13 +34,14 @@ func main() {
 	rawLogs := flag.String("logs", "", "write the raw mismatch logs (JSONL) to this file for cmd/classify -in")
 	progress := flag.Int("progress", 0,
 		"campaign mode: print a one-line status every N runs (0 = silent)")
-	checkpoint := flag.String("checkpoint", "",
-		"campaign mode: snapshot progress to this file after every run (atomic write)")
-	resume := flag.String("resume", "",
-		"campaign mode: resume from this checkpoint file (same -seed/-runs required)")
 	metrics := flag.String("metrics", "",
 		"on exit, print per-phase span durations and dump all metrics in Prometheus text format to this file (\"-\" = stdout)")
 	flag.Parse()
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "beamsim: -runs must be at least 1, got %d\n", *runs)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -56,7 +56,7 @@ func main() {
 	case "utilization":
 		utilizationExperiment(*seed)
 	case "campaign":
-		campaignExperiment(ctx, *seed, *runs, *out, *rawLogs, *progress, *checkpoint, *resume)
+		campaignExperiment(ctx, *seed, *runs, *out, *rawLogs, *progress)
 	default:
 		log.Fatalf("unknown experiment %q", *exp)
 	}
@@ -162,29 +162,8 @@ func utilizationExperiment(seed int64) {
 	fmt.Println(t)
 }
 
-func campaignExperiment(ctx context.Context, seed int64, runs int, out, rawLogs string, progress int, ckptPath, resumePath string) {
+func campaignExperiment(ctx context.Context, seed int64, runs int, out, rawLogs string, progress int) {
 	cfg := experiments.CampaignConfig{Seed: seed, Runs: runs, Ctx: ctx}
-	if resumePath != "" {
-		ckpt, err := experiments.LoadCampaignCheckpoint(resumePath)
-		if err != nil {
-			log.Fatalf("loading checkpoint: %v", err)
-		}
-		cfg.Checkpoint = ckpt
-		if ckptPath == "" {
-			ckptPath = resumePath
-		}
-		fmt.Printf("Resuming campaign from %s: %d/%d runs complete.\n",
-			resumePath, ckpt.Completed, ckpt.Runs)
-	}
-	var latest *experiments.CampaignCheckpoint
-	if ckptPath != "" {
-		cfg.OnCheckpoint = func(c *experiments.CampaignCheckpoint) {
-			latest = c
-			if err := c.Save(ckptPath); err != nil {
-				log.Fatalf("writing checkpoint: %v", err)
-			}
-		}
-	}
 	fmt.Printf("Running %d microbenchmark runs in the beam...\n", runs)
 	if progress > 0 {
 		start := time.Now()
@@ -197,24 +176,9 @@ func campaignExperiment(ctx context.Context, seed int64, runs int, out, rawLogs 
 			}
 		}
 	}
-	logs, err := experiments.CampaignRun(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if ctx.Err() != nil && len(logs) < runs {
-		// Interrupted: the last per-run snapshot is already the final
-		// checkpoint; write it once more so a missing/partial file can't
-		// slip through, then exit cleanly.
-		if ckptPath != "" && latest != nil {
-			if err := latest.Save(ckptPath); err != nil {
-				log.Fatalf("writing final checkpoint: %v", err)
-			}
-			fmt.Printf("interrupted after %d/%d runs; resume with -resume %s\n",
-				len(logs), runs, ckptPath)
-		} else {
-			fmt.Printf("interrupted after %d/%d runs (no -checkpoint path; progress not saved)\n",
-				len(logs), runs)
-		}
+	logs := experiments.CampaignLogs(cfg)
+	if len(logs) < runs {
+		fmt.Printf("interrupted after %d/%d runs\n", len(logs), runs)
 		return
 	}
 	if rawLogs != "" {

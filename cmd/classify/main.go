@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"hbm2ecc/internal/classify"
 	"hbm2ecc/internal/errormodel"
@@ -22,6 +23,11 @@ func main() {
 	runs := flag.Int("runs", 300, "microbenchmark runs")
 	in := flag.String("in", "", "post-process raw logs from this file (written by cmd/beamsim -logs) instead of running a campaign")
 	flag.Parse()
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "classify: -runs must be at least 1, got %d\n", *runs)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var an *classify.Analysis
 	if *in != "" {

@@ -50,6 +50,16 @@ func main() {
 	lease := flag.Float64("lease", 12, "coordinator liveness lease, simulated hours")
 	once := flag.Bool("once", false, "run the simulation, print the result JSON, exit")
 	flag.Parse()
+	switch {
+	case *nodes < 0:
+		usageError("-nodes must be at least 0, got %d", *nodes)
+	case *nodes == 0 && *once:
+		usageError("-once needs -nodes of at least 1; -nodes 0 only serves an empty coordinator")
+	case *nodes > 0 && *hours <= 0:
+		usageError("-hours must be positive, got %g", *hours)
+	case *nodes > 0 && *accel <= 0:
+		usageError("-accel must be positive, got %g", *accel)
+	}
 
 	scheme, err := core.SchemeByName(*schemeName)
 	if err != nil {
@@ -129,4 +139,12 @@ func main() {
 	}
 	<-simDone
 	log.Print("fleetd: shut down cleanly")
+}
+
+// usageError reports an out-of-range flag and exits 2, before any
+// listener opens.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "fleetd: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"sync"
@@ -47,6 +48,14 @@ func main() {
 	mtte := flag.Float64("mtte", 5, "per-device mean time to soft-error event, seconds")
 	once := flag.Bool("once", false, "run one sweep, print the ranked fleet JSON, exit")
 	flag.Parse()
+	switch {
+	case *devices < 1:
+		usageError("-devices must be at least 1, got %d", *devices)
+	case *runs < 1:
+		usageError("-runs must be at least 1, got %d", *runs)
+	case *mtte <= 0:
+		usageError("-mtte must be positive, got %g", *mtte)
+	}
 
 	probes := make([]*fieldsim.Probe, *devices)
 	for i := range probes {
@@ -136,4 +145,12 @@ func watch(ctx context.Context, rep fleet.Reporter, p *fieldsim.Probe, sweeps in
 		}
 	}
 	return nil
+}
+
+// usageError reports an out-of-range flag and exits 2, before any
+// listener opens.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "obsd: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -31,10 +31,15 @@ func main() {
 	metrics := flag.String("metrics", "",
 		"on exit, print per-phase span durations and dump all metrics in Prometheus text format to this file (\"-\" = stdout)")
 	flag.Parse()
-	if *samples < 1 {
-		fmt.Fprintf(os.Stderr, "repro: -samples must be at least 1, got %d\n", *samples)
-		flag.Usage()
-		os.Exit(2)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"runs", *runs}, {"samples", *samples}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "repro: -%s must be at least 1, got %d\n", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 
 	// SIGINT/SIGTERM cancels the long-running stages; repro has no

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"hbm2ecc/internal/experiments"
 	"hbm2ecc/internal/textplot"
@@ -16,6 +17,11 @@ func main() {
 	seed := flag.Int64("seed", 2021, "random seed")
 	runs := flag.Int("runs", 150, "campaign runs used to measure the HBM2 point")
 	flag.Parse()
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "trends: -runs must be at least 1, got %d\n", *runs)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	an := experiments.Campaign(experiments.CampaignConfig{Seed: *seed, Runs: *runs})
 	// The campaign runs at an accelerated in-simulation event rate; the

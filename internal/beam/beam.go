@@ -105,7 +105,7 @@ type Beam struct {
 // becomes a no-op (no RNG consumption, no injection). Runs cut short this
 // way are marked Cancelled by the microbenchmark and discarded from
 // campaign statistics, so the truncated RNG stream never leaks into
-// results — resume replays the completed prefix against a fresh beam.
+// results: a cancelled campaign keeps only its completed runs.
 func (b *Beam) SetContext(ctx context.Context) { b.ctx = ctx }
 
 // Config bundles beam construction parameters.

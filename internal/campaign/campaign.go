@@ -8,15 +8,14 @@
 // the same. The Monte-Carlo evaluator (internal/evalmc) and the workload
 // outcome engine (internal/workload) are thin instantiations of it.
 // Beam campaigns (internal/experiments) are not: their runs share
-// device, beam and clock state and resume by replay.
+// device, beam and clock state, and an interrupted one is rerun.
+// This package is the only one that reads or writes checkpoint files.
 package campaign
 
 import (
 	"context"
 	"fmt"
 	"sync"
-
-	"hbm2ecc/internal/resilience"
 )
 
 // Checkpoint accumulates the completed cells of one campaign. Config
@@ -86,14 +85,14 @@ func (c *Checkpoint[E, K, R]) Cells() int {
 func (c *Checkpoint[E, K, R]) Save(path string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return resilience.SaveJSON(path, c)
+	return saveJSON(path, c)
 }
 
 // Load reads a checkpoint written by Save. A file in another format
 // loads with a zero Config, which Compatible then refuses.
 func Load[E comparable, K, R any](path string) (*Checkpoint[E, K, R], error) {
 	var c Checkpoint[E, K, R]
-	if err := resilience.LoadJSON(path, &c); err != nil {
+	if err := loadJSON(path, &c); err != nil {
 		return nil, err
 	}
 	if c.Results == nil {

@@ -1,4 +1,4 @@
-package resilience
+package campaign
 
 import (
 	"encoding/json"
@@ -8,7 +8,7 @@ import (
 )
 
 // Filesystem seams, swapped by the fault-injection tests so every
-// failure leg of SaveJSON (write, fsync, close, rename) can be driven
+// failure leg of saveJSON (write, fsync, close, rename) can be driven
 // deterministically. Production code never touches these.
 var (
 	fsCreateTemp = os.CreateTemp
@@ -17,14 +17,14 @@ var (
 	fsRename     = os.Rename
 )
 
-// SaveJSON atomically writes v as JSON to path: the document is written
+// saveJSON atomically writes v as JSON to path: the document is written
 // to a temp file in the same directory, fsynced, and renamed over the
 // destination, so a crash or SIGKILL mid-write never leaves a torn
 // checkpoint — the previous snapshot survives intact. After the rename
 // the directory is fsynced too, so the new name itself survives a
 // machine crash (best effort: directory sync errors on filesystems
 // that refuse it are ignored).
-func SaveJSON(path string, v any) error {
+func saveJSON(path string, v any) error {
 	dir := filepath.Dir(path)
 	f, err := fsCreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -63,10 +63,10 @@ func SaveJSON(path string, v any) error {
 	return nil
 }
 
-// LoadJSON reads a checkpoint written by SaveJSON into v. A missing file
+// loadJSON reads a checkpoint written by saveJSON into v. A missing file
 // surfaces as an error wrapping os.ErrNotExist, so callers can treat
 // "no checkpoint yet" as a fresh start.
-func LoadJSON(path string, v any) error {
+func loadJSON(path string, v any) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)

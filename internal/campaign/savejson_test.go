@@ -1,4 +1,4 @@
-package resilience
+package campaign
 
 import (
 	"errors"
@@ -30,7 +30,7 @@ func saveThenInjectAndCheck(t *testing.T, inject func(t *testing.T), wantErr str
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
-	if err := SaveJSON(path, ckPayload{Generation: 1, Note: "good"}); err != nil {
+	if err := saveJSON(path, ckPayload{Generation: 1, Note: "good"}); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -39,9 +39,9 @@ func saveThenInjectAndCheck(t *testing.T, inject func(t *testing.T), wantErr str
 	}
 
 	inject(t)
-	err = SaveJSON(path, ckPayload{Generation: 2, Note: "doomed"})
+	err = saveJSON(path, ckPayload{Generation: 2, Note: "doomed"})
 	if err == nil || !strings.Contains(err.Error(), wantErr) {
-		t.Fatalf("SaveJSON error = %v, want containing %q", err, wantErr)
+		t.Fatalf("saveJSON error = %v, want containing %q", err, wantErr)
 	}
 
 	after, err := os.ReadFile(path)
@@ -52,7 +52,7 @@ func saveThenInjectAndCheck(t *testing.T, inject func(t *testing.T), wantErr str
 		t.Fatalf("failed save clobbered the previous checkpoint:\n%s", after)
 	}
 	var got ckPayload
-	if err := LoadJSON(path, &got); err != nil {
+	if err := loadJSON(path, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Generation != 1 {
@@ -118,7 +118,7 @@ func TestSaveJSONCreateTempFailure(t *testing.T) {
 func TestSaveJSONCrashBeforeRename(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
-	if err := SaveJSON(path, ckPayload{Generation: 1}); err != nil {
+	if err := saveJSON(path, ckPayload{Generation: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// "Crash": the rename never happens; the temp file is orphaned the
@@ -126,19 +126,79 @@ func TestSaveJSONCrashBeforeRename(t *testing.T) {
 	withSeam(t, &fsRename, func(tmp, _ string) error {
 		return fmt.Errorf("injected: killed before rename (tmp %s)", filepath.Base(tmp))
 	})
-	_ = SaveJSON(path, ckPayload{Generation: 2})
+	_ = saveJSON(path, ckPayload{Generation: 2})
 	var got ckPayload
-	if err := LoadJSON(path, &got); err != nil || got.Generation != 1 {
+	if err := loadJSON(path, &got); err != nil || got.Generation != 1 {
 		t.Fatalf("after crash-before-rename: %+v, %v", got, err)
 	}
 	// Restart: seams restored, the next save succeeds atomically.
 	t.Cleanup(func() {})
 	fsRenameOrig := os.Rename
 	fsRename = fsRenameOrig
-	if err := SaveJSON(path, ckPayload{Generation: 3}); err != nil {
+	if err := saveJSON(path, ckPayload{Generation: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadJSON(path, &got); err != nil || got.Generation != 3 {
+	if err := loadJSON(path, &got); err != nil || got.Generation != 3 {
 		t.Fatalf("post-restart save: %+v, %v", got, err)
+	}
+}
+
+func TestCheckpointSaveLoadAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.json")
+	type payload struct {
+		Runs  int     `json:"runs"`
+		Clock float64 `json:"clock"`
+	}
+	want := payload{Runs: 17, Clock: 3.25}
+	if err := saveJSON(path, want); err != nil {
+		t.Fatal(err)
+	}
+	// No temp files left behind.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Fatalf("temp file left behind: %s", e.Name())
+		}
+	}
+	var got payload
+	if err := loadJSON(path, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("round trip: got %+v want %+v", got, want)
+	}
+	// Overwrite keeps the file readable at every moment.
+	want.Runs = 18
+	if err := saveJSON(path, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := loadJSON(path, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Runs != 18 {
+		t.Fatalf("overwrite lost: %+v", got)
+	}
+}
+
+func TestCheckpointLoadMissing(t *testing.T) {
+	var v struct{}
+	err := loadJSON(filepath.Join(t.TempDir(), "absent.json"), &v)
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("want ErrNotExist, got %v", err)
+	}
+}
+
+func TestCheckpointLoadCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var v struct{}
+	if err := loadJSON(path, &v); err == nil {
+		t.Fatal("corrupt checkpoint accepted")
 	}
 }

@@ -7,12 +7,14 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 
 	"hbm2ecc/internal/beam"
 	"hbm2ecc/internal/classify"
 	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/hbm2"
 	"hbm2ecc/internal/microbench"
+	"hbm2ecc/internal/obs"
 	"hbm2ecc/internal/stats"
 )
 
@@ -161,6 +163,12 @@ func Accumulation(seed int64, steps int, stepDuration float64) (AccumulationResu
 	return res, nil
 }
 
+// campaignMTTE is the in-beam mean time to event in seconds. The real
+// campaign's was tens of seconds; a faster rate shortens simulation
+// without affecting clustering, since it stays far above the read-pass
+// duration.
+const campaignMTTE float64 = 5
+
 // CampaignConfig drives a soft-error pattern campaign (Figs. 4/5, Table 1).
 type CampaignConfig struct {
 	Seed int64
@@ -174,31 +182,71 @@ type CampaignConfig struct {
 	// reads never consume beam RNG — so a campaign with and without a
 	// stage differs only in observation.
 	OnDie dram.OnDieStage
-	// OnRun, when set, is called after each microbenchmark run with the
-	// number of completed runs, the total, and the run's log (progress
-	// reporting). It must not mutate the log.
+	// OnRun, when set, is called after each completed microbenchmark run
+	// with the number of completed runs, the total, and the run's log
+	// (progress reporting). It must not mutate the log.
 	OnRun func(completed, total int, log *microbench.Log)
 	// Ctx, when non-nil, makes the campaign cancellable: once done, the
-	// in-flight run is discarded and CampaignRun returns the completed
-	// prefix (checkpoint it and resume later).
+	// in-flight run is discarded and CampaignLogs returns the logs of the
+	// runs completed before it, which equal the same prefix of an
+	// uninterrupted campaign.
 	Ctx context.Context
-	// Checkpoint, when non-nil, resumes a previously interrupted campaign:
-	// completed runs are replayed (state reconstruction, no re-evaluation)
-	// and execution continues from Checkpoint.Completed.
-	Checkpoint *CampaignCheckpoint
-	// OnCheckpoint, when set, is called after every completed run with a
-	// snapshot that fully captures campaign progress.
-	OnCheckpoint func(*CampaignCheckpoint)
 }
 
 // CampaignLogs runs the beam campaign and returns the raw microbenchmark
-// logs (one per run), for persistence or custom post-processing. The
-// campaign records an obs span tree (campaign -> device_setup, run ->
-// write_pass/read_scan/evaluate) on the default tracer; telemetry never
-// touches the simulation RNG, so instrumented and bare campaigns produce
-// identical logs for the same config.
+// logs (one per completed run), for persistence or custom
+// post-processing. Every run shares the campaign's device, beam and
+// clock. The campaign records an obs span tree (campaign ->
+// device_setup, run -> write_pass/read_scan/evaluate) on the default
+// tracer; telemetry never touches the simulation RNG, so instrumented
+// and bare campaigns produce identical logs for the same config.
 func CampaignLogs(cfg CampaignConfig) []*microbench.Log {
-	logs, _ := CampaignRun(cfg)
+	span := obs.DefaultTracer.Start("campaign")
+	span.SetAttr("runs", strconv.Itoa(cfg.Runs))
+	defer span.Finish()
+	setup := span.Child("device_setup")
+	dev := dram.New(hbm2.V100(), dram.DefaultRefreshPeriod)
+	if cfg.OnDie != nil {
+		dev.SetOnDie(cfg.OnDie)
+	}
+	b := beam.New(dev, beam.Config{
+		Seed:           cfg.Seed,
+		SEURatePerFlux: 1 / (campaignMTTE * beam.ChipIRFlux),
+	})
+	if cfg.Ctx != nil {
+		b.SetContext(cfg.Ctx)
+	}
+	setup.Finish()
+
+	var logs []*microbench.Log
+	t := 0.0
+	for run := 0; run < cfg.Runs; run++ {
+		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+			break
+		}
+		rs := span.Child("run")
+		log := microbench.Run(microbench.Config{
+			Device:    dev,
+			Beam:      b,
+			Pattern:   microbench.PatternKind(run % int(microbench.NumPatterns)),
+			StartTime: t,
+			Seed:      cfg.Seed*1_000_003 + int64(run),
+			Span:      rs,
+			Ctx:       cfg.Ctx,
+		})
+		rs.SetAttr("pattern", log.Pattern.String())
+		rs.Finish()
+		if log.Cancelled {
+			// Partial run: its records and clock must not enter the
+			// campaign.
+			break
+		}
+		t = log.EndTime
+		logs = append(logs, log)
+		if cfg.OnRun != nil {
+			cfg.OnRun(run+1, cfg.Runs, log)
+		}
+	}
 	return logs
 }
 

@@ -309,16 +309,9 @@ func (c *Coordinator) windowCountsLocked(n *nodeState) map[int]int {
 	return out
 }
 
-// Sweep expires liveness leases: online nodes silent for more than
-// LeaseHours of simulated time become offline. Report calls sweep
-// opportunistically; callers with an external clock (fleetd's idle
-// loop) may call it directly.
-func (c *Coordinator) Sweep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sweepLocked()
-}
-
+// sweepLocked expires liveness leases: online nodes silent for more
+// than LeaseHours of simulated time become offline. Report calls it
+// every quarter lease of simulated time.
 func (c *Coordinator) sweepLocked() {
 	c.lastSweep = c.simHours
 	for _, n := range c.nodes {

@@ -1,8 +1,7 @@
-package resilience_test
+package fleet_test
 
-// Graceful degradation is the policy this package's checkpoints and
-// backoff serve: weak rows are retired to spares and a node that spends
-// its DUE budget is drained. The policy lives in fleet.Agent (two
+// Graceful degradation: weak rows are retired to spares and a node that
+// spends its DUE budget is drained. The policy lives in fleet.Agent (two
 // constants and a counter); these tests pin it through the agent's
 // exported surface, so they hold whatever the agent's internals become.
 

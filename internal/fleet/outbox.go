@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"hbm2ecc/internal/httpx"
-	"hbm2ecc/internal/resilience"
 )
 
 // Outbox is the agent-side resilient reporting queue: report frames are
@@ -143,7 +142,7 @@ func (o *Outbox) Flush(ctx context.Context, at float64) error {
 			// No attempt budget: the bounded queue is the give-up
 			// mechanism.
 			o.attempt++
-			o.gateAt = at + resilience.Backoff(o.rng, o.attempt, backoffBaseHours, backoffMaxHours)
+			o.gateAt = at + backoff(o.rng, o.attempt, backoffBaseHours, backoffMaxHours)
 			return nil
 		}
 		o.queue = o.queue[1:]
@@ -154,4 +153,25 @@ func (o *Outbox) Flush(ctx context.Context, at float64) error {
 		}
 	}
 	return nil
+}
+
+// backoff returns the delay before retry number attempt (1-based:
+// attempt 1 is the first retry), in whatever unit base and max are
+// given. The delay doubles per attempt from base, is capped at max, and
+// carries ±50% jitter from one rng draw, so retries that failed
+// together spread apart. Callers own the retry budget.
+func backoff(rng *rand.Rand, attempt int, base, max float64) float64 {
+	d := base
+	for i := 1; i < attempt; i++ {
+		d *= 2
+		if d >= max {
+			d = max
+			break
+		}
+	}
+	d *= 0.5 + rng.Float64() // jitter in [0.5d, 1.5d)
+	if d > max {
+		d = max
+	}
+	return d
 }

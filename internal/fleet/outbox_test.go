@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"hbm2ecc/internal/httpx"
@@ -272,6 +273,39 @@ func TestOutboxBackoffIsDeterministic(t *testing.T) {
 	for i := 1; i < len(a); i++ {
 		if a[i]-a[i-1] > backoffMaxHours+0.002 {
 			t.Fatalf("backoff exceeded cap: %v", a)
+		}
+	}
+}
+
+// TestRetryPolicyBackoff checks the retry backoff schedule: each
+// attempt's delay stays inside the jittered envelope of a doubling from
+// base, and the cap holds once the doubling passes it.
+func TestRetryPolicyBackoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for attempt := 1; attempt < 4; attempt++ {
+		d := backoff(rng, attempt, 1e-6, 1e-3)
+		base := 1e-6
+		for i := 1; i < attempt; i++ {
+			base *= 2
+		}
+		if d < base*0.5 || d > base*1.5 {
+			t.Fatalf("attempt %d delay %g outside [%g,%g]", attempt, d, base*0.5, base*1.5)
+		}
+	}
+	for attempt := 10; attempt < 40; attempt++ {
+		if d := backoff(rng, attempt, 1e-6, 1e-3); d < 0.5e-3 || d > 1e-3 {
+			t.Fatalf("attempt %d delay %g outside the capped envelope [5e-4,1e-3]", attempt, d)
+		}
+	}
+}
+
+func TestRetryPolicyDeterministicJitter(t *testing.T) {
+	a := rand.New(rand.NewSource(42))
+	b := rand.New(rand.NewSource(42))
+	for attempt := 1; attempt < 8; attempt++ {
+		da, db := backoff(a, attempt, 1e-6, 1e-3), backoff(b, attempt, 1e-6, 1e-3)
+		if da != db {
+			t.Fatalf("attempt %d: jitter not deterministic (%g vs %g)", attempt, da, db)
 		}
 	}
 }

@@ -150,13 +150,6 @@ type Config struct {
 	// Ctx, when non-nil, makes the run cancellable at write-pass
 	// granularity: a cancelled run returns early with Cancelled set.
 	Ctx context.Context
-	// Replay reruns the write/exposure schedule to reconstruct device
-	// and beam state exactly — same RNG consumption, same injected
-	// events, same weak-cell accrual — but skips the read evaluation, so
-	// the returned log carries no records and no telemetry is emitted.
-	// Campaign resume uses it to rebuild state behind a checkpoint at a
-	// fraction of the original cost.
-	Replay bool
 }
 
 func (c *Config) defaults() {
@@ -249,85 +242,75 @@ func Run(cfg Config) *Log {
 				}
 			}
 		}
-		if !cfg.Replay {
-			// Weak cells become candidates once their retention expires.
-			dev.RangeWeakCells(func(entry int64, wc dram.WeakCell) bool {
-				if entry >= limit {
-					return true
-				}
-				eff := wc.Retention + dev.RetentionShift()
-				if eff >= dev.RefreshPeriod {
-					return true
-				}
-				leakTime := dev.LastWrite() + eff
-				// First read pass whose read of this entry happens after the
-				// leak.
-				for r := 0; r < nr; r++ {
-					if readTime(readStart, r, entry) > leakTime {
-						markCandidate(candidates, entry, r)
-						break
-					}
-				}
+		// Weak cells become candidates once their retention expires.
+		dev.RangeWeakCells(func(entry int64, wc dram.WeakCell) bool {
+			if entry >= limit {
 				return true
-			})
-		}
+			}
+			eff := wc.Retention + dev.RetentionShift()
+			if eff >= dev.RefreshPeriod {
+				return true
+			}
+			leakTime := dev.LastWrite() + eff
+			// First read pass whose read of this entry happens after the
+			// leak.
+			for r := 0; r < nr; r++ {
+				if readTime(readStart, r, entry) > leakTime {
+					markCandidate(candidates, entry, r)
+					break
+				}
+			}
+			return true
+		})
 		readSpan.Finish()
 
-		if !cfg.Replay {
-			// Evaluate candidates against device state at their read times:
-			// each entry's reads are one series, since the pass's
-			// corruption is all injected by now. Emitting read passes
-			// outside and ascending entries inside visits read times in
-			// increasing order, so records come out sorted by Time.
-			evalSpan := cfg.Span.Child("evaluate")
-			ev.entries = ev.entries[:0]
-			for entry := range candidates {
-				ev.entries = append(ev.entries, entry)
+		// Evaluate candidates against device state at their read times:
+		// each entry's reads are one series, since the pass's
+		// corruption is all injected by now. Emitting read passes
+		// outside and ascending entries inside visits read times in
+		// increasing order, so records come out sorted by Time.
+		evalSpan := cfg.Span.Child("evaluate")
+		ev.entries = ev.entries[:0]
+		for entry := range candidates {
+			ev.entries = append(ev.entries, entry)
+		}
+		slices.Sort(ev.entries)
+		n := len(ev.entries)
+		ev.first = slices.Grow(ev.first[:0], n)[:n]
+		ev.expected = slices.Grow(ev.expected[:0], n)[:n]
+		ev.got = slices.Grow(ev.got[:0], n*nr)[:n*nr]
+		for i, entry := range ev.entries {
+			f := candidates[entry]
+			ev.first[i] = f
+			ev.expected[i] = dev.Expected(entry)
+			if f >= nr {
+				continue
 			}
-			slices.Sort(ev.entries)
-			n := len(ev.entries)
-			ev.first = slices.Grow(ev.first[:0], n)[:n]
-			ev.expected = slices.Grow(ev.expected[:0], n)[:n]
-			ev.got = slices.Grow(ev.got[:0], n*nr)[:n*nr]
+			ev.ts = ev.ts[:0]
+			for r := f; r < nr; r++ {
+				ev.ts = append(ev.ts, readTime(readStart, r, entry))
+			}
+			dev.ReadSeries(entry, ev.ts, ev.got[i*nr+f:(i+1)*nr])
+		}
+		for r := 0; r < nr; r++ {
 			for i, entry := range ev.entries {
-				f := candidates[entry]
-				ev.first[i] = f
-				ev.expected[i] = dev.Expected(entry)
-				if f >= nr {
+				if r < ev.first[i] || ev.got[i*nr+r] == ev.expected[i] {
 					continue
 				}
-				ev.ts = ev.ts[:0]
-				for r := f; r < nr; r++ {
-					ev.ts = append(ev.ts, readTime(readStart, r, entry))
-				}
-				dev.ReadSeries(entry, ev.ts, ev.got[i*nr+f:(i+1)*nr])
+				ev.recs = append(ev.recs, Record{
+					Time:      readTime(readStart, r, entry),
+					WritePass: w,
+					ReadPass:  r,
+					Entry:     entry,
+					Expected:  ev.expected[i],
+					Got:       ev.got[i*nr+r],
+				})
 			}
-			for r := 0; r < nr; r++ {
-				for i, entry := range ev.entries {
-					if r < ev.first[i] || ev.got[i*nr+r] == ev.expected[i] {
-						continue
-					}
-					ev.recs = append(ev.recs, Record{
-						Time:      readTime(readStart, r, entry),
-						WritePass: w,
-						ReadPass:  r,
-						Entry:     entry,
-						Expected:  ev.expected[i],
-						Got:       ev.got[i*nr+r],
-					})
-				}
-			}
-			evalSpan.Finish()
 		}
+		evalSpan.Finish()
 		t = readStart + float64(nr)*cfg.PassDuration
 	}
 	log.EndTime = t
-	if cfg.Replay {
-		// State reconstruction only: no discard draw needed (the log is
-		// discarded wholesale) and no telemetry (the original run
-		// already counted).
-		return log
-	}
 	log.Records = ev.records()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if rng.Float64() < cfg.DiscardProb {

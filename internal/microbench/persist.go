@@ -2,6 +2,7 @@ package microbench
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -49,7 +50,16 @@ func (l *Log) toJSON() jsonLog {
 	return out
 }
 
+// v100Entries bounds a record's entry index: the campaign device is a V100.
+var v100Entries = hbm2.V100().Entries()
+
+// logFromJSON decodes and validates the on-disk form: a pattern outside
+// the known kinds, an entry outside the device, or a negative pass
+// index is refused rather than classified.
 func logFromJSON(in jsonLog) (*Log, error) {
+	if in.Pattern < 0 || in.Pattern >= int(NumPatterns) {
+		return nil, fmt.Errorf("pattern %d outside [0, %d)", in.Pattern, NumPatterns)
+	}
 	log := &Log{
 		Pattern:   PatternKind(in.Pattern),
 		StartTime: in.StartTime,
@@ -57,49 +67,24 @@ func logFromJSON(in jsonLog) (*Log, error) {
 		Discarded: in.Discarded,
 	}
 	for i, jr := range in.Records {
-		var rec Record
-		rec.Time, rec.WritePass, rec.ReadPass, rec.Entry = jr.Time, jr.WritePass, jr.ReadPass, jr.Entry
+		switch {
+		case jr.Entry < 0 || jr.Entry >= v100Entries:
+			return nil, fmt.Errorf("record %d: entry %d outside [0, %d)", i, jr.Entry, v100Entries)
+		case jr.WritePass < 0:
+			return nil, fmt.Errorf("record %d: negative write pass %d", i, jr.WritePass)
+		case jr.ReadPass < 0:
+			return nil, fmt.Errorf("record %d: negative read pass %d", i, jr.ReadPass)
+		}
+		rec := Record{Time: jr.Time, WritePass: jr.WritePass, ReadPass: jr.ReadPass, Entry: jr.Entry}
 		if err := decodeHex32(jr.Expected, &rec.Expected); err != nil {
-			return nil, fmt.Errorf("microbench: record %d expected: %w", i, err)
+			return nil, fmt.Errorf("record %d expected: %w", i, err)
 		}
 		if err := decodeHex32(jr.Got, &rec.Got); err != nil {
-			return nil, fmt.Errorf("microbench: record %d got: %w", i, err)
+			return nil, fmt.Errorf("record %d got: %w", i, err)
 		}
 		log.Records = append(log.Records, rec)
 	}
 	return log, nil
-}
-
-// MarshalJSON encodes the log in the compact hex-payload on-disk form,
-// so campaign checkpoints embedding []*Log stay small and diff-able.
-func (l *Log) MarshalJSON() ([]byte, error) { return json.Marshal(l.toJSON()) }
-
-// UnmarshalJSON decodes the on-disk form.
-func (l *Log) UnmarshalJSON(b []byte) error {
-	var in jsonLog
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	parsed, err := logFromJSON(in)
-	if err != nil {
-		return err
-	}
-	*l = *parsed
-	return nil
-}
-
-// WriteJSON writes the log as one JSON document.
-func (l *Log) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(l.toJSON())
-}
-
-// ReadJSON parses one JSON log document.
-func ReadJSON(r io.Reader) (*Log, error) {
-	var in jsonLog
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, err
-	}
-	return logFromJSON(in)
 }
 
 func decodeHex32(s string, out *[hbm2.EntryBytes]byte) error {
@@ -122,49 +107,47 @@ func WriteLogs(path string, logs []*Log) error {
 	}
 	defer f.Close()
 	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w)
 	for _, l := range logs {
-		if err := l.WriteJSON(w); err != nil {
+		if err := enc.Encode(l.toJSON()); err != nil {
 			return err
 		}
 	}
-	return w.Flush()
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
-// ReadLogs reads a campaign written by WriteLogs.
+// ReadLogs reads a campaign written by WriteLogs, one log per line. A
+// malformed log is an error naming its line (and record), never a log.
 func ReadLogs(path string) ([]*Log, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReader(f))
+	r := bufio.NewReader(f)
 	var logs []*Log
-	for {
-		var in jsonLog
-		if err := dec.Decode(&in); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
+	for line := 1; ; line++ {
+		b, readErr := r.ReadBytes('\n')
+		if readErr != nil && readErr != io.EOF {
+			return nil, readErr
 		}
-		// Re-marshal through ReadJSON's validation path.
-		log := &Log{
-			Pattern:   PatternKind(in.Pattern),
-			StartTime: in.StartTime,
-			EndTime:   in.EndTime,
-			Discarded: in.Discarded,
-		}
-		for i, jr := range in.Records {
-			var rec Record
-			rec.Time, rec.WritePass, rec.ReadPass, rec.Entry = jr.Time, jr.WritePass, jr.ReadPass, jr.Entry
-			if err := decodeHex32(jr.Expected, &rec.Expected); err != nil {
-				return nil, fmt.Errorf("microbench: record %d expected: %w", i, err)
+		if len(bytes.TrimSpace(b)) > 0 {
+			var in jsonLog
+			err := json.Unmarshal(b, &in)
+			var log *Log
+			if err == nil {
+				log, err = logFromJSON(in)
 			}
-			if err := decodeHex32(jr.Got, &rec.Got); err != nil {
-				return nil, fmt.Errorf("microbench: record %d got: %w", i, err)
+			if err != nil {
+				return nil, fmt.Errorf("microbench: %s line %d: %w", path, line, err)
 			}
-			log.Records = append(log.Records, rec)
+			logs = append(logs, log)
 		}
-		logs = append(logs, log)
+		if readErr == io.EOF {
+			return logs, nil
+		}
 	}
-	return logs, nil
 }

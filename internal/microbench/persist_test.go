@@ -1,8 +1,10 @@
 package microbench
 
 import (
-	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hbm2ecc/internal/dram"
@@ -36,32 +38,40 @@ func logsEqual(a, b *Log) bool {
 	return true
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	log := sampleLog(t)
-	var buf bytes.Buffer
-	if err := log.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+// TestReadLogsRejectsMalformed feeds ReadLogs a valid log on line 1 and
+// a malformed one on line 2: each must be refused with an error naming
+// the line and, for a bad record, the record, never classified.
+func TestReadLogsRejectsMalformed(t *testing.T) {
+	pay := fmt.Sprintf(`"exp":"%[1]s","got":"%[1]s"`, strings.Repeat("00", hbm2.EntryBytes))
+	rec := func(fields string) string {
+		return `{"pattern":0,"records":[{` + pay + `},{` + fields + `,` + pay + `}]}`
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, line, want string
+	}{
+		{"garbage", "not json", "line 2"},
+		{"bad hex", `{"records":[{"exp":"zz","got":""}]}`, "line 2: record 0 expected"},
+		{"short payload", `{"records":[{"exp":"00","got":"00"}]}`, "line 2: record 0 expected: payload length 1"},
+		{"pattern too large", `{"pattern":99}`, "line 2: pattern 99 outside"},
+		{"negative pattern", `{"pattern":-1}`, "line 2: pattern -1 outside"},
+		{"entry too large", rec(`"e":9000000000000000000`), "line 2: record 1: entry 9000000000000000000 outside"},
+		{"negative entry", rec(`"e":-9000000000000000000`), "line 2: record 1: entry -9000000000000000000 outside"},
+		{"entry one past the device", rec(fmt.Sprintf(`"e":%d`, hbm2.V100().Entries())), "line 2: record 1: entry"},
+		{"negative write pass", rec(`"w":-3`), "line 2: record 1: negative write pass -3"},
+		{"negative read pass", rec(`"r":-1`), "line 2: record 1: negative read pass -1"},
 	}
-	if !logsEqual(log, back) {
-		t.Fatal("round trip changed the log")
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewBufferString("not json")); err == nil {
-		t.Fatal("garbage must fail")
-	}
-	bad := `{"records":[{"exp":"zz","got":""}]}`
-	if _, err := ReadJSON(bytes.NewBufferString(bad)); err == nil {
-		t.Fatal("bad hex must fail")
-	}
-	short := `{"records":[{"exp":"00","got":"00"}]}`
-	if _, err := ReadJSON(bytes.NewBufferString(short)); err == nil {
-		t.Fatal("short payload must fail")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "logs.jsonl")
+			body := rec(fmt.Sprintf(`"e":%d,"w":9,"r":19`, hbm2.V100().Entries()-1)) + "\n" + c.line + "\n"
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			logs, err := ReadLogs(path)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("ReadLogs = %d logs, %v; want an error containing %q", len(logs), err, c.want)
+			}
+		})
 	}
 }
 

@@ -48,34 +48,3 @@ func TestDistortionStudyDirection(t *testing.T) {
 		rep.Raw.Table1[errormodel.Bit1].P, rep.Distorted.Table1[errormodel.Bit1].P,
 		rep.StageStats)
 }
-
-// TestDistortionCheckpointGuard pins the checkpoint echo: a checkpoint
-// recorded under one stage cannot resume a campaign configured with
-// another (or none).
-func TestDistortionCheckpointGuard(t *testing.T) {
-	st, err := StageByName("hamming72")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ckpt *experiments.CampaignCheckpoint
-	experiments.CampaignRun(experiments.CampaignConfig{
-		Seed: 9, Runs: 3, OnDie: st,
-		OnCheckpoint: func(c *experiments.CampaignCheckpoint) { ckpt = c },
-	})
-	if ckpt == nil {
-		t.Fatal("no checkpoint recorded")
-	}
-	if ckpt.OnDie != "hamming72" {
-		t.Fatalf("checkpoint echoes stage %q", ckpt.OnDie)
-	}
-	if _, err := experiments.CampaignRun(experiments.CampaignConfig{
-		Seed: 9, Runs: 3, Checkpoint: ckpt,
-	}); err == nil {
-		t.Error("resume without the stage did not error")
-	}
-	if _, err := experiments.CampaignRun(experiments.CampaignConfig{
-		Seed: 9, Runs: 3, OnDie: st, Checkpoint: ckpt,
-	}); err != nil {
-		t.Errorf("resume with the matching stage errored: %v", err)
-	}
-}

@@ -59,7 +59,7 @@ echo "== campaign round trips: ecceval straight vs checkpoint/resume =="
 # has 6 (scheme, kernel) cells.
 ecc_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_ecceval.XXXXXX")"
 trap 'rm -rf "$ecc_dir"' EXIT
-go build -o "$ecc_dir/" ./cmd/ecceval ./cmd/repro ./cmd/sysrel
+go build -o "$ecc_dir/" ./cmd/ecceval ./cmd/repro ./cmd/sysrel ./cmd/beamsim ./cmd/classify ./cmd/obsd ./cmd/fleetd
 round_trip() { # round_trip NAME CELLS ECCEVAL_ARGS...
 	local name="$1" cells="$2"
 	shift 2
@@ -73,9 +73,24 @@ round_trip() { # round_trip NAME CELLS ECCEVAL_ARGS...
 round_trip eval 63 -samples 2000
 round_trip workload 6 -workload -workload-runs 20 -workload-schemes none,DuetECC
 
+echo "== beam logs round trip: beamsim -logs then classify -in =="
+# The written logs must classify to the counts beamsim printed for the
+# campaign it ran: events, filtered damaged entries and discarded runs.
+"$ecc_dir/beamsim" -runs 20 -logs "$ecc_dir/beam.jsonl" >"$ecc_dir/beamsim.txt"
+"$ecc_dir/classify" -in "$ecc_dir/beam.jsonl" >"$ecc_dir/classify.txt"
+beam_counts="$(sed -n 's#^events: \([0-9]*\), damaged entries filtered: \([0-9]*\), runs discarded: \([0-9]*/[0-9]*\)$#\1 \2 \3#p' "$ecc_dir/beamsim.txt")"
+class_counts="$(sed -n 's#^campaign: \([0-9]*\) events, \([0-9]*\) damaged entries filtered ([0-9]* intermittent records), \([0-9]*/[0-9]*\) runs discarded$#\1 \2 \3#p' "$ecc_dir/classify.txt")"
+[ -n "$beam_counts" ] && [ "$beam_counts" = "$class_counts" ] ||
+	{ echo "beamsim counts '$beam_counts' != classify -in counts '$class_counts'"; cat "$ecc_dir/beamsim.txt" "$ecc_dir/classify.txt"; exit 1; }
+
 echo "== usage errors: out-of-range counts exit nonzero =="
+# fleetd and obsd check their flags before any listener opens, so none
+# of these starts a server.
 for cmd in "ecceval -samples 0" "ecceval -samples -5" "ecceval -workload -workload-runs 0" \
-	"repro -samples 0" "sysrel -samples 0"; do
+	"repro -samples 0" "repro -runs 0" "sysrel -samples 0" "beamsim -runs 0" "beamsim -runs -5" "classify -runs 0" \
+	"obsd -once -devices 0" "obsd -once -runs 0" "obsd -once -mtte 0" "obsd -once -mtte -3" \
+	"fleetd -nodes -1" "fleetd -once -nodes 0" "fleetd -once -nodes 5 -hours 0" \
+	"fleetd -once -nodes 5 -accel 0"; do
 	status=0
 	# shellcheck disable=SC2086 # cmd is split into binary and flags on purpose
 	"$ecc_dir"/$cmd >/dev/null 2>&1 || status=$?
