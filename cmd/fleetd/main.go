@@ -1,28 +1,28 @@
 // Command fleetd is the fleet health control plane: the coordinator
 // side of the gpud-style split in internal/fleet, fed by simulated
 // node agents from internal/fieldsim. It ingests Xid-style event
-// reports over the wire protocol, tracks liveness through
-// simulated-time leases, ranks nodes by predicted failure, and issues
-// drain/retire commands — then reports the policy-quality ledger (SDCs
-// avoided vs capacity lost) the simulation ground truth enables.
+// reports, tracks liveness through simulated-time leases, ranks nodes
+// by predicted failure, and issues drain/retire commands — then
+// reports the policy-quality ledger (SDCs avoided vs capacity lost) the
+// simulation ground truth enables.
 //
 //	fleetd -addr 127.0.0.1:8455 -nodes 1000 -hours 720 -accel 10000
 //	fleetd -once -nodes 200 -hours 240   # run the sim, print quality, exit
 //
 // Endpoints:
 //
-//	POST /v1/report       — node agent report ingest
+//	POST /v1/report       — external agent report ingest
 //	GET  /v1/fleet        — ranked nodes + status counts (?top=N)
 //	GET  /v1/fleet/events — recent events (?node=&xid=&limit=)
 //	GET  /metrics         — Prometheus text (fleet_* families)
 //	GET  /healthz         — liveness + fleet counts
 //
-// The embedded simulation drives the coordinator over real loopback
-// HTTP through fleet.Client — the same frames, validation, and
-// error paths a remote agent would exercise. With -nodes 0 fleetd
-// serves an empty coordinator for external agents instead. The fleet
-// picture lives in memory only: a restarted fleetd starts empty and
-// agents repopulate it on their next report.
+// The embedded simulation's agents report in-process through the
+// coordinator's Loopback; the HTTP surface serves reads while it runs
+// and ingests frames from external agents, which -nodes 0 serves alone.
+// Both paths validate every frame the same way. The fleet picture
+// lives in memory only: a restarted fleetd starts empty and agents
+// repopulate it on their next report.
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/fieldsim"
@@ -99,10 +98,7 @@ func main() {
 			Seed:   *seed,
 		}
 		cfg.Agent.DUEBudget = *dueBudget
-		// Agents report over real loopback HTTP: every frame crosses the
-		// wire codec both ways.
-		client := fleet.NewClient(d.URL(), 30*time.Second)
-		res, simErr = fieldsim.RunFleet(ctx, cfg, client)
+		res, simErr = fieldsim.RunFleet(ctx, cfg, coord.Loopback())
 		if simErr != nil {
 			if ctx.Err() != nil {
 				return // interrupted mid-simulation; not an error

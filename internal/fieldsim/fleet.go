@@ -84,16 +84,7 @@ type FleetConfig struct {
 	CrashReportProb float64
 	// Agent tunes the per-node agents.
 	Agent fleet.AgentOptions
-	// ReporterFor, when set, supplies each node's reporter instead of
-	// the one passed to RunFleet — chaos tests use it to give every node
-	// its own faulty transport. The RunFleet rep argument is ignored
-	// (and may be nil) when ReporterFor is set.
-	ReporterFor func(i int, id string) fleet.Reporter
-	// OnTick, when set, fires at the start of every tick with the
-	// tick's end time — the seam chaos tests use to take the
-	// coordinator down and toggle partitions mid-run.
-	OnTick func(at float64)
-	Seed   int64
+	Seed  int64
 }
 
 func (c *FleetConfig) defaults() error {
@@ -142,12 +133,26 @@ type FleetResult struct {
 	// final report was lost (caught only by lease expiry).
 	Crashes       int `json:"crashes"`
 	SilentCrashes int `json:"silent_crashes"`
-	// Outbox aggregates the per-node outbox counters — on a healthy
-	// network Failures and Drops stay zero; under chaos they measure how
-	// much reporting was buffered, retried, and shed.
-	Outbox fleet.OutboxStats `json:"outbox"`
+	// Outbox is the fleet-wide frame ledger. Its name and JSON key stay
+	// as recorded results pinned them.
+	Outbox FrameLedger `json:"outbox"`
 	// Quality is the policy scorecard.
 	Quality fleet.Quality `json:"quality"`
+}
+
+// FrameLedger counts the report frames a fleet run handed to its
+// reporter. Each frame is handed over once, so Sent + Rejected ==
+// Enqueued unless a context error stopped the run. Drops and Failures
+// are always zero; they stay because recorded results pin the
+// ledger's JSON field by field.
+type FrameLedger struct {
+	// Enqueued counts frames handed to the reporter; Sent those it
+	// acknowledged; Rejected those it refused.
+	Enqueued int64
+	Sent     int64
+	Drops    int64
+	Failures int64
+	Rejected int64
 }
 
 // simNode is one node's simulation-side state (the agent plus the
@@ -155,20 +160,20 @@ type FleetResult struct {
 type simNode struct {
 	id     string
 	agent  *fleet.Agent
-	box    *fleet.Outbox
 	seq    uint64
 	next   float64 // next heartbeat due
 	rate   float64 // events/hour, accelerated
-	outAt  float64 // when the policy removed it (valid if policyOut)
 	retEnd float64 // drained-until; +Inf for retired
 	out    bool    // currently out of service by policy
 	gone   bool    // crashed (dead regardless of policy)
 }
 
-// RunFleet plays the fleet forward, streaming agent reports to rep
-// (the coordinator's Loopback for in-process runs, a fleet.Client for
-// a live fleetd), and returns the outcome with the policy scorecard.
-// The run is deterministic given the config.
+// RunFleet plays the fleet forward, handing every agent report frame
+// to rep (normally a coordinator's Loopback), and returns the outcome
+// with the policy scorecard. A node follows the command acknowledging
+// its frame from the frame's own hour; a frame rep refuses is counted
+// and skipped. Only a context error stops the run early. The run is
+// deterministic given the config.
 func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return FleetResult{}, err
@@ -185,24 +190,13 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 	res := FleetResult{Scheme: cfg.Scheme.Name(), Nodes: cfg.Nodes, Hours: cfg.Hours}
 	res.Quality.NodeHours = float64(cfg.Nodes) * cfg.Hours
 
-	reporterFor := cfg.ReporterFor
-	if reporterFor == nil {
-		reporterFor = func(int, string) fleet.Reporter { return rep }
-	}
-
 	// Build the fleet: rate multipliers assigned round-robin by
 	// cumulative class fraction, weights prefix-summed for O(log n)
-	// weighted event placement. Every node reports through its own
-	// bounded outbox: on a healthy network frames flow straight through
-	// and the run is identical to direct delivery; when the coordinator
-	// is unreachable frames buffer and catch up in order once it heals.
-	// flushAt tracks the simulated hour of the flush in progress so late
-	// acks apply commands at the time the node learns of them.
+	// weighted event placement.
 	baseRate := rawFITPerGPU * 1e-9 * cfg.Accel // events/hour/node at mult 1
 	nodes := make([]*simNode, cfg.Nodes)
 	cum := make([]float64, cfg.Nodes) // cumulative event weight
 	total := 0.0
-	flushAt := 0.0
 	for i := range nodes {
 		mult := multFor(i, cfg.Nodes)
 		n := &simNode{
@@ -211,8 +205,24 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			next: reportEveryHours * (0.5 + 0.5*float64(i)/float64(cfg.Nodes)), // stagger heartbeats
 		}
 		n.agent = fleet.NewAgent(n.id, cfg.Agent)
-		obox := fleet.OutboxOptions{Seed: int64(i)*7919 + 1} // per-node jitter stream
-		obox.OnAck = func(req fleet.ReportRequest, resp fleet.ReportResponse) {
+		nodes[i] = n
+		total += n.rate
+		cum[i] = total
+	}
+	crashRate := cfg.CrashFITPerNode * 1e-9 // events/hour/node, not accelerated
+
+	report := func(n *simNode, at float64) error {
+		return Frames(n.agent, &n.seq, at, func(req fleet.ReportRequest) error {
+			res.Outbox.Enqueued++
+			resp, err := rep.Report(ctx, req)
+			if err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				res.Outbox.Rejected++
+				return nil
+			}
+			res.Outbox.Sent++
 			res.Reports++
 			for _, e := range req.Events {
 				res.XidEvents += int64(e.N())
@@ -222,26 +232,14 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			if !n.out && !n.gone {
 				switch resp.Command {
 				case fleet.CommandRetire:
-					n.out, n.outAt, n.retEnd = true, flushAt, math.Inf(1)
+					n.out, n.retEnd = true, math.Inf(1)
 					res.Quality.Retired++
 				case fleet.CommandDrain:
-					n.out, n.outAt, n.retEnd = true, flushAt, flushAt+repairHours
+					n.out, n.retEnd = true, at+repairHours
 					res.Quality.Drained++
 				}
 			}
-		}
-		n.box = fleet.NewOutbox(reporterFor(i, n.id), obox)
-		nodes[i] = n
-		total += n.rate
-		cum[i] = total
-	}
-	crashRate := cfg.CrashFITPerNode * 1e-9 // events/hour/node, not accelerated
-
-	report := func(n *simNode, at float64) error {
-		return Frames(n.agent, &n.seq, at, func(req fleet.ReportRequest) error {
-			n.box.Enqueue(req)
-			flushAt = at
-			return n.box.Flush(ctx, at)
+			return nil
 		})
 	}
 
@@ -250,9 +248,6 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			return res, err
 		}
 		now := t + tickHours
-		if cfg.OnTick != nil {
-			cfg.OnTick(now)
-		}
 
 		// Repairs come back online with a fresh (reset) agent.
 		for _, n := range nodes {
@@ -342,36 +337,12 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			}
 		}
 
-		// Backlogged outboxes keep retrying on their backoff schedule
-		// even when no heartbeat is due — including crashed and drained
-		// nodes, whose already-spooled frames the on-host outbox keeps
-		// delivering out of band. On a healthy network this loop is a
-		// no-op: nothing is ever backlogged.
-		for _, n := range nodes {
-			if n.box.Backlogged() {
-				flushAt = now
-				if err := n.box.Flush(ctx, now); err != nil {
-					return res, err
-				}
-			}
-		}
-
 		// Capacity accounting: policy-removed, otherwise-alive nodes.
 		for _, n := range nodes {
 			if n.out && !n.gone {
 				res.Quality.LostNodeHours += tickHours
 			}
 		}
-	}
-
-	// End-of-run drain: one last ungated delivery pass for anything
-	// still buffered, then fold the per-node outbox counters in.
-	flushAt = cfg.Hours
-	for _, n := range nodes {
-		if err := n.box.FlushFinal(ctx, cfg.Hours); err != nil {
-			return res, err
-		}
-		res.Outbox.Add(n.box.Stats())
 	}
 
 	res.Quality.Finalize()

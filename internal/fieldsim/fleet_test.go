@@ -1,11 +1,15 @@
 package fieldsim
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"hbm2ecc/internal/fleet"
 )
@@ -57,10 +61,10 @@ func TestRunFleetInvariants(t *testing.T) {
 			if res.Reports == 0 || res.XidEvents == 0 {
 				t.Errorf("pipeline carried %d reports / %d events, want > 0", res.Reports, res.XidEvents)
 			}
-			// The in-process coordinator accepts every frame on the first try.
-			if ob := res.Outbox; ob.Sent != ob.Enqueued || ob.Failures != 0 || ob.Rejected != 0 {
-				t.Errorf("outbox delivered %d of %d frames (%d failed sends, %d rejected)",
-					ob.Sent, ob.Enqueued, ob.Failures, ob.Rejected)
+			// The in-process coordinator accepts every frame.
+			if ob := res.Outbox; ob.Sent != ob.Enqueued || ob.Sent != res.Reports || ob.Rejected != 0 {
+				t.Errorf("coordinator acknowledged %d of %d frames (%d reports, %d rejected)",
+					ob.Sent, ob.Enqueued, res.Reports, ob.Rejected)
 			}
 			// The coordinator saw the fleet.
 			if n := coord.NodeCount(); n != 60 {
@@ -102,6 +106,27 @@ func TestRunFleetDeterministic(t *testing.T) {
 	}
 }
 
+// wireReporter POSTs each frame to a coordinator's HTTP surface, the
+// way an external agent would.
+type wireReporter struct{ url string }
+
+func (w wireReporter) Report(_ context.Context, req fleet.ReportRequest) (fleet.ReportResponse, error) {
+	var out fleet.ReportResponse
+	body, err := json.Marshal(req)
+	if err != nil {
+		return out, err
+	}
+	resp, err := http.Post(w.url+"/v1/report", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return out, fmt.Errorf("HTTP %d", resp.StatusCode)
+	}
+	return out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
 func TestRunFleetOverWire(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.CoordinatorOptions{})
 	srv := httptest.NewServer(coord.Handler())
@@ -110,7 +135,7 @@ func TestRunFleetOverWire(t *testing.T) {
 	cfg := smallFleet()
 	cfg.Nodes = 20
 	cfg.Hours = 48
-	resWire, err := RunFleet(context.Background(), cfg, fleet.NewClient(srv.URL, 10*time.Second))
+	resWire, err := RunFleet(context.Background(), cfg, wireReporter{srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +159,39 @@ func TestRunFleetCancel(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.CoordinatorOptions{})
 	if _, err := RunFleet(ctx, smallFleet(), coord.Loopback()); err == nil {
 		t.Fatal("cancelled run returned nil error")
+	}
+}
+
+// cancellingReporter cancels the run's context on its nth frame and
+// fails that frame with the context error, as a reporter whose caller
+// gave up mid-flight does.
+type cancellingReporter struct {
+	inner  fleet.Reporter
+	cancel context.CancelFunc
+	n      *int
+}
+
+func (r cancellingReporter) Report(ctx context.Context, req fleet.ReportRequest) (fleet.ReportResponse, error) {
+	if *r.n--; *r.n == 0 {
+		r.cancel()
+		return fleet.ReportResponse{}, ctx.Err()
+	}
+	return r.inner.Report(ctx, req)
+}
+
+// TestRunFleetStopsOnContextError: a frame failing because the context
+// ended stops the run with that error; it is not counted as refused.
+func TestRunFleetStopsOnContextError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 50
+	rep := cancellingReporter{inner: fleet.NewCoordinator(fleet.CoordinatorOptions{}).Loopback(), cancel: cancel, n: &n}
+	res, err := RunFleet(ctx, smallFleet(), rep)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ob := res.Outbox; ob.Enqueued != 50 || ob.Sent != 49 || ob.Rejected != 0 {
+		t.Errorf("ledger %+v, want 50 frames handed over, 49 acknowledged, none refused", ob)
 	}
 }
 

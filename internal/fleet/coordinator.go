@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -185,6 +186,23 @@ func (c *Coordinator) setStatusLocked(n *nodeState, status int) {
 	c.statusCount[status]++
 	c.statusGauge[status].Set(float64(c.statusCount[status]))
 }
+
+// Reporter is where a node agent's report frames go. Every agent in
+// the repository reports in-process through a Coordinator's Loopback;
+// external agents POST the same frames to the HTTP surface.
+type Reporter interface {
+	Report(ctx context.Context, req ReportRequest) (ReportResponse, error)
+}
+
+type inprocReporter struct{ c *Coordinator }
+
+func (r inprocReporter) Report(_ context.Context, req ReportRequest) (ReportResponse, error) {
+	return r.c.Report(req)
+}
+
+// Loopback wraps the coordinator as an in-process Reporter. A refused
+// report comes back with the coordinator's error as is.
+func (c *Coordinator) Loopback() Reporter { return inprocReporter{c} }
 
 // Report ingests one node report: lease renewal, event ingest into the
 // rolling window and rings, re-scoring, and the policy decision. The
@@ -394,8 +412,11 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 // Events returns recent events, oldest first: the per-node ring when
 // node is set, the fleet-wide ring otherwise; code > 0 filters by Xid.
 func (c *Coordinator) Events(node string, code, limit int) EventsResponse {
-	if limit <= 0 || limit > MaxTopNodes {
+	if limit <= 0 {
 		limit = 64
+	}
+	if limit > MaxTopNodes {
+		limit = MaxTopNodes
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

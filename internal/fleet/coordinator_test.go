@@ -1,12 +1,13 @@
 package fleet
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"hbm2ecc/internal/fleet/xid"
 	"hbm2ecc/internal/obs"
@@ -207,68 +208,99 @@ func TestCoordinatorEventRings(t *testing.T) {
 	}
 }
 
-func TestCoordinatorHTTPSurface(t *testing.T) {
+// TestCoordinatorEventsLimitCapped: a limit past MaxTopNodes is capped,
+// the way Fleet caps top, so asking for more never returns fewer.
+func TestCoordinatorEventsLimitCapped(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-	client := NewClient(srv.URL, 5*time.Second)
-	ctx := context.Background()
-
-	resp, err := client.Report(ctx, report("n1", 1, 3, due("n1", 2, 7)))
-	if err != nil {
+	var events []xid.Event
+	for i := 0; i < fleetRingSize; i++ {
+		events = append(events, due("n1", 5, int64(i)))
+	}
+	if _, err := c.Report(ReportRequest{NodeID: "n1", Seq: 1, AtHours: 5, Health: "ok", Events: events}); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Accepted != 1 || resp.Version != ProtocolVersion {
-		t.Errorf("wire report response = %+v", resp)
-	}
-	f, err := client.Fleet(ctx, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Total != 1 || len(f.Ranked) != 1 || f.Ranked[0].ID != "n1" {
-		t.Errorf("wire fleet response = %+v", f)
-	}
-
-	// Malformed frames come back as errors, not panics.
-	if _, err := client.Report(ctx, report("", 1, 1)); err == nil {
-		t.Error("invalid report accepted over the wire")
-	}
-
-	// /metrics includes the fleet families; /healthz answers.
-	get := func(path string) string {
-		t.Helper()
-		r, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		var sb strings.Builder
-		if _, err := fmt.Fprint(&sb, readAll(t, r.Body)); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	metrics := get("/metrics")
-	for _, fam := range []string{"fleet_nodes{", "fleet_events_total{", "fleet_reports_total", "fleet_ingest_seconds_bucket"} {
-		if !strings.Contains(metrics, fam) {
-			t.Errorf("/metrics missing %s", fam)
+	for _, limit := range []int{fleetRingSize, 5000} {
+		if got := c.Events("", 0, limit); len(got.Events) != fleetRingSize {
+			t.Errorf("limit %d returned %d events from a full ring, want %d", limit, len(got.Events), fleetRingSize)
 		}
 	}
-	if hz := get("/healthz"); !strings.Contains(hz, `"status":"ok"`) {
-		t.Errorf("/healthz = %s", hz)
+	if got := c.Events("", 0, 0); len(got.Events) != 64 {
+		t.Errorf("default limit returned %d events, want 64", len(got.Events))
 	}
 }
 
-func readAll(t *testing.T, r interface{ Read([]byte) (int, error) }) string {
-	t.Helper()
-	var sb strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := r.Read(buf)
-		sb.Write(buf[:n])
+// TestCoordinatorHTTPSurface drives the wire API with a plain
+// http.Client: report ingest with its status codes, the fleet and
+// events reads, /metrics and /healthz.
+func TestCoordinatorHTTPSurface(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{MaxNodes: 1})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	do := func(method, path, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
 		if err != nil {
-			return sb.String()
+			t.Fatal(err)
 		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	frame := func(req ReportRequest) string {
+		t.Helper()
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	code, body := do(http.MethodPost, "/v1/report", frame(report("n1", 1, 3, due("n1", 2, 7))))
+	var resp ReportResponse
+	if code != http.StatusOK || json.Unmarshal(body, &resp) != nil || resp.Accepted != 1 || resp.Version != ProtocolVersion {
+		t.Errorf("report: HTTP %d %s", code, body)
+	}
+	for _, tc := range []struct {
+		name, method, body string
+		want               int
+	}{
+		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed},
+		{"malformed frame", http.MethodPost, frame(report("", 1, 1)), http.StatusBadRequest},
+		{"unknown field", http.MethodPost, `{"node_id":"n1","seq":2,"at_hours":4,"health":"ok","bogus":1}`, http.StatusBadRequest},
+		{"node table full", http.MethodPost, frame(report("n2", 1, 4)), http.StatusUnprocessableEntity},
+	} {
+		if code, body := do(tc.method, "/v1/report", tc.body); code != tc.want {
+			t.Errorf("%s: HTTP %d %s, want %d", tc.name, code, body, tc.want)
+		}
+	}
+
+	code, body = do(http.MethodGet, "/v1/fleet?top=5", "")
+	var f FleetResponse
+	if code != http.StatusOK || json.Unmarshal(body, &f) != nil || f.Total != 1 || len(f.Ranked) != 1 || f.Ranked[0].ID != "n1" {
+		t.Errorf("fleet: HTTP %d %s", code, body)
+	}
+	code, body = do(http.MethodGet, "/v1/fleet/events?node=n1&limit=5000", "")
+	var ev EventsResponse
+	if code != http.StatusOK || json.Unmarshal(body, &ev) != nil || len(ev.Events) != 1 || ev.Events[0].Row != 7 {
+		t.Errorf("events: HTTP %d %s", code, body)
+	}
+
+	_, metrics := do(http.MethodGet, "/metrics", "")
+	for _, fam := range []string{"fleet_nodes{", "fleet_events_total{", "fleet_reports_total", "fleet_ingest_seconds_bucket"} {
+		if !strings.Contains(string(metrics), fam) {
+			t.Errorf("/metrics missing %s", fam)
+		}
+	}
+	if _, hz := do(http.MethodGet, "/healthz", ""); !strings.Contains(string(hz), `"status":"ok"`) {
+		t.Errorf("/healthz = %s", hz)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 //	GET  /metrics                       -> Prometheus text (obs registry)
 //	GET  /healthz                       -> liveness + fleet counts
 const (
-	// ProtocolVersion is echoed in every response; agents refuse to
-	// follow commands from a coordinator speaking a different version.
+	// ProtocolVersion is echoed in every response, so an external
+	// agent can tell which protocol the coordinator speaks.
 	ProtocolVersion = 1
 	// MaxFrame bounds any single wire frame.
 	MaxFrame = 1 << 18
@@ -119,19 +119,6 @@ type ReportResponse struct {
 	Command string `json:"command,omitempty"`
 }
 
-// Validate checks a report response (agent side).
-func (r *ReportResponse) Validate() error {
-	if r.Version != ProtocolVersion {
-		return fmt.Errorf("fleet: protocol version %d, want %d", r.Version, ProtocolVersion)
-	}
-	switch r.Command {
-	case "", CommandDrain, CommandRetire:
-	default:
-		return fmt.Errorf("fleet: unknown command %q", r.Command)
-	}
-	return nil
-}
-
 // Coordinator-issued node commands.
 const (
 	CommandDrain  = "drain"
@@ -196,18 +183,6 @@ func DecodeReportRequest(data []byte) (ReportRequest, error) {
 	}
 	if err := r.Validate(); err != nil {
 		return ReportRequest{}, err
-	}
-	return r, nil
-}
-
-// DecodeReportResponse decodes and validates a report response frame.
-func DecodeReportResponse(data []byte) (ReportResponse, error) {
-	var r ReportResponse
-	if err := decodeStrict(data, &r); err != nil {
-		return ReportResponse{}, err
-	}
-	if err := r.Validate(); err != nil {
-		return ReportResponse{}, err
 	}
 	return r, nil
 }

@@ -59,30 +59,6 @@ func TestReportRequestValidate(t *testing.T) {
 	}
 }
 
-func TestReportResponseValidate(t *testing.T) {
-	ok := ReportResponse{Version: ProtocolVersion, LeaseHours: 12}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid response rejected: %v", err)
-	}
-	for _, cmd := range []string{"", CommandDrain, CommandRetire} {
-		r := ok
-		r.Command = cmd
-		if err := r.Validate(); err != nil {
-			t.Errorf("command %q rejected: %v", cmd, err)
-		}
-	}
-	bad := ok
-	bad.Version = 2
-	if bad.Validate() == nil {
-		t.Error("wrong protocol version validated")
-	}
-	bad = ok
-	bad.Command = "reboot"
-	if bad.Validate() == nil {
-		t.Error("unknown command validated")
-	}
-}
-
 func TestDecodeStrict(t *testing.T) {
 	good, err := json.Marshal(validReport())
 	if err != nil {
@@ -99,12 +75,6 @@ func TestDecodeStrict(t *testing.T) {
 	}
 	if _, err := DecodeReportRequest(make([]byte, MaxFrame+1)); err == nil {
 		t.Error("oversized frame accepted")
-	}
-	if _, err := DecodeReportResponse([]byte(`{"version":1,"accepted":0,"lease_hours":12}`)); err != nil {
-		t.Errorf("valid response frame rejected: %v", err)
-	}
-	if _, err := DecodeReportResponse([]byte(`{"version":1,"command":"explode"}`)); err == nil {
-		t.Error("bad command frame accepted")
 	}
 }
 
@@ -135,21 +105,6 @@ func FuzzDecodeReportRequest(f *testing.F) {
 		}
 		if req2.NodeID != req.NodeID || req2.Seq != req.Seq || len(req2.Events) != len(req.Events) {
 			t.Fatalf("round trip changed the frame: %+v vs %+v", req, req2)
-		}
-	})
-}
-
-func FuzzDecodeReportResponse(f *testing.F) {
-	f.Add([]byte(`{"version":1,"accepted":3,"lease_hours":12,"command":"drain"}`))
-	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`junk`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := DecodeReportResponse(data)
-		if err != nil {
-			return
-		}
-		if err := resp.Validate(); err != nil {
-			t.Fatalf("decoded response fails validation: %v", err)
 		}
 	})
 }

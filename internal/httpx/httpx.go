@@ -1,13 +1,16 @@
-// Package httpx centralizes the hardening every HTTP surface in the
-// repository applies — the fleet health plane's daemons and agents — so
-// no server or client is assembled ad hoc:
+// Package httpx centralizes the hardening every HTTP server in the
+// repository applies — the fleet health plane's daemons, fleetd and
+// obsd — so no server is assembled ad hoc:
 //
 //   - servers get conservative read/write/idle timeouts and a graceful
 //     drain on context cancellation (SIGINT-clean by construction);
-//   - request bodies are bounded before any handler decodes them;
-//   - clients get an overall request timeout and bounded response
-//     reading, so a wedged or malicious peer cannot park a goroutine or
-//     balloon memory.
+//   - request bodies are bounded before any handler decodes them, and
+//     frames are decoded strictly (unknown fields and trailing data
+//     refused).
+//
+// The repository ships no HTTP client: every simulated agent reports
+// in-process, so the servers only ingest frames from external agents
+// and answer reads.
 //
 // It is stdlib-only, like the rest of the repository's infrastructure
 // (the only in-repo dependency is the obs registry, itself stdlib-only,
@@ -32,9 +35,9 @@ import (
 	"hbm2ecc/internal/obs"
 )
 
-// DefaultMaxBody bounds request and response bodies (1 MiB) unless the
-// caller picks a different limit. Every protocol in this repository
-// fits comfortably.
+// DefaultMaxBody bounds request bodies (1 MiB) unless the caller picks
+// a different limit. Every protocol in this repository fits
+// comfortably.
 const DefaultMaxBody = 1 << 20
 
 // shutdownTimeout is how long a daemon waits for in-flight requests to
@@ -223,102 +226,4 @@ func DecodeStrict(prefix string, data []byte, v any, max int) error {
 		return errors.New(prefix + ": trailing data after frame")
 	}
 	return nil
-}
-
-// Client is a hardened JSON-over-HTTP client: overall per-request
-// timeout, bounded response bodies, JSON round-tripping. It sends each
-// request once; callers that ride out transient failures (the fleet
-// outbox) retry on their own schedules.
-type Client struct {
-	// HTTP is the underlying client (its Timeout bounds each request
-	// end to end).
-	HTTP *http.Client
-	// MaxBody bounds response bodies (0 selects DefaultMaxBody).
-	MaxBody int64
-}
-
-// NewClient builds a Client with the given end-to-end request timeout
-// (<=0 selects 30s).
-func NewClient(timeout time.Duration) *Client {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	return &Client{HTTP: &http.Client{Timeout: timeout}}
-}
-
-func (c *Client) maxBody() int64 {
-	if c.MaxBody > 0 {
-		return c.MaxBody
-	}
-	return DefaultMaxBody
-}
-
-// do sends req and returns its bounded 2xx response body.
-func (c *Client) do(req *http.Request) ([]byte, error) {
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	limit := c.maxBody()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		return nil, fmt.Errorf("httpx: reading response: %w", err)
-	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("httpx: response body exceeds %d bytes", limit)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, &StatusError{Code: resp.StatusCode, Body: string(truncate(body, 256))}
-	}
-	return body, nil
-}
-
-// Post POSTs in as JSON to url and returns the response body, which the
-// caller decodes with its protocol's strict codec.
-func (c *Client) Post(ctx context.Context, url string, in any) ([]byte, error) {
-	payload, err := json.Marshal(in)
-	if err != nil {
-		return nil, fmt.Errorf("httpx: encoding request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req)
-}
-
-// GetJSON GETs url and decodes the response into out (out may be nil
-// to discard the body).
-func (c *Client) GetJSON(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	body, err := c.do(req)
-	if err != nil || out == nil {
-		return err
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("httpx: decoding response: %w", err)
-	}
-	return nil
-}
-
-// StatusError is a non-2xx HTTP response surfaced as an error.
-type StatusError struct {
-	Code int
-	Body string
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("httpx: HTTP %d: %s", e.Code, e.Body)
-}
-
-func truncate(b []byte, n int) []byte {
-	if len(b) > n {
-		return b[:n]
-	}
-	return b
 }

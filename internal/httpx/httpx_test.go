@@ -1,15 +1,21 @@
 package httpx
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hbm2ecc/internal/obs"
 )
 
 // startServer serves h on a loopback listener through serve and returns
@@ -32,6 +38,22 @@ func startServer(t *testing.T, h http.Handler, limit int64) (string, context.Can
 	return "http://" + ln.Addr().String(), cancel
 }
 
+// post sends body to url with a plain http.Client and returns the
+// status code and response body.
+func post(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
 func TestMaxBytesRejectsOversizedBody(t *testing.T) {
 	base, _ := startServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, err := io.ReadAll(r.Body); err != nil {
@@ -45,14 +67,11 @@ func TestMaxBytesRejectsOversizedBody(t *testing.T) {
 		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	}), 64)
 
-	c := NewClient(5 * time.Second)
-	_, err := c.Post(context.Background(), base+"/", strings.Repeat("x", 1024))
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized POST: err = %v, want 413", err)
+	if code, body := post(t, base+"/", strings.Repeat("x", 1024)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST: HTTP %d %s, want 413", code, body)
 	}
-	if _, err := c.Post(context.Background(), base+"/", "small"); err != nil {
-		t.Fatalf("bounded POST failed: %v", err)
+	if code, body := post(t, base+"/", `"small"`); code != http.StatusOK {
+		t.Fatalf("bounded POST: HTTP %d %s", code, body)
 	}
 }
 
@@ -63,38 +82,11 @@ func TestReadBodyLimit(t *testing.T) {
 		got <- err
 		WriteJSON(w, http.StatusOK, nil)
 	}), 0)
-	c := NewClient(5 * time.Second)
-	if _, err := c.Post(context.Background(), base+"/", strings.Repeat("y", 64)); err != nil {
-		t.Fatal(err)
+	if code, _ := post(t, base+"/", strings.Repeat("y", 64)); code != http.StatusOK {
+		t.Fatalf("HTTP %d", code)
 	}
 	if err := <-got; err == nil {
 		t.Fatal("ReadBody accepted a body past its limit")
-	}
-}
-
-func TestClientBoundsResponses(t *testing.T) {
-	base, _ := startServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(strings.Repeat("z", 2048)))
-	}), 0)
-	c := NewClient(5 * time.Second)
-	c.MaxBody = 128
-	if err := c.GetJSON(context.Background(), base+"/", new(any)); err == nil {
-		t.Fatal("client accepted a response past MaxBody")
-	}
-}
-
-func TestClientSurfacesStatusErrors(t *testing.T) {
-	base, _ := startServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		Error(w, http.StatusUnprocessableEntity, "nope")
-	}), 0)
-	c := NewClient(5 * time.Second)
-	err := c.GetJSON(context.Background(), base+"/", nil)
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("err = %v, want StatusError 422", err)
-	}
-	if !strings.Contains(se.Body, "nope") {
-		t.Fatalf("status error body = %q", se.Body)
 	}
 }
 
@@ -107,9 +99,17 @@ func TestServeDrainsGracefully(t *testing.T) {
 		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	}), 0)
 
-	c := NewClient(10 * time.Second)
 	reqDone := make(chan error, 1)
-	go func() { reqDone <- c.GetJSON(context.Background(), base+"/", nil) }()
+	go func() {
+		resp, err := http.Get(base + "/")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("HTTP %d", resp.StatusCode)
+			}
+		}
+		reqDone <- err
+	}()
 	time.Sleep(50 * time.Millisecond) // let the request reach the handler
 
 	// Cancelling the serve context must wait for the in-flight request.
@@ -121,6 +121,61 @@ func TestServeDrainsGracefully(t *testing.T) {
 	}
 	if served.Load() != 1 {
 		t.Fatalf("served = %d, want 1", served.Load())
+	}
+}
+
+func TestStartDaemonServesAndDrains(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	d, err := StartDaemon(ctx, "testd", "127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	}), DefaultMaxBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(d.URL(), "http://127.0.0.1:") {
+		t.Fatalf("URL = %q", d.URL())
+	}
+
+	resp, err := http.Get(d.URL() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		OK bool `json:"ok"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !out.OK {
+		t.Fatalf("daemon request: HTTP %d, %v (ok=%v)", resp.StatusCode, err, out.OK)
+	}
+
+	// The bootstrap registered the daemon's identity series on the obs
+	// Default registry.
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	if !strings.Contains(text, `testd_build_info{go_version="`+runtime.Version()+`",module="hbm2ecc"} 1`) {
+		t.Errorf("metrics missing testd_build_info:\n%s", text)
+	}
+	if !strings.Contains(text, "testd_uptime_seconds") {
+		t.Errorf("metrics missing testd_uptime_seconds:\n%s", text)
+	}
+
+	cancel()
+	if err := d.Wait(); err != nil {
+		t.Fatalf("Wait after cancel: %v", err)
+	}
+	// The listener is released: a fresh daemon can bind the same port.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	d2, err := StartDaemon(ctx2, "", d.Addr().String(), http.NotFoundHandler(), 0)
+	if err != nil {
+		t.Fatalf("rebinding drained daemon's port: %v", err)
+	}
+	cancel2()
+	if err := d2.Wait(); err != nil {
+		t.Errorf("second daemon drain: %v", err)
 	}
 }
 

@@ -20,8 +20,6 @@ var optionFieldAllowlist = map[string]string{
 	"hbm2ecc/internal/classify.Options.ClusterGap":          "perfbench names classify.Options at its call site; dropping the type waits for a benchmark change",
 	"hbm2ecc/internal/classify.Options.DamageThreshold":     "perfbench names classify.Options at its call site; dropping the type waits for a benchmark change",
 	"hbm2ecc/internal/evalmc.Options.Data":                  "payload-invariance lock: tests show outcomes do not depend on the data word",
-	"hbm2ecc/internal/fieldsim.FleetConfig.ReporterFor":     "test seam: the chaos soak substitutes HTTP agents behind netchaos transports",
-	"hbm2ecc/internal/fieldsim.FleetConfig.OnTick":          "test seam: the chaos soak takes the coordinator down and partitions nodes between ticks",
 	"hbm2ecc/internal/fieldsim.FleetConfig.CrashFITPerNode": "the crash-heavy run needs a rate far above the default to see crashes in a short run",
 	"hbm2ecc/internal/ondie.InferOptions.Validate":          "the inference tests would spend most of their time validating 256 samples",
 	"hbm2ecc/internal/workload.Options.Kernels":             "tests run one kernel; the default three would make them slow",

@@ -26,10 +26,6 @@ echo "== perfbench: go vet + build (its own module, over this tree) =="
 echo "== go test -race ./... =="
 go test -race ./...
 
-echo "== chaos soak: go test -run Chaos -race -count=2 =="
-# fieldsim's kill-and-partition run is the fleet health plane's chaos lock.
-go test -run Chaos -race -count=2 ./internal/chaos/... ./internal/fieldsim/...
-
 echo "== short fuzz: fast paths vs their references =="
 go test -run '^$' -fuzz FuzzBatchVsSingle -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz FuzzDecodeFastVsRef -fuzztime 10s ./internal/core/
@@ -132,6 +128,15 @@ fi
 curl -sf "$fleet_url/healthz" | grep -q '"status":"ok"'
 kill -INT "$fleetd_pid"
 wait "$fleetd_pid"
+
+echo "== fleetd -once: deterministic, every frame acknowledged =="
+"$smoke_dir/fleetd" -once -addr 127.0.0.1:0 -nodes 200 -hours 240 >"$smoke_dir/fleetd_a.json" 2>/dev/null
+"$smoke_dir/fleetd" -once -addr 127.0.0.1:0 -nodes 200 -hours 240 >"$smoke_dir/fleetd_b.json" 2>/dev/null
+cmp "$smoke_dir/fleetd_a.json" "$smoke_dir/fleetd_b.json"
+grep -q '"Rejected": 0,\?$' "$smoke_dir/fleetd_a.json" || { echo "fleetd refused frames"; cat "$smoke_dir/fleetd_a.json"; exit 1; }
+sent="$(sed -n 's/.*"Sent": \([0-9]*\).*/\1/p' "$smoke_dir/fleetd_a.json")"
+enqueued="$(sed -n 's/.*"Enqueued": \([0-9]*\).*/\1/p' "$smoke_dir/fleetd_a.json")"
+test -n "$sent" && test "$sent" = "$enqueued" || { echo "fleetd acknowledged $sent of $enqueued frames"; exit 1; }
 
 echo "== obsd smoke: probes report to the fleet plane, deterministically =="
 go build -o "$smoke_dir/obsd" ./cmd/obsd
