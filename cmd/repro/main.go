@@ -7,9 +7,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -53,6 +55,7 @@ func main() {
 
 	// ---- Characterization (Figs. 3-5, Table 1) ----
 	fmt.Println("== beam campaign ==")
+	sec := section("characterization")
 	an := experiments.Campaign(experiments.CampaignConfig{Seed: *seed, Runs: *runs, Ctx: ctx})
 	if ctx.Err() != nil {
 		fmt.Println("repro: interrupted during the beam campaign; exiting")
@@ -79,9 +82,11 @@ func main() {
 	if n := dir.OneToZero + dir.ZeroToOne; n > 0 {
 		sum.AddRow("§4", "intermittent 1->0 share", "99.8% ± 0.16%", pct(float64(dir.OneToZero)/float64(n)))
 	}
+	sec.Finish()
 
 	// ---- Displacement damage (Fig. 3) ----
 	fmt.Println("== displacement damage ==")
+	sec = section("displacement")
 	dev, _ := experiments.DamagedGPU(*seed + 1)
 	sweep, err := experiments.RefreshSweep(dev,
 		[]float64{0.008, 0.012, 0.016, 0.024, 0.032, 0.048, 0.064}, *seed+2)
@@ -96,17 +101,21 @@ func main() {
 		log.Fatal(err)
 	}
 	sum.AddRow("Fig. 3c", "fluence-linearity R²", "0.97", fmt.Sprintf("%.3f", acc.Fit.R2))
+	sec.Finish()
 
 	// ---- Trends (Fig. 1) ----
+	sec = section("trends")
 	tr, err := trends.Compute(30, an.MultiBitFraction().P, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
 	sum.AddRow("Fig. 1", "SER falls vs capacity growth", "yes",
 		fmt.Sprintf("%v (exp %.2f vs %.2f)", tr.SERFallsFasterThanCapacityGrows(), tr.SERFit.B, tr.CapFit.B))
+	sec.Finish()
 
 	// ---- ECC evaluation (Table 2, Fig. 8) ----
 	fmt.Println("== ECC evaluation ==")
+	sec = section("ecc_eval")
 	opts := evalmc.Options{Seed: *seed, Samples3b: *samples, SamplesBeat: *samples,
 		SamplesEntry: *samples, Parallel: true, Ctx: ctx}
 	schemes := []core.Scheme{
@@ -135,8 +144,10 @@ func main() {
 		fmt.Sprintf("%.2f orders", evalmc.SDCReduction(base, dsd)))
 	sum.AddRow("Abstract", "Trio vs Duet DUE reduction", "7.87x",
 		fmt.Sprintf("%.2fx", evalmc.DUEReduction(duet, trio)))
+	sec.Finish()
 
 	// ---- Hardware (Table 3) ----
+	sec = section("hwmodel")
 	hw := hwmodel.Baseline()
 	sum.AddRow("Tab. 3", "SEC-DED encoder", "1176 AND2 / 0.09ns",
 		fmt.Sprintf("%d AND2 / %.2fns", hw.Encoder.AreaAND2, hw.Encoder.DelayNS))
@@ -148,8 +159,10 @@ func main() {
 				fmt.Sprintf("%d AND2", r.Decoder.AreaAND2-hw.Decoder.AreaAND2))
 		}
 	}
+	sec.Finish()
 
 	// ---- System level (Fig. 9, §7.3) ----
+	sec = section("sysrel")
 	gDuet := sysrel.FromWeighted(duet, sysrel.A100MemoryGb)
 	gTrio := sysrel.FromWeighted(trio, sysrel.A100MemoryGb)
 	gBase := sysrel.FromWeighted(base, sysrel.A100MemoryGb)
@@ -173,15 +186,21 @@ func main() {
 	sum.AddRow("§7.3", "days between SDC (DuetECC)", "115", fmt.Sprintf("%.0f", avD.DaysBetweenSDC))
 	sum.AddRow("§7.3", "days between SDC (TrioECC)", "18", fmt.Sprintf("%.0f", avT.DaysBetweenSDC))
 	sum.AddRow("§7.3", "DuetECC fleet DUE/day", "148", fmt.Sprintf("%.0f", avD.DUEPerDay))
+	sec.Finish()
 
 	fmt.Println()
 	fmt.Println("================ paper vs measured ================")
 	fmt.Println(sum)
-	fmt.Printf("total runtime: %s\n", time.Since(start).Round(time.Millisecond))
+	total := time.Since(start)
+	fmt.Printf("total runtime: %s\n", total.Round(time.Millisecond))
 
 	if *metrics != "" {
 		fmt.Println("\n== telemetry: per-phase span durations ==")
 		if err := obs.DefaultTracer.WritePhaseSummary(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("\n== telemetry: repro sections (add up to the total runtime) ==")
+		if err := writeSections(os.Stdout, obs.DefaultTracer.Phases(), total); err != nil {
 			log.Fatal(err)
 		}
 		if err := obs.Default.DumpPrometheus(*metrics); err != nil {
@@ -191,6 +210,44 @@ func main() {
 			fmt.Printf("metrics written to %s\n", *metrics)
 		}
 	}
+}
+
+// sectionPrefix names repro's top-level phases: one per section of the
+// report, run one after another, so their walls add up to the run's.
+const sectionPrefix = "repro."
+
+// section opens the phase of one report section.
+func section(name string) *obs.Span {
+	return obs.DefaultTracer.Start(sectionPrefix + name)
+}
+
+// writeSections prints each section's wall time and share of total,
+// then an "unattributed" row for the time no section covers, so the
+// rows add up to total. Phases without sectionPrefix nest inside a
+// section and are left out.
+func writeSections(w io.Writer, phases []obs.PhaseStat, total time.Duration) error {
+	if total <= 0 {
+		return fmt.Errorf("repro: non-positive total runtime %s", total)
+	}
+	rows := []obs.PhaseStat{}
+	rest := total
+	for _, p := range phases {
+		if strings.HasPrefix(p.Name, sectionPrefix) {
+			rows = append(rows, p)
+			rest -= p.Wall
+		}
+	}
+	rows = append(rows, obs.PhaseStat{Name: "unattributed", Wall: rest}, obs.PhaseStat{Name: "total", Wall: total})
+	if _, err := fmt.Fprintf(w, "%-24s  %12s  %7s\n", "section", "wall", "share"); err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if _, err := fmt.Fprintf(w, "%-24s  %12s  %6.1f%%\n", r.Name, r.Wall.Round(time.Microsecond),
+			100*r.Wall.Seconds()/total.Seconds()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func pct(p float64) string {

@@ -17,6 +17,7 @@ import (
 	"hbm2ecc/internal/faults"
 	"hbm2ecc/internal/obs"
 	"hbm2ecc/internal/stats"
+	"hbm2ecc/internal/xrand"
 )
 
 // Process-wide beam telemetry (internal/obs Default registry). Counters
@@ -141,7 +142,7 @@ func New(dev *dram.Device, cfg Config) *Beam {
 		Damage:         DefaultDamage(),
 		Injector:       faults.NewInjector(dev.Cfg, cfg.Seed+1),
 		Device:         dev,
-		rng:            rand.New(rand.NewSource(cfg.Seed)),
+		rng:            xrand.New(cfg.Seed),
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"hbm2ecc/internal/bitvec"
 	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/hbm2"
+	"hbm2ecc/internal/xrand"
 )
 
 // Kind enumerates the modeled fault classes.
@@ -137,8 +138,12 @@ type Injector struct {
 
 // NewInjector builds a deterministic injector.
 func NewInjector(cfg hbm2.Config, seed int64) *Injector {
-	return &Injector{Cfg: cfg, Mix: DefaultMix, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{Cfg: cfg, Mix: DefaultMix, rng: xrand.New(seed)}
 }
+
+// Reseed restarts the injector's random stream where
+// NewInjector(cfg, seed) starts it, without allocating a generator.
+func (in *Injector) Reseed(seed int64) { in.rng.Seed(seed) }
 
 // RandomKind draws an event class from the mixture, optionally restricted
 // to array or logic faults (for rate-splitting by utilization).

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hbm2ecc/internal/bitvec"
@@ -179,6 +180,23 @@ func TestBankLogicLongTail(t *testing.T) {
 	}
 	if maxBreadth < 500 {
 		t.Fatalf("long tail too short: max breadth %d", maxBreadth)
+	}
+}
+
+// TestReseedMatchesNewInjector: a used injector reseeded with s draws
+// the events of a fresh NewInjector(cfg, s).
+func TestReseedMatchesNewInjector(t *testing.T) {
+	cfg := hbm2.Config{Stacks: 1}
+	in := NewInjector(cfg, 99)
+	for seed := int64(0); seed < 40; seed++ {
+		in.RandomEventIn(0, 1<<16) // leave the stream mid-way
+		in.Reseed(seed)
+		fresh := NewInjector(cfg, seed)
+		for i := 0; i < 3; i++ {
+			if got, want := in.RandomEventIn(0, 1<<16), fresh.RandomEventIn(0, 1<<16); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d event %d: reseeded %+v, fresh %+v", seed, i, got, want)
+			}
+		}
 	}
 }
 

@@ -208,11 +208,16 @@ func (c *Coordinator) Loopback() Reporter { return inprocReporter{c} }
 // rolling window and rings, re-scoring, and the policy decision. The
 // returned error means the report was rejected (HTTP 422).
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
-	start := time.Now()
 	if err := req.Validate(); err != nil {
 		mFleetRejected.Inc()
 		return ReportResponse{}, err
 	}
+	return c.ingest(req)
+}
+
+// ingest is Report for a frame that already passed Validate.
+func (c *Coordinator) ingest(req ReportRequest) (ReportResponse, error) {
+	start := time.Now()
 	c.mu.Lock()
 	defer func() {
 		c.mu.Unlock()
@@ -473,13 +478,15 @@ func (c *Coordinator) Handler() http.Handler {
 			httpx.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
+		// DecodeReportRequest validates the frame, so it goes straight
+		// to ingest.
 		req, err := DecodeReportRequest(body)
 		if err != nil {
 			mFleetRejected.Inc()
 			httpx.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		resp, err := c.Report(req)
+		resp, err := c.ingest(req)
 		if err != nil {
 			httpx.Error(w, http.StatusUnprocessableEntity, err.Error())
 			return

@@ -15,7 +15,6 @@ package microbench
 
 import (
 	"context"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -24,6 +23,7 @@ import (
 	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/hbm2"
 	"hbm2ecc/internal/obs"
+	"hbm2ecc/internal/xrand"
 )
 
 // Process-wide microbenchmark telemetry. Counters are cheap atomics;
@@ -312,8 +312,7 @@ func Run(cfg Config) *Log {
 	}
 	log.EndTime = t
 	log.Records = ev.records()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	if rng.Float64() < cfg.DiscardProb {
+	if xrand.New(cfg.Seed).Float64() < cfg.DiscardProb {
 		log.Discarded = true
 	}
 

@@ -13,6 +13,7 @@ import (
 	"hbm2ecc/internal/faults"
 	"hbm2ecc/internal/gpusim"
 	"hbm2ecc/internal/hbm2"
+	"hbm2ecc/internal/xrand"
 )
 
 // NoECC is the scheme name for runs with DRAM ECC disabled (reads
@@ -181,11 +182,14 @@ func runCell(scheme string, sch core.Scheme, k Kernel, tr *trace, opts Options) 
 		Ledger: make([]Outcome, 0, opts.Runs)}
 	var bySrc [faults.NumSources]int
 	decided := 0
+	// One generator serves the cell: each run reseeds it, which is as
+	// cheap as a few stores and yields rand.NewSource's stream.
+	rng := xrand.New(0)
 	for r := 0; r < opts.Runs; r++ {
 		if opts.Ctx != nil && r%cancelCheckStride == 0 && opts.Ctx.Err() != nil {
 			return CellResult{}, opts.Ctx.Err()
 		}
-		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + uint64(r)))))
+		rng.Seed(int64(splitmix64(uint64(seed) + uint64(r))))
 		outcome, src, ok := runOne(dec, k, rng)
 		res.Runs++
 		res.Outcomes[outcome]++
@@ -285,7 +289,8 @@ func runOne(d *decider, k Kernel, rng *rand.Rand) (o Outcome, src faults.Source,
 		poisonBit := rng.Intn(32)
 		return simulate(d.sch, k, rng, strikeOp, poisonBit, faults.Event{}), src, false
 	}
-	ev := faults.NewInjector(workloadConfig, rng.Int63()).RandomEventIn(0, d.tr.arena)
+	d.inj.Reseed(rng.Int63())
+	ev := d.inj.RandomEventIn(0, d.tr.arena)
 	if o, ok := d.decide(ev, strikeOp); ok {
 		return o, src, true
 	}

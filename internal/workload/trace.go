@@ -78,15 +78,18 @@ type decider struct {
 	clean bitvec.V288 // the wire image of an all-zero payload (zero with ECC off)
 
 	// Per-run scratch: the event's corruption merged per entry, whether
-	// an entry is in hit, and the entries the event touched.
+	// an entry is in hit, and the entries the event touched; and the
+	// injector each DRAM-sourced run reseeds to draw its event.
 	corr []dram.Corruption
 	seen []bool
 	hit  []int64
+	inj  *faults.Injector
 }
 
 func newDecider(sch core.Scheme, tr *trace) *decider {
 	d := &decider{sch: sch, tr: tr,
-		corr: make([]dram.Corruption, tr.arena), seen: make([]bool, tr.arena)}
+		corr: make([]dram.Corruption, tr.arena), seen: make([]bool, tr.arena),
+		inj: faults.NewInjector(workloadConfig, 0)}
 	if sch != nil {
 		d.clean = sch.Encode([hbm2.EntryBytes]byte{})
 	}

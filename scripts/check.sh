@@ -37,6 +37,7 @@ go test -run '^$' -fuzz FuzzOnDieDecodeVsRef -fuzztime 10s ./internal/ondie/
 go test -run '^$' -fuzz FuzzReadSeriesVsReadWire -fuzztime 10s ./internal/dram/
 go test -run '^$' -fuzz FuzzReadVsDecode -fuzztime 10s ./internal/gpusim/
 go test -run '^$' -fuzz FuzzDecideVsSimulate -fuzztime 10s ./internal/workload/
+go test -run '^$' -fuzz FuzzSourceVsStdlib -fuzztime 10s ./internal/xrand/
 
 echo "== bench smoke: one iteration of every benchmark =="
 HBM2ECC_MC_SAMPLES=2000 HBM2ECC_CAMPAIGN_RUNS=20 \
@@ -162,6 +163,12 @@ grep -q '^obs_span_duration_seconds' "$smoke_dir/beamsim.prom" || { echo "metric
 if grep -q '^resilience_' "$smoke_dir/beamsim.prom"; then
 	echo "metrics dump still carries resilience_* families"; exit 1
 fi
+# repro's section rows add up to its runtime; the time no section
+# covers must stay under a tenth of it.
+go run ./cmd/repro -runs 50 -samples 2000 -metrics "$smoke_dir/repro.prom" >"$smoke_dir/repro.txt"
+unattributed="$(awk '$1 == "unattributed" { sub("%", "", $3); print $3 }' "$smoke_dir/repro.txt")"
+[ -n "$unattributed" ] && awk -v u="$unattributed" 'BEGIN { exit !(u < 10) }' ||
+	{ echo "repro unattributed share '$unattributed%' not below 10%"; cat "$smoke_dir/repro.txt"; exit 1; }
 
 echo "== workload smoke: all five outcome classes reachable =="
 # Every campaign run carries exactly one forced fault event; a small
