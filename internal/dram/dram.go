@@ -310,21 +310,6 @@ func (d *Device) RetireEntries(entries []int64) int {
 // Expected returns the fault-free payload the pattern wrote.
 func (d *Device) Expected(idx int64) [hbm2.EntryBytes]byte { return d.pattern(idx) }
 
-// Pristine reports whether the device holds no deviation for entry idx:
-// no on-die stage is installed and the entry has neither recorded
-// corruption nor weak cells. A read of a pristine entry returns its
-// clean wire image, the installed encoder's image of Expected(idx), at
-// any time.
-func (d *Device) Pristine(idx int64) bool {
-	if d.ondie != nil {
-		return false
-	}
-	if _, ok := d.corrupt[idx]; ok {
-		return false
-	}
-	return len(d.weak[idx]) == 0
-}
-
 // InterestingEntries returns, sorted, every entry that could possibly
 // mismatch its written pattern: entries with corruption or weak cells.
 // The microbenchmark scans all of memory; only these can produce log

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"slices"
 	"testing"
 
 	"hbm2ecc/internal/bitvec"
@@ -424,21 +425,34 @@ func TestParityCellLeaksAgainstWrittenParity(t *testing.T) {
 	}
 }
 
+// TestPristine checks when the device holds a deviation for an entry,
+// through InterestingEntries, and that an entry without one reads its
+// clean image.
 func TestPristine(t *testing.T) {
 	d := New(hbm2.V100(), DefaultRefreshPeriod)
 	d.WriteAll(patConst(0x5A), 0)
-	if !d.Pristine(3) || !d.Pristine(4) {
-		t.Fatal("fresh entries must be pristine")
+	want := func(entries ...int64) {
+		t.Helper()
+		if got := d.InterestingEntries(); !slices.Equal(got, entries) {
+			t.Fatalf("InterestingEntries = %v, want %v", got, entries)
+		}
+	}
+	clean := bitvec.FromDataECC(patConst(0x5A)(0), [4]byte{})
+	want()
+	if d.ReadWire(3, 1) != clean || d.ReadWire(4, 1) != clean {
+		t.Fatal("fresh entries must read their clean image")
 	}
 
 	// Soft-error corruption clears with the entry's rewrite.
 	d.InjectCorruption(3, Corruption{Xor: bitvec.V288{}.FlipBit(9)})
-	if d.Pristine(3) || !d.Pristine(4) {
-		t.Fatal("corruption must make only its own entry not pristine")
+	want(3)
+	if d.ReadWire(3, 1) == clean || d.ReadWire(4, 1) != clean {
+		t.Fatal("corruption must change only its own entry's read")
 	}
 	d.RewriteEntry(3, 1)
-	if !d.Pristine(3) {
-		t.Fatal("RewriteEntry after corruption alone must restore pristine")
+	want()
+	if d.ReadWire(3, 1) != clean {
+		t.Fatal("RewriteEntry after corruption alone must restore the clean read")
 	}
 
 	// A weak cell is physical damage: no write repairs it, however
@@ -446,23 +460,28 @@ func TestPristine(t *testing.T) {
 	d.AddWeakCell(3, WeakCell{Bit: 5, Retention: 1, LeakTo: 0})
 	d.RewriteEntry(3, 2)
 	d.WriteAll(patConst(0x5A), 3)
-	if d.Pristine(3) {
-		t.Fatal("a weak cell must keep its entry not pristine after rewrites")
-	}
+	want(3)
 	d.InjectCorruption(3, Corruption{Xor: bitvec.V288{}.FlipBit(9)})
-	if d.RetireEntries([]int64{3}) != 1 || !d.Pristine(3) {
-		t.Fatal("RetireEntries must restore pristine")
+	if d.RetireEntries([]int64{3}) != 1 {
+		t.Fatal("RetireEntries must repair the weak cell")
+	}
+	want()
+	if d.ReadWire(3, 4) != clean {
+		t.Fatal("RetireEntries must restore the clean read")
 	}
 
 	// An on-die stage stands between every entry's cells and the wire.
-	d.SetOnDie(&countingStage{})
+	st := &countingStage{}
+	d.SetOnDie(st)
 	for _, idx := range []int64{0, 3, 4, 1 << 29} {
-		if d.Pristine(idx) {
-			t.Fatalf("entry %d pristine under an on-die stage", idx)
-		}
+		d.ReadWire(idx, 5)
+	}
+	if st.corrects != 4 {
+		t.Fatalf("stage corrected %d of 4 reads", st.corrects)
 	}
 	d.SetOnDie(nil)
-	if !d.Pristine(4) {
-		t.Fatal("removing the stage must restore pristine")
+	d.ReadWire(4, 5)
+	if st.corrects != 4 {
+		t.Fatal("a removed stage must not see reads")
 	}
 }

@@ -66,3 +66,25 @@ func TestCampaignPhaseCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignClassifyPhase: Campaign classifies its logs in one
+// classify phase of the default tracer, and CampaignLogs opens none.
+func TestCampaignClassifyPhase(t *testing.T) {
+	count := func() int {
+		for _, p := range obs.DefaultTracer.Phases() {
+			if p.Name == "classify" {
+				return p.Count
+			}
+		}
+		return 0
+	}
+	before := count()
+	CampaignLogs(CampaignConfig{Seed: 5, Runs: 2})
+	if got := count() - before; got != 0 {
+		t.Errorf("CampaignLogs opened %d classify phases, want 0", got)
+	}
+	Campaign(CampaignConfig{Seed: 5, Runs: 2})
+	if got := count() - before; got != 1 {
+		t.Errorf("Campaign opened %d classify phases, want 1", got)
+	}
+}

@@ -250,9 +250,18 @@ func CampaignLogs(cfg CampaignConfig) []*microbench.Log {
 	return logs
 }
 
-// Campaign runs the beam campaign and post-processes it.
+// Campaign runs the beam campaign and post-processes it. The analysis
+// is the default tracer's classify phase.
 func Campaign(cfg CampaignConfig) *classify.Analysis {
-	return classify.Analyze(CampaignLogs(cfg), classify.Options{})
+	return analyze(CampaignLogs(cfg))
+}
+
+// analyze classifies a campaign's logs in a classify phase on the
+// default tracer.
+func analyze(logs []*microbench.Log) *classify.Analysis {
+	span := obs.DefaultTracer.Start("classify")
+	defer span.Finish()
+	return classify.Analyze(logs, classify.Options{})
 }
 
 // UtilizationPoint is one sweep measurement.
@@ -287,7 +296,7 @@ func UtilizationSweep(seed int64, utils []float64, runsPer int) []UtilizationPoi
 			t = log.EndTime
 			logs = append(logs, log)
 		}
-		an := classify.Analyze(logs, classify.Options{})
+		an := analyze(logs)
 		out = append(out, UtilizationPoint{
 			Utilization: u,
 			MultiBit:    an.MultiBitFraction(),

@@ -2,12 +2,7 @@
 // memory with optional DRAM ECC (any entry-level scheme from
 // internal/core) and a clock. The workload kernels run on it as the
 // CUDA-visible GPU of §3. The device stores scheme-encoded entries, and
-// a load of an entry the device holds a deviation for decodes its wire.
-// A load of a pristine entry (dram.Device.Pristine) returns the written
-// payload with status OK without the codec. The shortcut is exact
-// because New installs Scheme.Encode as Dev's wire encoder and a clean
-// codeword decodes to its own data with status OK, so Dev's encoder
-// must stay Scheme.Encode.
+// every load decodes the entry's wire.
 package gpusim
 
 import (
@@ -20,7 +15,7 @@ import (
 // GPU is a simulated GPU with HBM2 device memory.
 type GPU struct {
 	// Dev is the device memory. Its wire encoder is Scheme.Encode (or the
-	// standard zero-ECC layout with ECC off), which Read relies on.
+	// standard zero-ECC layout with ECC off).
 	Dev *dram.Device
 	// Scheme is the DRAM ECC organization, or nil with ECC disabled
 	// (reads return raw device data, as in the paper's beam campaigns).
@@ -64,14 +59,8 @@ type ReadResult struct {
 
 // Read performs one 32B read at the current clock. With ECC enabled the
 // entry is decoded (correcting or detecting errors); with ECC disabled
-// the raw (possibly corrupted) data is returned with status OK. A
-// pristine entry's read returns the written payload with status OK
-// directly: its wire is the clean image of that payload, which decodes
-// (or, with ECC off, unpacks) back to it unchanged.
+// the raw (possibly corrupted) data is returned with status OK.
 func (g *GPU) Read(idx int64) ReadResult {
-	if g.Dev.Pristine(idx) {
-		return ReadResult{Data: g.Dev.Expected(idx), Status: ecc.OK}
-	}
 	wire := g.Dev.ReadWire(idx, g.clock)
 	if g.Scheme == nil {
 		data, _ := wire.DataECC()

@@ -156,7 +156,7 @@ const cancelCheckStride = 32
 
 // RunCell evaluates one (scheme, kernel) cell: Runs fault-injection
 // runs, each with exactly one fault event drawn from the FIT-weighted
-// source mixture and one fresh deterministic device. Cancellation
+// source mixture on a device reset to its unfaulted state. Cancellation
 // mid-cell returns the context error and drops the partial counts.
 func RunCell(scheme string, k Kernel, opts Options) (CellResult, error) {
 	opts.defaults()
@@ -287,21 +287,21 @@ func runOne(d *decider, k Kernel, rng *rand.Rand) (o Outcome, src faults.Source,
 		// Silent share: corrupted data continues into the pipeline past
 		// any DRAM ECC. Its application outcome is simulated.
 		poisonBit := rng.Intn(32)
-		return simulate(d.sch, k, rng, strikeOp, poisonBit, faults.Event{}), src, false
+		return simulate(d.mem, k, rng, strikeOp, poisonBit, faults.Event{}), src, false
 	}
 	d.inj.Reseed(rng.Int63())
 	ev := d.inj.RandomEventIn(0, d.tr.arena)
 	if o, ok := d.decide(ev, strikeOp); ok {
 		return o, src, true
 	}
-	return simulate(d.sch, k, rng, strikeOp, -1, ev), src, false
+	return simulate(d.mem, k, rng, strikeOp, -1, ev), src, false
 }
 
-// simulate executes one run in full on a fresh device: the kernel's
+// simulate executes one run in full on m, reset first: the kernel's
 // inputs are drawn from rng, and either cache poison of poisonBit
 // (when >= 0) or the DRAM event ev strikes before op strikeOp.
-func simulate(sch core.Scheme, k Kernel, rng *rand.Rand, strikeOp int64, poisonBit int, ev faults.Event) Outcome {
-	m := NewMemory(gpusim.New(workloadConfig, sch))
+func simulate(m *Memory, k Kernel, rng *rand.Rand, strikeOp int64, poisonBit int, ev faults.Event) Outcome {
+	m.reset()
 	if poisonBit >= 0 {
 		m.SchedulePoison(strikeOp, poisonBit)
 	} else {

@@ -8,6 +8,7 @@ import (
 	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/ecc"
 	"hbm2ecc/internal/faults"
+	"hbm2ecc/internal/gpusim"
 	"hbm2ecc/internal/hbm2"
 )
 
@@ -78,18 +79,20 @@ type decider struct {
 	clean bitvec.V288 // the wire image of an all-zero payload (zero with ECC off)
 
 	// Per-run scratch: the event's corruption merged per entry, whether
-	// an entry is in hit, and the entries the event touched; and the
-	// injector each DRAM-sourced run reseeds to draw its event.
+	// an entry is in hit, and the entries the event touched; the
+	// injector each DRAM-sourced run reseeds to draw its event; and the
+	// memory every run the trace leaves open executes on.
 	corr []dram.Corruption
 	seen []bool
 	hit  []int64
 	inj  *faults.Injector
+	mem  *Memory
 }
 
 func newDecider(sch core.Scheme, tr *trace) *decider {
 	d := &decider{sch: sch, tr: tr,
 		corr: make([]dram.Corruption, tr.arena), seen: make([]bool, tr.arena),
-		inj: faults.NewInjector(workloadConfig, 0)}
+		inj: faults.NewInjector(workloadConfig, 0), mem: NewMemory(gpusim.New(workloadConfig, sch))}
 	if sch != nil {
 		d.clean = sch.Encode([hbm2.EntryBytes]byte{})
 	}

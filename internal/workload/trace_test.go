@@ -58,8 +58,15 @@ func TestKernelArenaCompleteAtFirstAccess(t *testing.T) {
 	}
 }
 
-// referenceRun is runOne without the trace decision: every run that
-// reaches the device executes its kernel.
+// freshMemory is a Memory on a new GPU carrying sch, the state a reused
+// one must be reset to.
+func freshMemory(sch core.Scheme) *Memory {
+	return NewMemory(gpusim.New(workloadConfig, sch))
+}
+
+// referenceRun is runOne without the trace decision and without reuse:
+// every run that reaches the device executes its kernel on a fresh
+// Memory.
 func referenceRun(sch core.Scheme, k Kernel, rng *rand.Rand, tr *trace) Outcome {
 	src := drawSource(rng)
 	strikeOp := rng.Int63n(tr.ops)
@@ -73,16 +80,19 @@ func referenceRun(sch core.Scheme, k Kernel, rng *rand.Rand, tr *trace) Outcome 
 			return Crash
 		}
 		poisonBit := rng.Intn(32)
-		return simulate(sch, k, rng, strikeOp, poisonBit, faults.Event{})
+		return simulate(freshMemory(sch), k, rng, strikeOp, poisonBit, faults.Event{})
 	}
 	ev := faults.NewInjector(workloadConfig, rng.Int63()).RandomEventIn(0, tr.arena)
-	return simulate(sch, k, rng, strikeOp, -1, ev)
+	return simulate(freshMemory(sch), k, rng, strikeOp, -1, ev)
 }
 
 // TestTraceDecisionMatchesSimulation runs cells of every registered
 // scheme plus ECC off on every kernel twice, with the trace decision and
 // with every run simulated, and requires identical outcomes run by run.
-// It also requires the decision to settle both masked and DUE runs.
+// The decided side reuses its cell's Memory as a campaign does and the
+// reference builds a fresh one per run, so a match also shows that
+// reuse carries nothing from one run into the next. It also requires
+// the decision to settle both masked and DUE runs.
 func TestTraceDecisionMatchesSimulation(t *testing.T) {
 	const runs = 40
 	var decided [NumOutcomes]int
@@ -191,7 +201,7 @@ func FuzzDecideVsSimulate(f *testing.F) {
 		if !ok {
 			return
 		}
-		if want := simulate(schemes[i], k, rand.New(rand.NewSource(seed)), strikeOp, -1, ev); got != want {
+		if want := simulate(freshMemory(schemes[i]), k, rand.New(rand.NewSource(seed)), strikeOp, -1, ev); got != want {
 			t.Fatalf("%s/%s strike %d: trace decided %s, simulation gives %s (event %+v)",
 				schemeName(schemes[i]), k, strikeOp, got, want, ev)
 		}

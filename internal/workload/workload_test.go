@@ -9,6 +9,7 @@ import (
 
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/dram"
+	"hbm2ecc/internal/faults"
 	"hbm2ecc/internal/gpusim"
 )
 
@@ -77,16 +78,19 @@ func TestMemoryPoison(t *testing.T) {
 }
 
 // TestMemoryStoreClearsCorruption checks that overwriting an entry clears
-// injected DRAM corruption — stored charge is replaced.
+// injected DRAM corruption — stored charge is replaced — and that every
+// load until then reads the corrupted word.
 func TestMemoryStoreClearsCorruption(t *testing.T) {
 	m := NewMemory(gpusim.New(workloadConfig, nil))
 	tt := m.Alloc(1)
 	m.Store(tt, 0, 42)
 	var corr dram.Corruption
 	corr.Xor = corr.Xor.FlipBit(0)
-	m.gpu.Dev.InjectCorruption(tt.base, corr)
-	if got := m.Load(tt, 0); got == 42 {
-		t.Fatal("corruption did not surface on read")
+	m.ScheduleDRAM(m.Ops(), faults.Event{Effects: []faults.EntryEffect{{Entry: tt.base, Corr: corr}}})
+	for n := 0; n < 2; n++ {
+		if got := m.Load(tt, 0); got != 43 {
+			t.Fatalf("load %d after the strike = %d, want 43 (bit 0 flipped)", n, got)
+		}
 	}
 	m.Store(tt, 0, 42)
 	if got := m.Load(tt, 0); got != 42 {

@@ -35,7 +35,7 @@ go test -run '^$' -fuzz FuzzLocalityVsBitLoop -fuzztime 10s ./internal/bitvec/
 go test -run '^$' -fuzz FuzzSynBitRowsVsSyndromes -fuzztime 10s ./internal/rscode/
 go test -run '^$' -fuzz FuzzOnDieDecodeVsRef -fuzztime 10s ./internal/ondie/
 go test -run '^$' -fuzz FuzzReadSeriesVsReadWire -fuzztime 10s ./internal/dram/
-go test -run '^$' -fuzz FuzzReadVsDecode -fuzztime 10s ./internal/gpusim/
+go test -run '^$' -fuzz FuzzMemoryVsDevice -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz FuzzDecideVsSimulate -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz FuzzSourceVsStdlib -fuzztime 10s ./internal/xrand/
 
@@ -164,8 +164,12 @@ if grep -q '^resilience_' "$smoke_dir/beamsim.prom"; then
 	echo "metrics dump still carries resilience_* families"; exit 1
 fi
 # repro's section rows add up to its runtime; the time no section
-# covers must stay under a tenth of it.
+# covers must stay under a tenth of it. Inside the characterization
+# section, the beam campaign and its classification are phases.
 go run ./cmd/repro -runs 50 -samples 2000 -metrics "$smoke_dir/repro.prom" >"$smoke_dir/repro.txt"
+for phase in campaign classify; do
+	grep -q "^$phase " "$smoke_dir/repro.txt" || { echo "repro: no $phase phase row"; cat "$smoke_dir/repro.txt"; exit 1; }
+done
 unattributed="$(awk '$1 == "unattributed" { sub("%", "", $3); print $3 }' "$smoke_dir/repro.txt")"
 [ -n "$unattributed" ] && awk -v u="$unattributed" 'BEGIN { exit !(u < 10) }' ||
 	{ echo "repro unattributed share '$unattributed%' not below 10%"; cat "$smoke_dir/repro.txt"; exit 1; }
