@@ -2,28 +2,18 @@
 // prints Table 2 (per-pattern SDC risk) and Fig. 8 (Table-1-weighted
 // outcome probabilities) for all nine schemes.
 //
-// The evaluation is interruptible: with -checkpoint, every completed
-// (scheme, pattern) cell is snapshotted atomically, SIGINT/SIGTERM stops
-// the run cleanly (exit 0), and -resume skips the completed cells —
-// yielding results identical to an uninterrupted evaluation.
-//
-// With -workload it runs the workload outcome engine instead, under the
-// same checkpoint discipline. A sample budget too large for one sitting
-// (the paper's 1e9) is one long run resumed as often as needed.
+// With -workload it runs the workload outcome engine instead. Either
+// run takes seconds at its defaults (tens of seconds at 1e7 samples
+// per class), so an interrupted run is simply rerun.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 
-	"hbm2ecc/internal/campaign"
 	"hbm2ecc/internal/core"
-	"hbm2ecc/internal/errormodel"
 	"hbm2ecc/internal/evalmc"
 	"hbm2ecc/internal/obs"
 	"hbm2ecc/internal/ondie"
@@ -33,10 +23,6 @@ func main() {
 	seed := flag.Int64("seed", 2021, "random seed")
 	samples := flag.Int("samples", 400_000, "Monte-Carlo samples per sampled pattern class (paper used 1e7/1e9)")
 	withDSC := flag.Bool("dsc", false, "also evaluate the rejected (36,32) DSC organization (slow decoder)")
-	checkpoint := flag.String("checkpoint", "",
-		"snapshot each completed (scheme, pattern) cell to this file (atomic write)")
-	resume := flag.String("resume", "",
-		"resume from this checkpoint file (same -seed/-samples required)")
 	metrics := flag.String("metrics", "",
 		"on exit, print per-phase span durations and dump all metrics in Prometheus text format to this file (\"-\" = stdout)")
 	wl := flag.Bool("workload", false,
@@ -60,9 +46,6 @@ func main() {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if *ondieInfer {
 		if err := runOnDieInfer(*seed); err != nil {
 			log.Fatal(err)
@@ -71,7 +54,7 @@ func main() {
 	}
 
 	if *wl {
-		if err := runWorkload(ctx, *seed, *wlRuns, *wlSchemes, *checkpoint, *resume); err != nil {
+		if err := runWorkload(*seed, *wlRuns, *wlSchemes); err != nil {
 			log.Fatal(err)
 		}
 		dumpTelemetry(*metrics)
@@ -88,12 +71,9 @@ func main() {
 		names = append(names, "DSC")
 	}
 
-	results, err := runLocal(ctx, names, *seed, *samples, *checkpoint, *resume, stage)
+	results, err := runLocal(names, *seed, *samples, stage)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if results == nil {
-		return // interrupted; checkpoint messages already printed
 	}
 
 	if stage != nil {
@@ -130,8 +110,8 @@ func dumpTelemetry(path string) {
 
 // runLocal is the in-process evaluation: pattern columns run in
 // parallel through the campaign engine, each drawing its trials once for
-// every scheme. The checkpoint still holds (scheme, pattern) cells.
-func runLocal(ctx context.Context, names []string, seed int64, samples int, checkpoint, resume string, stage *ondie.Stage) ([]evalmc.SchemeResult, error) {
+// every scheme.
+func runLocal(names []string, seed int64, samples int, stage *ondie.Stage) ([]evalmc.SchemeResult, error) {
 	schemes := make([]core.Scheme, len(names))
 	for i, name := range names {
 		s, err := core.SchemeByName(name)
@@ -142,21 +122,10 @@ func runLocal(ctx context.Context, names []string, seed int64, samples int, chec
 	}
 	opts := evalmc.Options{
 		Seed: seed, Samples3b: samples, SamplesBeat: samples,
-		SamplesEntry: samples, Parallel: true, Ctx: ctx,
+		SamplesEntry: samples, Parallel: true,
 	}
 	if stage != nil {
 		opts.ErrTransform = stage.TransformMask
-		opts.OnDie = stage.Name()
 	}
-	cli, err := campaign.OpenCLI[evalmc.Echo, errormodel.Pattern, evalmc.PatternResult](opts.Echo(), checkpoint, resume)
-	if err != nil {
-		return nil, err
-	}
-	opts.Resume, opts.Progress = cli.Resume, cli.Progress
-	results, err := evalmc.EvaluateAllCtx(schemes, opts)
-	if err != nil {
-		cli.Interrupted()
-		return nil, nil
-	}
-	return results, nil
+	return evalmc.EvaluateAll(schemes, opts), nil
 }

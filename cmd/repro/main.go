@@ -44,9 +44,8 @@ func main() {
 		}
 	}
 
-	// SIGINT/SIGTERM cancels the long-running stages; repro has no
-	// checkpoint (it is a verification driver), so it simply stops early
-	// and exits cleanly.
+	// SIGINT/SIGTERM cancels the long-running stages; an interrupted
+	// repro is rerun, so it simply stops early and exits cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -8,7 +8,7 @@ import (
 // schemeCtors maps every Table-2 row label (plus the rejected
 // organizations evaluated in §7) to its constructor. The names are the
 // Scheme.Name() strings, so a scheme can round-trip through its label:
-// command-line scheme lists and checkpoint rows name schemes this way.
+// command-line scheme lists and campaign rows name schemes this way.
 var schemeCtors = map[string]func() Scheme{
 	"NI:SEC-DED":      func() Scheme { return NewSECDED(false, false) },
 	"I:SEC-DED":       func() Scheme { return NewSECDED(true, false) },

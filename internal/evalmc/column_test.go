@@ -1,7 +1,6 @@
 package evalmc
 
 import (
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -52,7 +51,8 @@ func TestColumnMatchesCells(t *testing.T) {
 // TestColumnTransformsEachTrialOnce checks that a column draws and
 // transforms each trial once for all schemes: run column by column, the
 // transform has been called exactly CellTrials(q) times for each column
-// q finished so far whenever a cell reports.
+// q finished so far whenever a cell reports. A column's cells report
+// together, in scheme order.
 func TestColumnTransformsEachTrialOnce(t *testing.T) {
 	schemes := core.Table2Schemes()
 	var calls atomic.Int64
@@ -69,6 +69,9 @@ func TestColumnTransformsEachTrialOnce(t *testing.T) {
 	}
 	reports := 0
 	opts.Progress = func(scheme string, p errormodel.Pattern, _ PatternResult) {
+		if want := schemes[reports%len(schemes)].Name(); scheme != want {
+			t.Errorf("report %d (%s) is for %s, want %s (scheme order within a column)", reports, p, scheme, want)
+		}
 		reports++
 		if got := calls.Load(); got != want[p] {
 			t.Errorf("%s / %s reported after %d transform calls, want %d (one per trial of each column)",
@@ -80,63 +83,5 @@ func TestColumnTransformsEachTrialOnce(t *testing.T) {
 	}
 	if n := len(schemes) * int(errormodel.NumPatterns); reports != n {
 		t.Fatalf("%d cells reported, want %d", reports, n)
-	}
-}
-
-// TestColumnPartialResume resumes some schemes of one column and every
-// scheme of another: the results must equal an uninterrupted run, the
-// fully resumed column must not run, and Progress must fire exactly once
-// for each other cell, in scheme order within a column.
-func TestColumnPartialResume(t *testing.T) {
-	schemes := core.Table2Schemes()
-	index := map[string]int{}
-	for i, s := range schemes {
-		index[s.Name()] = i
-	}
-	stored := func(scheme string, p errormodel.Pattern) bool {
-		switch p {
-		case errormodel.Pin1:
-			return true
-		case errormodel.Beat1:
-			i := index[scheme]
-			return i == 0 || i == 2 || i == 5
-		}
-		return false
-	}
-	for name, tf := range columnTransforms {
-		opts := columnOpts(tf)
-		full, err := EvaluateAllCtx(schemes, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ropts := opts
-		ropts.Resume = func(scheme string, p errormodel.Pattern) (PatternResult, bool) {
-			if !stored(scheme, p) {
-				return PatternResult{}, false
-			}
-			return full[index[scheme]].PerPattern[p], true
-		}
-		seen := map[errormodel.Pattern][]int{}
-		ropts.Progress = func(scheme string, p errormodel.Pattern, _ PatternResult) {
-			seen[p] = append(seen[p], index[scheme])
-		}
-		resumed, err := EvaluateAllCtx(schemes, ropts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(full, resumed) {
-			t.Errorf("%s: resumed results differ from uninterrupted:\n%+v\nvs\n%+v", name, full, resumed)
-		}
-		for p := errormodel.Bit1; p < errormodel.NumPatterns; p++ {
-			var want []int
-			for i, s := range schemes {
-				if !stored(s.Name(), p) {
-					want = append(want, i)
-				}
-			}
-			if !reflect.DeepEqual(seen[p], want) {
-				t.Errorf("%s / %s: Progress for schemes %v, want %v", name, p, seen[p], want)
-			}
-		}
 	}
 }

@@ -45,9 +45,6 @@ var (
 	mConvergence = obs.NewGauge("evalmc_sdc_ci_halfwidth",
 		"Half-width of the 95% Wilson interval of the SDC fraction (convergence).",
 		"scheme", "pattern")
-	mResumedCells = obs.NewCounter("evalmc_resumed_cells_total",
-		"(scheme, pattern) cells satisfied from a checkpoint instead of "+
-			"re-evaluated.").With()
 )
 
 // Options configures an evaluation run.
@@ -68,27 +65,17 @@ type Options struct {
 	// Shards is the number of deterministic sampler streams a sampled
 	// pattern class is split into, each run by its own goroutine; zero
 	// means one stream. The streams, and therefore the results, depend
-	// only on Shards, never on GOMAXPROCS or Parallel, and the checkpoint
-	// echo records it.
+	// only on Shards, never on GOMAXPROCS or Parallel.
 	Shards int
-	// Ctx, when non-nil, makes the evaluation cancellable: EvaluateCtx
+	// Ctx, when non-nil, makes the evaluation cancellable: EvaluateAllCtx
 	// stops between pattern columns and (for sampled classes) between
 	// worker batches, returning the context error. A column still running
 	// at cancellation is dropped with all its cells; partial pattern
 	// classes are never reported.
 	Ctx context.Context
-	// Resume, when set, is consulted for each (scheme, pattern) cell
-	// before its pattern column is evaluated; returning ok=true reuses
-	// the cached result (see Checkpoint.Lookup). A column whose cells all
-	// resume is skipped; otherwise it runs for the other schemes only.
-	// Because a column's trials depend only on the seed, the pattern and
-	// the shard, skipping completed cells changes nothing about the
-	// remaining ones. Cells, not columns, are the checkpoint unit.
-	Resume func(scheme string, p errormodel.Pattern) (PatternResult, bool)
-	// Progress, when set, is called for each (scheme, pattern) cell
-	// evaluated — the checkpoint hook (see Checkpoint.Store) — once its
-	// column finishes, in scheme order within the column. It is not
-	// called for cells satisfied by Resume, and calls never overlap.
+	// Progress, when set, is called for each (scheme, pattern) cell once
+	// its column finishes, in scheme order within the column. Calls never
+	// overlap.
 	Progress func(scheme string, p errormodel.Pattern, r PatternResult)
 	// ErrTransform, when set, maps every raw error mask through a
 	// data-independent transformation before the schemes decode it — the
@@ -100,9 +87,6 @@ type Options struct {
 	// same raw trial set as observed past the die. Must be pure and safe
 	// for concurrent use.
 	ErrTransform func(bitvec.V288) bitvec.V288
-	// OnDie names the ErrTransform's stage for checkpoint echoes (see
-	// Checkpoint); informational when ErrTransform is nil.
-	OnDie string
 }
 
 func (o *Options) defaults() {
@@ -194,27 +178,17 @@ func (sr SchemeResult) WeightedWith(weights [errormodel.NumPatterns]float64) Wei
 
 // Evaluate runs the full per-pattern evaluation of one scheme.
 func Evaluate(s core.Scheme, opts Options) SchemeResult {
-	res, _ := EvaluateCtx(s, opts)
-	return res
-}
-
-// EvaluateCtx is Evaluate with cancellation and checkpoint hooks: it
-// returns the context error if cancelled mid-evaluation, in which case
-// only the pattern classes completed so far are populated (Progress has
-// been called for each, so a checkpoint already covers them).
-func EvaluateCtx(s core.Scheme, opts Options) (SchemeResult, error) {
-	res, err := EvaluateAllCtx([]core.Scheme{s}, opts)
-	return res[0], err
+	return EvaluateAll([]core.Scheme{s}, opts)[0]
 }
 
 // EvaluateCell evaluates a single (scheme, pattern) cell: a pattern
 // column over one scheme. Every scheme of a column decodes the same
 // deterministic trial stream, so the full grid can be evaluated in any
 // order and merged into a result bit-identical to a sequential
-// EvaluateCtx with the same options (TestColumnMatchesCells locks this).
-// The Resume and Progress hooks are ignored;
-// cancellation mid-cell returns the context error and drops the partial
-// counts (they would bias the estimator).
+// EvaluateAll with the same options (TestColumnMatchesCells locks this).
+// The Progress hook is ignored; cancellation mid-cell returns the
+// context error and drops the partial counts (they would bias the
+// estimator).
 func EvaluateCell(s core.Scheme, p errormodel.Pattern, opts Options) (PatternResult, error) {
 	opts.defaults()
 	rs, err := evaluateColumn([]core.Scheme{s}, []bitvec.V288{s.Encode(opts.Data)}, p, opts)
@@ -405,7 +379,7 @@ func evaluateColumn(schemes []core.Scheme, wires []bitvec.V288, p errormodel.Pat
 	}
 	if total != n {
 		// Cancelled mid-class: the partial counts would bias the
-		// estimator, so they are dropped (resume redoes the class).
+		// estimator, so they are dropped.
 		return nil, opts.Ctx.Err()
 	}
 	out := make([]PatternResult, len(schemes))
@@ -430,14 +404,12 @@ func EvaluateAll(schemes []core.Scheme, opts Options) []SchemeResult {
 }
 
 // EvaluateAllCtx evaluates the scheme x pattern grid through the
-// campaign engine, with cancellation and checkpoint hooks. The evaluated
-// unit is a pattern column (see evaluateColumn): one campaign cell per
-// pattern, whose trials every scheme decodes. Resume and Progress still
-// work per (scheme, pattern) cell: a column runs only for the schemes
-// Resume does not satisfy, and Progress is called for each of them, in
-// scheme order, when the column finishes. It returns one result per
-// scheme, in order. On cancellation only the columns completed so far
-// are populated, and it returns the context error.
+// campaign engine, with cancellation. The evaluated unit is a pattern
+// column (see evaluateColumn): one campaign cell per pattern, whose
+// trials every scheme decodes. Progress is called for each (scheme,
+// pattern) cell, in scheme order, when its column finishes. It returns
+// one result per scheme, in order. On cancellation only the columns
+// completed so far are populated, and it returns the context error.
 func EvaluateAllCtx(schemes []core.Scheme, opts Options) ([]SchemeResult, error) {
 	opts.defaults()
 	out := make([]SchemeResult, len(schemes))
@@ -447,75 +419,27 @@ func EvaluateAllCtx(schemes []core.Scheme, opts Options) ([]SchemeResult, error)
 		wires[i] = s.Encode(opts.Data)
 	}
 	cols := make([]campaign.Cell[errormodel.Pattern], errormodel.NumPatterns)
-	// stored[p][i] is scheme i's checkpointed pattern-p result, or nil if
-	// column p must evaluate it. The Resume hook fills stored[p] before
-	// column p is evaluated.
-	stored := make([][]*PatternResult, errormodel.NumPatterns)
 	for p := range cols {
 		cols[p].Col = errormodel.Pattern(p)
-		stored[p] = make([]*PatternResult, len(schemes))
 	}
-	// merge interleaves column p's stored results with the fresh ones,
-	// which are in scheme order.
-	merge := func(p errormodel.Pattern, fresh []PatternResult) []PatternResult {
-		rs := make([]PatternResult, len(schemes))
-		for i, r := range stored[p] {
-			if r != nil {
-				rs[i] = *r
-			} else {
-				rs[i], fresh = fresh[0], fresh[1:]
-			}
-		}
-		return rs
-	}
-	var hooks campaign.Hooks[errormodel.Pattern, []PatternResult]
-	if opts.Resume != nil {
-		hooks.Resume = func(_ string, p errormodel.Pattern) ([]PatternResult, bool) {
-			all := true
-			for i, s := range schemes {
-				if r, ok := opts.Resume(s.Name(), p); ok {
-					mResumedCells.Inc()
-					stored[p][i] = &r
-				} else {
-					all = false
-				}
-			}
-			if !all {
-				return nil, false
-			}
-			return merge(p, nil), true
-		}
-	}
+	var progress func(string, errormodel.Pattern, []PatternResult)
 	if opts.Progress != nil {
-		hooks.Progress = func(_ string, p errormodel.Pattern, rs []PatternResult) {
+		progress = func(_ string, p errormodel.Pattern, rs []PatternResult) {
 			for i, s := range schemes {
-				if stored[p][i] == nil {
-					opts.Progress(s.Name(), p, rs[i])
-				}
+				opts.Progress(s.Name(), p, rs[i])
 			}
 		}
 	}
 
 	span := obs.DefaultTracer.Start("evalmc.evaluate")
 	defer span.Finish()
-	done, err := campaign.Run(opts.Ctx, cols, opts.Parallel, hooks, func(c int) ([]PatternResult, error) {
+	done, err := campaign.Run(opts.Ctx, cols, opts.Parallel, progress, func(c int) ([]PatternResult, error) {
 		p := cols[c].Col
-		var todo []core.Scheme
-		var todoWires []bitvec.V288
-		for i, s := range schemes {
-			if stored[p][i] == nil {
-				todo, todoWires = append(todo, s), append(todoWires, wires[i])
-			}
-		}
 		ps := span.Child("pattern")
 		ps.SetAttr("pattern", p.String())
-		ps.SetAttr("schemes", strconv.Itoa(len(todo)))
+		ps.SetAttr("schemes", strconv.Itoa(len(schemes)))
 		defer ps.Finish()
-		fresh, err := evaluateColumn(todo, todoWires, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		return merge(p, fresh), nil
+		return evaluateColumn(schemes, wires, p, opts)
 	})
 	for _, d := range done {
 		for i, r := range d.Result {

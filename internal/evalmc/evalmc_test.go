@@ -1,6 +1,8 @@
 package evalmc
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +13,24 @@ import (
 
 func smallOpts() Options {
 	return Options{Seed: 1, Samples3b: 20000, SamplesBeat: 20000, SamplesEntry: 20000, Parallel: true}
+}
+
+// TestEvaluateCtxCancelledEarly cancels before the first column: no
+// pattern class is evaluated and the context error is returned.
+func TestEvaluateCtxCancelledEarly(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := smallOpts()
+	opts.Ctx = ctx
+	res, err := EvaluateAllCtx([]core.Scheme{core.NewSECDED(false, false)}, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for p := errormodel.Bit1; p < errormodel.NumPatterns; p++ {
+		if res[0].PerPattern[p].N != 0 {
+			t.Fatalf("pattern %v evaluated despite cancelled context", p)
+		}
+	}
 }
 
 func TestEvaluateSECDEDBaseline(t *testing.T) {

@@ -55,7 +55,6 @@ func TestOnDieDistortionDirection(t *testing.T) {
 	raw := evalmc.Evaluate(s, ondieOpts())
 	opts := ondieOpts()
 	opts.ErrTransform = st.TransformMask
-	opts.OnDie = st.Name()
 	dist := evalmc.Evaluate(s, opts)
 
 	for _, p := range []errormodel.Pattern{errormodel.Bit1, errormodel.Pin1} {
@@ -73,24 +72,5 @@ func TestOnDieDistortionDirection(t *testing.T) {
 	}
 	if distB2.DUE >= rawB2.DUE {
 		t.Errorf("2-bit DUE did not shrink: %d -> %d", rawB2.DUE, distB2.DUE)
-	}
-}
-
-// TestCheckpointOnDieGuard pins the config echo: a checkpoint taken
-// under one on-die stage refuses to resume under another.
-func TestCheckpointOnDieGuard(t *testing.T) {
-	opts := ondieOpts()
-	opts.OnDie = "hamming64"
-	ckpt := evalmc.NewCheckpoint(opts)
-	if err := ckpt.Compatible(opts.Echo()); err != nil {
-		t.Fatalf("matching options rejected: %v", err)
-	}
-	other := ondieOpts()
-	if err := ckpt.Compatible(other.Echo()); err == nil {
-		t.Error("raw resume of an on-die checkpoint did not error")
-	}
-	other.OnDie = "sec128"
-	if err := ckpt.Compatible(other.Echo()); err == nil {
-		t.Error("cross-stage resume did not error")
 	}
 }

@@ -53,16 +53,8 @@ type Options struct {
 	// (each cell's stream is independent, so results are identical to a
 	// sequential run).
 	Parallel bool
-	// Ctx, when non-nil, makes the campaign cancellable between cells
-	// and (inside a cell) between runs; partial cells are dropped, so a
-	// checkpoint never holds a half-evaluated cell.
-	Ctx context.Context
-	// Resume is consulted before evaluating each cell; ok=true reuses
-	// the cached result (see Checkpoint.Lookup).
-	Resume func(scheme string, k Kernel) (CellResult, bool)
-	// Progress is called after each evaluated cell (the checkpoint
-	// hook); not called for cells satisfied by Resume. Calls never
-	// overlap.
+	// Progress, when set, is called after each evaluated cell. Calls
+	// never overlap.
 	Progress func(scheme string, k Kernel, r CellResult)
 }
 
@@ -80,9 +72,8 @@ func (o *Options) defaults() {
 
 // CellResult is the outcome ledger of one (scheme, kernel) cell: per-run
 // outcomes in run order plus the per-source marginals the FIT arithmetic
-// needs. Cells are byte-identical across resumes, shard orders and
-// concurrent campaigns — the determinism contract the checkpoint relies
-// on.
+// needs. Cells are byte-identical across cell orders and concurrent
+// campaigns.
 type CellResult struct {
 	Scheme string `json:"scheme"`
 	Kernel Kernel `json:"kernel"`
@@ -151,13 +142,9 @@ func splitmix64(x uint64) uint64 {
 // construction cheap.
 var workloadConfig = hbm2.Config{Stacks: 1}
 
-// cancelCheckStride bounds how many runs pass between context checks.
-const cancelCheckStride = 32
-
 // RunCell evaluates one (scheme, kernel) cell: Runs fault-injection
 // runs, each with exactly one fault event drawn from the FIT-weighted
-// source mixture on a device reset to its unfaulted state. Cancellation
-// mid-cell returns the context error and drops the partial counts.
+// source mixture on a device reset to its unfaulted state.
 func RunCell(scheme string, k Kernel, opts Options) (CellResult, error) {
 	opts.defaults()
 	sch, err := SchemeFor(scheme)
@@ -168,12 +155,12 @@ func RunCell(scheme string, k Kernel, opts Options) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	return runCell(scheme, sch, k, tr, opts)
+	return runCell(scheme, sch, k, tr, opts), nil
 }
 
 // runCell is RunCell with the scheme already resolved from its name and
 // the kernel's trace already recorded.
-func runCell(scheme string, sch core.Scheme, k Kernel, tr *trace, opts Options) (CellResult, error) {
+func runCell(scheme string, sch core.Scheme, k Kernel, tr *trace, opts Options) CellResult {
 	start := time.Now()
 	seed := cellSeed(opts.Seed, scheme, k)
 	dec := newDecider(sch, tr)
@@ -186,9 +173,6 @@ func runCell(scheme string, sch core.Scheme, k Kernel, tr *trace, opts Options) 
 	// cheap as a few stores and yields rand.NewSource's stream.
 	rng := xrand.New(0)
 	for r := 0; r < opts.Runs; r++ {
-		if opts.Ctx != nil && r%cancelCheckStride == 0 && opts.Ctx.Err() != nil {
-			return CellResult{}, opts.Ctx.Err()
-		}
 		rng.Seed(int64(splitmix64(uint64(seed) + uint64(r))))
 		outcome, src, ok := runOne(dec, k, rng)
 		res.Runs++
@@ -216,7 +200,7 @@ func runCell(scheme string, sch core.Scheme, k Kernel, tr *trace, opts Options) 
 	if sec := time.Since(start).Seconds(); sec > 0 {
 		mRunRate.With(k.String(), scheme).Set(float64(res.Runs) / sec)
 	}
-	return res, nil
+	return res
 }
 
 // dryRun executes the kernel once with no faults and ECC off, recording
@@ -319,9 +303,7 @@ func simulate(m *Memory, k Kernel, rng *rand.Rand, strikeOp int64, poisonBit int
 // Campaign evaluates the full scheme x kernel grid in spec order
 // through the campaign engine. With Parallel, cells evaluate
 // concurrently; each draws from its own stream, so the merged result is
-// identical to a sequential run. On cancellation it returns the
-// completed cells (every one already passed to Progress) and the
-// context error.
+// identical to a sequential run.
 func Campaign(opts Options) ([]CellResult, error) {
 	opts.defaults()
 	// Schemes are safe for concurrent use, so one build serves every
@@ -346,15 +328,16 @@ func Campaign(opts Options) ([]CellResult, error) {
 			cells = append(cells, campaign.Cell[Kernel]{Row: s, Col: k})
 		}
 	}
-	done, err := campaign.Run(opts.Ctx, cells, opts.Parallel,
-		campaign.Hooks[Kernel, CellResult]{Resume: opts.Resume, Progress: opts.Progress},
+	// A workload campaign is not cancellable: at its defaults it runs in
+	// a fraction of a second, so an interrupted one is rerun.
+	done, err := campaign.Run(context.Background(), cells, opts.Parallel, opts.Progress,
 		func(i int) (CellResult, error) {
 			c := cells[i]
 			tr, err := traces[c.Col]()
 			if err != nil {
 				return CellResult{}, err
 			}
-			return runCell(c.Row, schemes[c.Row], c.Col, tr, opts)
+			return runCell(c.Row, schemes[c.Row], c.Col, tr, opts), nil
 		})
 	out := make([]CellResult, len(done))
 	for i, d := range done {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -103,40 +102,6 @@ func TestCellFIT(t *testing.T) {
 	}
 	if got[DUE] != 0 {
 		t.Errorf("DUE FIT = %v, want 0", got[DUE])
-	}
-}
-
-func TestCampaignCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opts := Options{Seed: 1, Runs: 50, Schemes: []string{NoECC}, Kernels: []Kernel{DNN}, Ctx: ctx}
-	res, err := Campaign(opts)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(res) != 0 {
-		t.Fatalf("cancelled campaign returned %d completed cells, want 0 (partial cells dropped)", len(res))
-	}
-}
-
-func TestCheckpointCompatible(t *testing.T) {
-	opts := Options{Seed: 5, Runs: 10}
-	c := NewCheckpoint(opts)
-	if err := c.Compatible(opts.Echo()); err != nil {
-		t.Fatalf("self-compatibility: %v", err)
-	}
-	if err := c.Compatible(Options{Seed: 6, Runs: 10}.Echo()); err == nil {
-		t.Error("seed mismatch accepted")
-	}
-	if err := c.Compatible(Options{Seed: 5, Runs: 11}.Echo()); err == nil {
-		t.Error("runs mismatch accepted")
-	}
-	// The fault-source mixture is fixed (faults.DefaultSourceFIT), so the
-	// echo is {Seed, Runs}: the grid and Parallel do not shape a cell's
-	// result and must not make a checkpoint incompatible.
-	other := Options{Seed: 5, Runs: 10, Schemes: []string{NoECC}, Kernels: []Kernel{DNN}, Parallel: true}
-	if err := c.Compatible(other.Echo()); err != nil {
-		t.Errorf("grid or Parallel change refused: %v", err)
 	}
 }
 

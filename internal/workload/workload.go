@@ -20,8 +20,8 @@
 //
 // Every run is deterministic given (seed, scheme, kernel, run index),
 // and every (scheme, kernel) cell draws from its own seed stream, so
-// cells evaluate in any order — or concurrently, or across resumes —
-// into byte-identical outcome ledgers. Campaigns run on the shared
+// cells evaluate in any order, or concurrently, into byte-identical
+// outcome ledgers. Campaigns run on the shared
 // cell-campaign engine, internal/campaign, as internal/evalmc does.
 package workload
 

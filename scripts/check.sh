@@ -49,28 +49,10 @@ go run ./cmd/bench -quick -gate -out "$bench_out" >/dev/null
 test -s "$bench_out"
 rm -f "$bench_out"
 
-echo "== campaign round trips: ecceval straight vs checkpoint/resume =="
-# Each round trip resumes a complete checkpoint: every cell comes from
-# the file and the report must not change. The evaluation has 63
-# (scheme, pattern) cells; the workload grid {none, DuetECC} x 3 kernels
-# has 6 (scheme, kernel) cells.
+echo "== beam logs round trip: beamsim -logs then classify -in =="
 ecc_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_ecceval.XXXXXX")"
 trap 'rm -rf "$ecc_dir"' EXIT
 go build -o "$ecc_dir/" ./cmd/ecceval ./cmd/repro ./cmd/sysrel ./cmd/beamsim ./cmd/classify ./cmd/obsd ./cmd/fleetd
-round_trip() { # round_trip NAME CELLS ECCEVAL_ARGS...
-	local name="$1" cells="$2"
-	shift 2
-	"$ecc_dir/ecceval" "$@" >"$ecc_dir/$name.txt"
-	"$ecc_dir/ecceval" "$@" -checkpoint "$ecc_dir/$name.json" >/dev/null
-	"$ecc_dir/ecceval" "$@" -resume "$ecc_dir/$name.json" >"$ecc_dir/$name.resumed.txt"
-	grep -qxF "Resuming from $ecc_dir/$name.json: $cells cells complete." "$ecc_dir/$name.resumed.txt" ||
-		{ echo "no full resume banner for $name"; cat "$ecc_dir/$name.resumed.txt"; exit 1; }
-	grep -v '^Resuming from' "$ecc_dir/$name.resumed.txt" | diff "$ecc_dir/$name.txt" -
-}
-round_trip eval 63 -samples 2000
-round_trip workload 6 -workload -workload-runs 20 -workload-schemes none,DuetECC
-
-echo "== beam logs round trip: beamsim -logs then classify -in =="
 # The written logs must classify to the counts beamsim printed for the
 # campaign it ran: events, filtered damaged entries and discarded runs.
 "$ecc_dir/beamsim" -runs 20 -logs "$ecc_dir/beam.jsonl" >"$ecc_dir/beamsim.txt"
