@@ -1,26 +1,17 @@
-// Command obsd watches a simulated HBM2 GPU fleet through the fleet
+// Command obsd checks a simulated HBM2 GPU fleet through the fleet
 // health plane. Every device sits in its own accelerated soft-error
-// beamline; obsd checks each one with the paper's DRAM microbenchmark
-// (a fieldsim.Probe), feeds what the check classifies — corrected and
-// detected soft errors, weak-cell damage — into that device's
-// fleet.Agent, and reports the agent's Xid events to an in-process
-// fleet coordinator, whose endpoints it serves:
+// beamline; obsd checks each one once with the paper's DRAM
+// microbenchmark (a fieldsim.Probe), feeds what the check classifies —
+// corrected and detected soft errors, weak-cell damage — into that
+// device's fleet.Agent, and reports the agent's Xid events to an
+// in-process fleet coordinator at simulated hour 1. It then prints the
+// coordinator's ranked fleet (fleet.FleetResponse) as JSON:
 //
-//	GET  /v1/fleet        — ranked devices + status counts (?top=N)
-//	GET  /v1/fleet/events — recent Xid events (?node=&xid=&limit=)
-//	GET  /metrics         — Prometheus text (fleet_* families)
-//	GET  /healthz         — liveness + fleet counts
+//	obsd -devices 3 -seed 7
+//	obsd -devices 1 -mtte 0.002   # a flooded beam: drain or retire
 //
-// Each device runs on its own goroutine, one sweep per -interval, and
-// sweep k is simulated hour k+1 on the fleet plane's clock. A device
-// leaves the rotation once the coordinator answers one of its reports
-// with drain or retire; one that stops reporting for the coordinator's
-// 12-hour lease is marked offline.
-//
-// Run `obsd -once` for one sweep of every device, printed as the
-// coordinator's /v1/fleet JSON (no server). SIGINT/SIGTERM stops the
-// sweeps, waits for in-flight checks, and then shuts the HTTP server
-// down.
+// Each device is checked on its own goroutine; the same flags print
+// byte-identical JSON however they interleave.
 package main
 
 import (
@@ -32,21 +23,16 @@ import (
 	"log"
 	"os"
 	"sync"
-	"time"
 
 	"hbm2ecc/internal/fieldsim"
 	"hbm2ecc/internal/fleet"
-	"hbm2ecc/internal/httpx"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "HTTP listen address")
 	devices := flag.Int("devices", 4, "simulated fleet size")
-	interval := flag.Duration("interval", 10*time.Second, "health-check sweep interval (one sweep = one simulated hour)")
 	seed := flag.Int64("seed", 2021, "random seed for the fleet's fault streams")
 	runs := flag.Int("runs", 1, "microbenchmark runs per device per check")
 	mtte := flag.Float64("mtte", 5, "per-device mean time to soft-error event, seconds")
-	once := flag.Bool("once", false, "run one sweep, print the ranked fleet JSON, exit")
 	flag.Parse()
 	switch {
 	case *devices < 1:
@@ -62,93 +48,46 @@ func main() {
 		probes[i] = fieldsim.NewProbe(i, *seed, *mtte, *runs)
 	}
 	coord := fleet.NewCoordinator(fleet.CoordinatorOptions{})
-
-	if *once {
-		if err := sweep(context.Background(), coord.Loopback(), probes, 1, 0); err != nil {
-			log.Fatal(err)
-		}
-		if err := json.NewEncoder(os.Stdout).Encode(coord.Fleet(*devices)); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	ctx, stop := httpx.SignalContext()
-	defer stop()
-
-	srv, err := httpx.StartDaemon(ctx, "obsd", *addr, coord.Handler(), fleet.MaxFrame)
-	if err != nil {
+	if err := sweep(coord.Loopback(), probes); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("obsd: %d simulated devices, one sweep (one simulated hour) every %s, serving on %s",
-		*devices, *interval, srv.Addr())
-
-	if err := sweep(ctx, coord.Loopback(), probes, 0, *interval); err != nil {
-		log.Printf("obsd: %v", err)
-	}
-	<-ctx.Done()
-	log.Print("obsd: signal received, draining")
-	if err := srv.Wait(); err != nil {
+	if err := json.NewEncoder(os.Stdout).Encode(coord.Fleet(*devices)); err != nil {
 		log.Fatal(err)
 	}
-	log.Print("obsd: shut down cleanly")
 }
 
-// sweep runs every probe's loop on its own goroutine and waits for all
-// of them. Each loop does sweeps sweeps (0: until ctx ends), interval
-// apart, and ends early once the coordinator answers drain or retire.
-func sweep(ctx context.Context, rep fleet.Reporter, probes []*fieldsim.Probe, sweeps int, interval time.Duration) error {
+// sweep checks every probe on its own goroutine and waits for all of
+// them.
+func sweep(rep fleet.Reporter, probes []*fieldsim.Probe) error {
 	errs := make([]error, len(probes))
 	var wg sync.WaitGroup
 	for i, p := range probes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = watch(ctx, rep, p, sweeps, interval)
+			errs[i] = watch(rep, p)
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// watch is one device's loop. Sweep k checks the device into its agent
-// and reports at simulated hour k+1; the rows named by the Xid 63
-// events in a report are swapped out on the device as it is sent.
-func watch(ctx context.Context, rep fleet.Reporter, p *fieldsim.Probe, sweeps int, interval time.Duration) error {
+// watch checks one device into its agent and reports at simulated
+// hour 1; the rows named by the Xid 63 events in a report are swapped
+// out on the device as it is sent.
+func watch(rep fleet.Reporter, p *fieldsim.Probe) error {
+	const at = 1
 	a := fleet.NewAgent(p.Node(), fleet.AgentOptions{})
+	p.Check(a, at)
 	var seq uint64
-	for k := 0; sweeps == 0 || k < sweeps; k++ {
-		if k > 0 && interval > 0 {
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(interval):
-			}
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		at := float64(k + 1)
-		p.Check(a, at)
-		command := ""
-		err := fieldsim.Frames(a, &seq, at, func(req fleet.ReportRequest) error {
-			p.Retire(req.Events)
-			resp, err := rep.Report(ctx, req)
-			command = resp.Command
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if command == fleet.CommandDrain || command == fleet.CommandRetire {
-			return nil
-		}
-	}
-	return nil
+	return fieldsim.Frames(a, &seq, at, func(req fleet.ReportRequest) error {
+		p.Retire(req.Events)
+		_, err := rep.Report(context.Background(), req)
+		return err
+	})
 }
 
-// usageError reports an out-of-range flag and exits 2, before any
-// listener opens.
+// usageError reports an out-of-range flag and exits 2.
 func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "obsd: "+format+"\n", args...)
 	flag.Usage()

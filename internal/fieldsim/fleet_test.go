@@ -1,13 +1,8 @@
 package fieldsim
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -103,53 +98,6 @@ func TestRunFleetDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same config, different results:\n%+v\n%+v", a, b)
-	}
-}
-
-// wireReporter POSTs each frame to a coordinator's HTTP surface, the
-// way an external agent would.
-type wireReporter struct{ url string }
-
-func (w wireReporter) Report(_ context.Context, req fleet.ReportRequest) (fleet.ReportResponse, error) {
-	var out fleet.ReportResponse
-	body, err := json.Marshal(req)
-	if err != nil {
-		return out, err
-	}
-	resp, err := http.Post(w.url+"/v1/report", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return out, json.NewDecoder(resp.Body).Decode(&out)
-}
-
-func TestRunFleetOverWire(t *testing.T) {
-	coord := fleet.NewCoordinator(fleet.CoordinatorOptions{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	cfg := smallFleet()
-	cfg.Nodes = 20
-	cfg.Hours = 48
-	resWire, err := RunFleet(context.Background(), cfg, wireReporter{srv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The wire path and the in-process path are the same simulation.
-	coord2 := fleet.NewCoordinator(fleet.CoordinatorOptions{})
-	resLoop, err := RunFleet(context.Background(), cfg, coord2.Loopback())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resWire, resLoop) {
-		t.Errorf("wire and loopback runs diverge:\n%+v\n%+v", resWire, resLoop)
-	}
-	if n := coord.NodeCount(); n != 20 {
-		t.Errorf("coordinator tracks %d nodes over the wire, want 20", n)
 	}
 }
 

@@ -3,19 +3,17 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"hbm2ecc/internal/fleet/xid"
-	"hbm2ecc/internal/httpx"
 	"hbm2ecc/internal/obs"
 )
 
-// Fleet-plane telemetry, exposed by any /metrics surface sharing the
-// obs Default registry (fleetd serves its own).
+// Fleet-plane telemetry on the obs Default registry, read by any
+// -metrics dump of it.
 var (
 	mFleetNodes = obs.NewGauge("fleet_nodes",
 		"Tracked nodes by status.", "status")
@@ -73,14 +71,9 @@ type CoordinatorOptions struct {
 	MaxNodes int
 }
 
-// Fixed coordinator bounds: the per-node rolling window in simulated
-// hours (bucketed per hour), and the sizes of the per-node and
-// fleet-wide recent-event rings.
-const (
-	coordWindowHours = 48
-	eventRingSize    = 8
-	fleetRingSize    = 256
-)
+// coordWindowHours is the per-node rolling window in simulated hours
+// (bucketed per hour).
+const coordWindowHours = 48
 
 func (o *CoordinatorOptions) defaults() {
 	if o.LeaseHours <= 0 {
@@ -92,8 +85,7 @@ func (o *CoordinatorOptions) defaults() {
 }
 
 // nodeState is the coordinator's bounded per-node record: a fixed-size
-// rolling window, a fixed-size recent-event ring, and scalars. Nothing
-// here grows with event volume.
+// rolling window and scalars. Nothing here grows with event volume.
 type nodeState struct {
 	id        string
 	seq       uint64
@@ -106,30 +98,6 @@ type nodeState struct {
 	drains    int
 	events    int64
 	win       *window
-	ring      []xid.Event
-	ringLen   int
-	ringNext  int
-}
-
-func (n *nodeState) pushEvent(e xid.Event) {
-	n.ring[n.ringNext] = e
-	n.ringNext = (n.ringNext + 1) % len(n.ring)
-	if n.ringLen < len(n.ring) {
-		n.ringLen++
-	}
-}
-
-// recent returns the ring's events oldest-first.
-func (n *nodeState) recent() []xid.Event {
-	out := make([]xid.Event, 0, n.ringLen)
-	start := n.ringNext - n.ringLen
-	if start < 0 {
-		start += len(n.ring)
-	}
-	for i := 0; i < n.ringLen; i++ {
-		out = append(out, n.ring[(start+i)%len(n.ring)])
-	}
-	return out
 }
 
 // Coordinator ingests node report streams, tracks liveness through
@@ -143,9 +111,6 @@ type Coordinator struct {
 	nodes     map[string]*nodeState
 	simHours  float64
 	lastSweep float64
-	fleetRing []xid.Event
-	fleetLen  int
-	fleetNext int
 	// statusCount tracks nodes per lifecycle state incrementally, so
 	// the per-status gauges never need an O(nodes) scan on the ingest
 	// path; statusGauge caches the handles.
@@ -159,10 +124,9 @@ type Coordinator struct {
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	opts.defaults()
 	c := &Coordinator{
-		opts:      opts,
-		nodes:     make(map[string]*nodeState),
-		fleetRing: make([]xid.Event, fleetRingSize),
-		perXid:    make(map[int]*obs.Counter, 8),
+		opts:   opts,
+		nodes:  make(map[string]*nodeState),
+		perXid: make(map[int]*obs.Counter, 8),
 	}
 	for _, code := range xid.Codes() {
 		c.perXid[code] = mFleetEvents.With(strconv.Itoa(code))
@@ -188,8 +152,7 @@ func (c *Coordinator) setStatusLocked(n *nodeState, status int) {
 }
 
 // Reporter is where a node agent's report frames go. Every agent in
-// the repository reports in-process through a Coordinator's Loopback;
-// external agents POST the same frames to the HTTP surface.
+// the repository reports in-process through a Coordinator's Loopback.
 type Reporter interface {
 	Report(ctx context.Context, req ReportRequest) (ReportResponse, error)
 }
@@ -204,19 +167,15 @@ func (r inprocReporter) Report(_ context.Context, req ReportRequest) (ReportResp
 // report comes back with the coordinator's error as is.
 func (c *Coordinator) Loopback() Reporter { return inprocReporter{c} }
 
-// Report ingests one node report: lease renewal, event ingest into the
-// rolling window and rings, re-scoring, and the policy decision. The
-// returned error means the report was rejected (HTTP 422).
+// Report ingests one node report: validation, lease renewal, event
+// ingest into the rolling window, re-scoring, and the policy decision.
+// The returned error means the report was rejected; it changed no
+// node or fleet state.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	if err := req.Validate(); err != nil {
 		mFleetRejected.Inc()
 		return ReportResponse{}, err
 	}
-	return c.ingest(req)
-}
-
-// ingest is Report for a frame that already passed Validate.
-func (c *Coordinator) ingest(req ReportRequest) (ReportResponse, error) {
 	start := time.Now()
 	c.mu.Lock()
 	defer func() {
@@ -230,23 +189,16 @@ func (c *Coordinator) ingest(req ReportRequest) (ReportResponse, error) {
 			mFleetRejected.Inc()
 			return ReportResponse{}, fmt.Errorf("fleet: node table full (%d nodes)", c.opts.MaxNodes)
 		}
-		n = &nodeState{
-			id:   req.NodeID,
-			win:  newWindow(coordWindowHours),
-			ring: make([]xid.Event, eventRingSize),
-		}
+		n = &nodeState{id: req.NodeID, win: newWindow(coordWindowHours)}
 		c.nodes[req.NodeID] = n
 		c.statusCount[nodeOnline]++
 		c.statusGauge[nodeOnline].Set(float64(c.statusCount[nodeOnline]))
 	}
 
-	resp := ReportResponse{Version: ProtocolVersion, LeaseHours: c.opts.LeaseHours}
 	if req.Seq <= n.seq {
 		// Redelivery of an ingested report: acknowledged, not re-applied.
 		mFleetReplays.Inc()
-		resp.Duplicate = true
-		resp.Command = n.command
-		return resp, nil
+		return ReportResponse{Duplicate: true, Command: n.command}, nil
 	}
 	if req.AtHours > c.simHours {
 		c.simHours = req.AtHours
@@ -266,15 +218,8 @@ func (c *Coordinator) ingest(req ReportRequest) (ReportResponse, error) {
 		e := req.Events[i]
 		n.events += int64(e.N())
 		n.win.add(int64(e.AtHours), e.Code, e.N())
-		n.pushEvent(e)
-		c.fleetRing[c.fleetNext] = e
-		c.fleetNext = (c.fleetNext + 1) % len(c.fleetRing)
-		if c.fleetLen < len(c.fleetRing) {
-			c.fleetLen++
-		}
 		c.perXid[e.Code].Add(uint64(e.N()))
 	}
-	resp.Accepted = len(req.Events)
 	mFleetReports.Inc()
 
 	// A draining node reporting again has been repaired and returned to
@@ -308,8 +253,7 @@ func (c *Coordinator) ingest(req ReportRequest) (ReportResponse, error) {
 			}
 		}
 	}
-	resp.Command = n.command
-	return resp, nil
+	return ReportResponse{Command: n.command}, nil
 }
 
 func remediationFromString(s string) (xid.Remediation, bool) {
@@ -365,9 +309,6 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 	if top <= 0 {
 		top = 10
 	}
-	if top > MaxTopNodes {
-		top = MaxTopNodes
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	resp := FleetResponse{
@@ -414,45 +355,6 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 	return resp
 }
 
-// Events returns recent events, oldest first: the per-node ring when
-// node is set, the fleet-wide ring otherwise; code > 0 filters by Xid.
-func (c *Coordinator) Events(node string, code, limit int) EventsResponse {
-	if limit <= 0 {
-		limit = 64
-	}
-	if limit > MaxTopNodes {
-		limit = MaxTopNodes
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var src []xid.Event
-	if node != "" {
-		if n := c.nodes[node]; n != nil {
-			src = n.recent()
-		}
-	} else {
-		src = make([]xid.Event, 0, c.fleetLen)
-		start := c.fleetNext - c.fleetLen
-		if start < 0 {
-			start += len(c.fleetRing)
-		}
-		for i := 0; i < c.fleetLen; i++ {
-			src = append(src, c.fleetRing[(start+i)%len(c.fleetRing)])
-		}
-	}
-	resp := EventsResponse{Version: ProtocolVersion, Events: []xid.Event{}}
-	for _, e := range src {
-		if code > 0 && e.Code != code {
-			continue
-		}
-		resp.Events = append(resp.Events, e)
-	}
-	if len(resp.Events) > limit {
-		resp.Events = resp.Events[len(resp.Events)-limit:]
-	}
-	return resp
-}
-
 // Command returns the coordinator's standing command for a node ("",
 // "drain", "retire"), for tests and the simulator's bookkeeping.
 func (c *Coordinator) Command(node string) string {
@@ -462,76 +364,4 @@ func (c *Coordinator) Command(node string) string {
 		return n.command
 	}
 	return ""
-}
-
-// Handler returns the coordinator's HTTP surface (see protocol.go for
-// the endpoint list).
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpx.Error(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		body, err := httpx.ReadBody(r, MaxFrame)
-		if err != nil {
-			httpx.Error(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		// DecodeReportRequest validates the frame, so it goes straight
-		// to ingest.
-		req, err := DecodeReportRequest(body)
-		if err != nil {
-			mFleetRejected.Inc()
-			httpx.Error(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		resp, err := c.ingest(req)
-		if err != nil {
-			httpx.Error(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpx.Error(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		top, _ := strconv.Atoi(r.URL.Query().Get("top"))
-		httpx.WriteJSON(w, http.StatusOK, c.Fleet(top))
-	})
-	mux.HandleFunc("/v1/fleet/events", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpx.Error(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		q := r.URL.Query()
-		code, _ := strconv.Atoi(q.Get("xid"))
-		limit, _ := strconv.Atoi(q.Get("limit"))
-		httpx.WriteJSON(w, http.StatusOK, c.Events(q.Get("node"), code, limit))
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.Default.WritePrometheus(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		f := c.Fleet(0)
-		httpx.WriteJSON(w, http.StatusOK, map[string]any{
-			"status":    "ok",
-			"nodes":     f.Total,
-			"online":    f.Online,
-			"sim_hours": f.SimHours,
-		})
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte("fleetd: fleet health coordinator\n" +
-			"endpoints: /v1/report /v1/fleet /v1/fleet/events /metrics /healthz\n"))
-	})
-	return mux
 }

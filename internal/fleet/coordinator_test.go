@@ -1,12 +1,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
+	"reflect"
 	"testing"
 
 	"hbm2ecc/internal/fleet/xid"
@@ -31,7 +27,7 @@ func TestCoordinatorIngestAndRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Accepted != 1 || resp.Duplicate {
+	if resp.Duplicate || resp.Command != "" {
 		t.Errorf("ingest response = %+v", resp)
 	}
 	f := c.Fleet(10)
@@ -44,8 +40,8 @@ func TestCoordinatorIngestAndRank(t *testing.T) {
 	if f.Ranked[0].Score <= f.Ranked[1].Score {
 		t.Errorf("noisy score %v !> quiet score %v", f.Ranked[0].Score, f.Ranked[1].Score)
 	}
-	if f.Ranked[0].Window["48"] != 1 {
-		t.Errorf("noisy window = %v, want 1 Xid 48", f.Ranked[0].Window)
+	if f.Ranked[0].Window["48"] != 1 || f.Ranked[0].Events != 1 {
+		t.Errorf("noisy window = %v, events = %d, want 1 Xid 48", f.Ranked[0].Window, f.Ranked[0].Events)
 	}
 }
 
@@ -59,8 +55,8 @@ func TestCoordinatorReplayIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Duplicate || resp.Accepted != 0 {
-		t.Errorf("replay response = %+v, want duplicate/0 accepted", resp)
+	if !resp.Duplicate {
+		t.Errorf("replay response = %+v, want duplicate", resp)
 	}
 	if got := c.Fleet(1).Ranked[0].Events; got != 1 {
 		t.Errorf("events after replay = %d, want 1 (no double ingest)", got)
@@ -166,8 +162,24 @@ func TestCoordinatorFollowsAgentRecommendation(t *testing.T) {
 	}
 }
 
+// TestCoordinatorNodeTableBounded: an invalid frame is refused before
+// ingest, and a new node past MaxNodes is refused; neither leaves a
+// trace in the fleet.
 func TestCoordinatorNodeTableBounded(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{MaxNodes: 2})
+	empty := c.Fleet(0)
+	unknownXid := report("n0", 1, 1, xid.Event{Node: "n0", Code: 13, AtHours: 1})
+	for name, req := range map[string]ReportRequest{"empty node id": report("", 1, 1), "unknown xid": unknownXid} {
+		if _, err := c.Report(req); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if n := c.NodeCount(); n != 0 {
+			t.Errorf("%s: refused frame created %d nodes", name, n)
+		}
+		if f := c.Fleet(0); !reflect.DeepEqual(f, empty) {
+			t.Errorf("%s: refused frame moved the fleet: %+v", name, f)
+		}
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := c.Report(report(fmt.Sprintf("n%d", i), 1, 1)); err != nil {
 			t.Fatal(err)
@@ -182,125 +194,22 @@ func TestCoordinatorNodeTableBounded(t *testing.T) {
 	}
 }
 
-func TestCoordinatorEventRings(t *testing.T) {
+// TestCoordinatorFleetRanksEveryRequestedNode: Fleet(top) returns up to
+// top nodes however large top is.
+func TestCoordinatorFleetRanksEveryRequestedNode(t *testing.T) {
+	const n = 1025
 	c := NewCoordinator(CoordinatorOptions{})
-	var events []xid.Event
-	for i := 0; i < fleetRingSize+3; i++ {
-		events = append(events, due("n1", 5, int64(i)))
-	}
-	if _, err := c.Report(ReportRequest{NodeID: "n1", Seq: 1, AtHours: 5, Health: "ok", Events: events}); err != nil {
-		t.Fatal(err)
-	}
-	last := int64(fleetRingSize + 2)
-	per := c.Events("n1", 0, MaxTopNodes)
-	if len(per.Events) != eventRingSize || per.Events[eventRingSize-1].Row != last {
-		t.Errorf("per-node ring = %+v, want last %d events", per.Events, eventRingSize)
-	}
-	all := c.Events("", 0, MaxTopNodes)
-	if len(all.Events) != fleetRingSize || all.Events[fleetRingSize-1].Row != last {
-		t.Errorf("fleet ring holds %d events, want the last %d", len(all.Events), fleetRingSize)
-	}
-	if got := c.Events("", xid.ContainedECC, 0); len(got.Events) != 0 {
-		t.Errorf("xid filter returned %+v", got.Events)
-	}
-	if got := c.Events("unknown-node", 0, 0); len(got.Events) != 0 {
-		t.Errorf("unknown node returned %+v", got.Events)
-	}
-}
-
-// TestCoordinatorEventsLimitCapped: a limit past MaxTopNodes is capped,
-// the way Fleet caps top, so asking for more never returns fewer.
-func TestCoordinatorEventsLimitCapped(t *testing.T) {
-	c := NewCoordinator(CoordinatorOptions{})
-	var events []xid.Event
-	for i := 0; i < fleetRingSize; i++ {
-		events = append(events, due("n1", 5, int64(i)))
-	}
-	if _, err := c.Report(ReportRequest{NodeID: "n1", Seq: 1, AtHours: 5, Health: "ok", Events: events}); err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int{fleetRingSize, 5000} {
-		if got := c.Events("", 0, limit); len(got.Events) != fleetRingSize {
-			t.Errorf("limit %d returned %d events from a full ring, want %d", limit, len(got.Events), fleetRingSize)
-		}
-	}
-	if got := c.Events("", 0, 0); len(got.Events) != 64 {
-		t.Errorf("default limit returned %d events, want 64", len(got.Events))
-	}
-}
-
-// TestCoordinatorHTTPSurface drives the wire API with a plain
-// http.Client: report ingest with its status codes, the fleet and
-// events reads, /metrics and /healthz.
-func TestCoordinatorHTTPSurface(t *testing.T) {
-	c := NewCoordinator(CoordinatorOptions{MaxNodes: 1})
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	do := func(method, path, body string) (int, []byte) {
-		t.Helper()
-		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
-		if err != nil {
+	for i := 0; i < n; i++ {
+		if _, err := c.Report(report(fmt.Sprintf("n%04d", i), 1, 1)); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, b
 	}
-	frame := func(req ReportRequest) string {
-		t.Helper()
-		b, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	f := c.Fleet(n)
+	if f.Total != n || len(f.Ranked) != n {
+		t.Errorf("Fleet(%d) ranks %d of %d nodes", n, len(f.Ranked), f.Total)
 	}
-
-	code, body := do(http.MethodPost, "/v1/report", frame(report("n1", 1, 3, due("n1", 2, 7))))
-	var resp ReportResponse
-	if code != http.StatusOK || json.Unmarshal(body, &resp) != nil || resp.Accepted != 1 || resp.Version != ProtocolVersion {
-		t.Errorf("report: HTTP %d %s", code, body)
-	}
-	for _, tc := range []struct {
-		name, method, body string
-		want               int
-	}{
-		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed},
-		{"malformed frame", http.MethodPost, frame(report("", 1, 1)), http.StatusBadRequest},
-		{"unknown field", http.MethodPost, `{"node_id":"n1","seq":2,"at_hours":4,"health":"ok","bogus":1}`, http.StatusBadRequest},
-		{"node table full", http.MethodPost, frame(report("n2", 1, 4)), http.StatusUnprocessableEntity},
-	} {
-		if code, body := do(tc.method, "/v1/report", tc.body); code != tc.want {
-			t.Errorf("%s: HTTP %d %s, want %d", tc.name, code, body, tc.want)
-		}
-	}
-
-	code, body = do(http.MethodGet, "/v1/fleet?top=5", "")
-	var f FleetResponse
-	if code != http.StatusOK || json.Unmarshal(body, &f) != nil || f.Total != 1 || len(f.Ranked) != 1 || f.Ranked[0].ID != "n1" {
-		t.Errorf("fleet: HTTP %d %s", code, body)
-	}
-	code, body = do(http.MethodGet, "/v1/fleet/events?node=n1&limit=5000", "")
-	var ev EventsResponse
-	if code != http.StatusOK || json.Unmarshal(body, &ev) != nil || len(ev.Events) != 1 || ev.Events[0].Row != 7 {
-		t.Errorf("events: HTTP %d %s", code, body)
-	}
-
-	_, metrics := do(http.MethodGet, "/metrics", "")
-	for _, fam := range []string{"fleet_nodes{", "fleet_events_total{", "fleet_reports_total", "fleet_ingest_seconds_bucket"} {
-		if !strings.Contains(string(metrics), fam) {
-			t.Errorf("/metrics missing %s", fam)
-		}
-	}
-	if _, hz := do(http.MethodGet, "/healthz", ""); !strings.Contains(string(hz), `"status":"ok"`) {
-		t.Errorf("/healthz = %s", hz)
+	if got := len(c.Fleet(n + 1).Ranked); got != n {
+		t.Errorf("Fleet(%d) ranks %d nodes, want all %d", n+1, got, n)
 	}
 }
 
@@ -315,7 +224,9 @@ func TestCoordinatorMetricsGaugesTrackStatus(t *testing.T) {
 	}
 	snap := obs.Default.Snapshot()
 	got := map[string]float64{}
+	families := map[string]bool{}
 	for _, fam := range snap.Families {
+		families[fam.Name] = true
 		if fam.Name != "fleet_nodes" {
 			continue
 		}
@@ -331,5 +242,11 @@ func TestCoordinatorMetricsGaugesTrackStatus(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("fleet_nodes gauge family missing from snapshot")
+	}
+	// Every -metrics dump of obs.Default carries the ingest families.
+	for _, fam := range []string{"fleet_events_total", "fleet_reports_total", "fleet_ingest_seconds"} {
+		if !families[fam] {
+			t.Errorf("%s family missing from snapshot", fam)
+		}
 	}
 }

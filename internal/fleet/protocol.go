@@ -6,32 +6,23 @@ import (
 	"math"
 
 	"hbm2ecc/internal/fleet/xid"
-	"hbm2ecc/internal/httpx"
 )
 
-// Wire protocol (all bodies are single JSON documents bounded by
-// MaxFrame, decoded with unknown-field/trailing-garbage rejection by
-// httpx.DecodeStrict):
-//
-//	POST /v1/report       ReportRequest -> ReportResponse
-//	GET  /v1/fleet        ?top=N        -> FleetResponse (ranked nodes)
-//	GET  /v1/fleet/events ?node=&xid=   -> EventsResponse (recent ring)
-//	GET  /metrics                       -> Prometheus text (obs registry)
-//	GET  /healthz                       -> liveness + fleet counts
+// Report protocol: an agent hands the coordinator a ReportRequest
+// (Coordinator.Report, or a Reporter such as Loopback) and gets back a
+// ReportResponse carrying its standing command; Coordinator.Fleet
+// answers with a FleetResponse, the ranked fleet. Every frame is
+// validated against the bounds below before it is ingested.
 const (
-	// ProtocolVersion is echoed in every response, so an external
-	// agent can tell which protocol the coordinator speaks.
+	// ProtocolVersion is stamped on every FleetResponse, so a stored
+	// fleet JSON says which protocol produced it.
 	ProtocolVersion = 1
-	// MaxFrame bounds any single wire frame.
-	MaxFrame = 1 << 18
 	// MaxNodeID bounds node identifier length.
 	MaxNodeID = 128
 	// MaxEventsPerReport bounds one report's (deduplicated) event batch.
 	MaxEventsPerReport = 512
 	// MaxEventCount bounds one event's dedup aggregation count.
 	MaxEventCount = 1 << 30
-	// MaxTopNodes bounds one ranked-node query.
-	MaxTopNodes = 1024
 )
 
 // ReportRequest is one node agent's batched health report: a
@@ -106,14 +97,8 @@ func validNodeID(id string) error {
 // ReportResponse acknowledges a report and carries the coordinator's
 // remediation command for the node, if any.
 type ReportResponse struct {
-	Version int `json:"version"`
-	// Accepted counts events ingested from this report (0 for a replay).
-	Accepted int `json:"accepted"`
 	// Duplicate marks a replayed (seq <= last seen) report.
 	Duplicate bool `json:"duplicate,omitempty"`
-	// LeaseHours is how long (simulated hours) the coordinator keeps
-	// the node "online" without another report.
-	LeaseHours float64 `json:"lease_hours"`
 	// Command is the coordinator's standing remediation order for this
 	// node: "", "drain" or "retire".
 	Command string `json:"command,omitempty"`
@@ -126,7 +111,7 @@ const (
 )
 
 // NodeSummary is one node's coordinator-side view, as ranked by
-// /v1/fleet.
+// Coordinator.Fleet.
 type NodeSummary struct {
 	ID     string `json:"id"`
 	Status string `json:"status"` // "online" | "offline" | "draining" | "retired"
@@ -147,8 +132,8 @@ type NodeSummary struct {
 	Events int64 `json:"events"`
 }
 
-// FleetResponse answers /v1/fleet: fleet-wide counts plus the top
-// nodes by score.
+// FleetResponse is Coordinator.Fleet's answer: fleet-wide counts plus
+// the top nodes by score.
 type FleetResponse struct {
 	Version  int     `json:"version"`
 	SimHours float64 `json:"sim_hours"`
@@ -160,29 +145,4 @@ type FleetResponse struct {
 	Retired  int `json:"retired"`
 	// Ranked are the top nodes by descending score.
 	Ranked []NodeSummary `json:"ranked,omitempty"`
-}
-
-// EventsResponse answers /v1/fleet/events: the bounded recent-event
-// ring for one node (or fleet-wide, node unset), newest last.
-type EventsResponse struct {
-	Version int         `json:"version"`
-	Events  []xid.Event `json:"events"`
-}
-
-// decodeStrict unmarshals exactly one JSON document under the MaxFrame
-// bound, rejecting unknown fields and trailing garbage.
-func decodeStrict(data []byte, v any) error {
-	return httpx.DecodeStrict("fleet", data, v, MaxFrame)
-}
-
-// DecodeReportRequest decodes and validates a report frame.
-func DecodeReportRequest(data []byte) (ReportRequest, error) {
-	var r ReportRequest
-	if err := decodeStrict(data, &r); err != nil {
-		return ReportRequest{}, err
-	}
-	if err := r.Validate(); err != nil {
-		return ReportRequest{}, err
-	}
-	return r, nil
 }

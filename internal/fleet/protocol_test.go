@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -57,54 +56,4 @@ func TestReportRequestValidate(t *testing.T) {
 			t.Errorf("%s: validated", tc.name)
 		}
 	}
-}
-
-func TestDecodeStrict(t *testing.T) {
-	good, err := json.Marshal(validReport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeReportRequest(good); err != nil {
-		t.Fatalf("round-trip decode: %v", err)
-	}
-	if _, err := DecodeReportRequest([]byte(`{"node_id":"n1","seq":1,"at_hours":1,"health":"ok","bogus":true}`)); err == nil {
-		t.Error("unknown field accepted")
-	}
-	if _, err := DecodeReportRequest(append(append([]byte{}, good...), "{}"...)); err == nil {
-		t.Error("trailing garbage accepted")
-	}
-	if _, err := DecodeReportRequest(make([]byte, MaxFrame+1)); err == nil {
-		t.Error("oversized frame accepted")
-	}
-}
-
-// FuzzDecodeReportRequest locks the strict codec: arbitrary bytes never
-// panic, and anything that decodes re-validates and survives a JSON
-// round trip.
-func FuzzDecodeReportRequest(f *testing.F) {
-	seed, _ := json.Marshal(validReport())
-	f.Add(seed)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"node_id":"n","seq":1,"at_hours":0,"health":"ok"}`))
-	f.Add([]byte(`not json`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeReportRequest(data)
-		if err != nil {
-			return
-		}
-		if err := req.Validate(); err != nil {
-			t.Fatalf("decoded report fails validation: %v", err)
-		}
-		again, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("re-encoding decoded report: %v", err)
-		}
-		req2, err := DecodeReportRequest(again)
-		if err != nil {
-			t.Fatalf("round trip: %v", err)
-		}
-		if req2.NodeID != req.NodeID || req2.Seq != req.Seq || len(req2.Events) != len(req.Events) {
-			t.Fatalf("round trip changed the frame: %+v vs %+v", req, req2)
-		}
-	})
 }

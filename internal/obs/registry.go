@@ -10,8 +10,8 @@
 // once (typically into package-level vars) and are safe for concurrent
 // use. The package-level Default registry is what the instrumented
 // packages (internal/beam, internal/microbench, internal/evalmc,
-// internal/core, internal/fleet) publish to and every daemon's /metrics
-// serves; tests can build private registries.
+// internal/core, internal/fleet) publish to and every command's
+// -metrics dump writes; tests can build private registries.
 package obs
 
 import (

@@ -18,6 +18,19 @@ go vet ./...
 echo "== go build ./... =="
 go build ./...
 
+echo "== batch only: no non-test package links net/http =="
+# fleetd and obsd are batch tools; the coordinator is reached through
+# Loopback. A network server would regrow the deleted HTTP surface.
+if go list -deps ./... | grep -qx 'net/http'; then
+	echo "non-test code still carries net/http:"
+	go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w 'net/http'
+	exit 1
+fi
+# The fleet write-ahead log is gone as well.
+if grep -rlE 'fleet_wal_|fleet_compaction' --include='*.go' --exclude='*_test.go' .; then
+	echo "non-test code still carries fleet_wal_*/fleet_compaction* families"; exit 1
+fi
+
 echo "== perfbench: go vet + build (its own module, over this tree) =="
 # perfbench builds against ../ through a replace directive, so a change
 # under internal/ can break it without any step above noticing.
@@ -63,13 +76,11 @@ class_counts="$(sed -n 's#^campaign: \([0-9]*\) events, \([0-9]*\) damaged entri
 	{ echo "beamsim counts '$beam_counts' != classify -in counts '$class_counts'"; cat "$ecc_dir/beamsim.txt" "$ecc_dir/classify.txt"; exit 1; }
 
 echo "== usage errors: out-of-range counts exit nonzero =="
-# fleetd and obsd check their flags before any listener opens, so none
-# of these starts a server.
 for cmd in "ecceval -samples 0" "ecceval -samples -5" "ecceval -workload -workload-runs 0" \
 	"repro -samples 0" "repro -runs 0" "sysrel -samples 0" "beamsim -runs 0" "beamsim -runs -5" "classify -runs 0" \
-	"obsd -once -devices 0" "obsd -once -runs 0" "obsd -once -mtte 0" "obsd -once -mtte -3" \
-	"fleetd -nodes -1" "fleetd -once -nodes 0" "fleetd -once -nodes 5 -hours 0" \
-	"fleetd -once -nodes 5 -accel 0"; do
+	"obsd -devices 0" "obsd -runs 0" "obsd -mtte 0" "obsd -mtte -3" \
+	"fleetd -nodes -1" "fleetd -nodes 0" "fleetd -nodes 5 -hours 0" \
+	"fleetd -nodes 5 -accel 0"; do
 	status=0
 	# shellcheck disable=SC2086 # cmd is split into binary and flags on purpose
 	"$ecc_dir"/$cmd >/dev/null 2>&1 || status=$?
@@ -77,44 +88,13 @@ for cmd in "ecceval -samples 0" "ecceval -samples -5" "ecceval -workload -worklo
 done
 rm -rf "$ecc_dir"
 
-echo "== fleet smoke: fleetd + simulated agents =="
 smoke_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_smoke.XXXXXX")"
 trap 'rm -rf "$smoke_dir"' EXIT
-go build -o "$smoke_dir/fleetd" ./cmd/fleetd
-"$smoke_dir/fleetd" -addr 127.0.0.1:0 -nodes 50 -hours 48 -accel 50000 \
-	>"$smoke_dir/fleetd.log" 2>&1 &
-fleetd_pid=$!
-trap 'kill "$fleetd_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
-fleet_url=""
-for _ in $(seq 1 100); do
-	fleet_url="$(sed -n 's#.* on \(http://[0-9.:]*\) .*#\1#p' "$smoke_dir/fleetd.log" | head -n 1)"
-	[ -n "$fleet_url" ] && break
-	sleep 0.1
-done
-test -n "$fleet_url" || { cat "$smoke_dir/fleetd.log"; exit 1; }
-# The simulated agents report in; wait until the coordinator ranks at
-# least one node, then check the metric families are exported.
-ranked=""
-for _ in $(seq 1 100); do
-	ranked="$(curl -sf "$fleet_url/v1/fleet?top=1" | grep -o '"id":"node-[0-9]*"' | head -n 1)"
-	[ -n "$ranked" ] && break
-	sleep 0.1
-done
-test -n "$ranked" || { echo "no ranked node"; cat "$smoke_dir/fleetd.log"; exit 1; }
-fleet_metrics="$(curl -sf "$fleet_url/metrics")"
-for fam in fleet_nodes fleet_reports_total fleetd_build_info fleetd_uptime_seconds; do
-	echo "$fleet_metrics" | grep -q "$fam" || { echo "/metrics missing $fam"; exit 1; }
-done
-if echo "$fleet_metrics" | grep -Eq 'fleet_wal_|fleet_compaction'; then
-	echo "/metrics still carries fleet_wal_*/fleet_compaction* families"; exit 1
-fi
-curl -sf "$fleet_url/healthz" | grep -q '"status":"ok"'
-kill -INT "$fleetd_pid"
-wait "$fleetd_pid"
+go build -o "$smoke_dir/" ./cmd/fleetd ./cmd/obsd
 
-echo "== fleetd -once: deterministic, every frame acknowledged =="
-"$smoke_dir/fleetd" -once -addr 127.0.0.1:0 -nodes 200 -hours 240 >"$smoke_dir/fleetd_a.json" 2>/dev/null
-"$smoke_dir/fleetd" -once -addr 127.0.0.1:0 -nodes 200 -hours 240 >"$smoke_dir/fleetd_b.json" 2>/dev/null
+echo "== fleetd: deterministic, every frame acknowledged =="
+"$smoke_dir/fleetd" -nodes 200 -hours 240 >"$smoke_dir/fleetd_a.json" 2>/dev/null
+"$smoke_dir/fleetd" -nodes 200 -hours 240 >"$smoke_dir/fleetd_b.json" 2>/dev/null
 cmp "$smoke_dir/fleetd_a.json" "$smoke_dir/fleetd_b.json"
 grep -q '"Rejected": 0,\?$' "$smoke_dir/fleetd_a.json" || { echo "fleetd refused frames"; cat "$smoke_dir/fleetd_a.json"; exit 1; }
 sent="$(sed -n 's/.*"Sent": \([0-9]*\).*/\1/p' "$smoke_dir/fleetd_a.json")"
@@ -122,13 +102,12 @@ enqueued="$(sed -n 's/.*"Enqueued": \([0-9]*\).*/\1/p' "$smoke_dir/fleetd_a.json
 test -n "$sent" && test "$sent" = "$enqueued" || { echo "fleetd acknowledged $sent of $enqueued frames"; exit 1; }
 
 echo "== obsd smoke: probes report to the fleet plane, deterministically =="
-go build -o "$smoke_dir/obsd" ./cmd/obsd
-"$smoke_dir/obsd" -once -devices 3 -seed 7 >"$smoke_dir/obsd_a.json"
-"$smoke_dir/obsd" -once -devices 3 -seed 7 >"$smoke_dir/obsd_b.json"
+"$smoke_dir/obsd" -devices 3 -seed 7 >"$smoke_dir/obsd_a.json"
+"$smoke_dir/obsd" -devices 3 -seed 7 >"$smoke_dir/obsd_b.json"
 cmp "$smoke_dir/obsd_a.json" "$smoke_dir/obsd_b.json"
 grep -q '"total":3' "$smoke_dir/obsd_a.json" || { echo "obsd fleet missing devices"; cat "$smoke_dir/obsd_a.json"; exit 1; }
 # A 2ms-MTTE beam floods the device: its agent must not report ok.
-"$smoke_dir/obsd" -once -devices 1 -mtte 0.002 >"$smoke_dir/obsd_flood.json"
+"$smoke_dir/obsd" -devices 1 -mtte 0.002 >"$smoke_dir/obsd_flood.json"
 grep -q '"id":"gpu0"' "$smoke_dir/obsd_flood.json" || { echo "obsd ranked no node"; cat "$smoke_dir/obsd_flood.json"; exit 1; }
 if grep -q '"health":"ok"' "$smoke_dir/obsd_flood.json"; then
 	echo "flooded device ranked healthy"; cat "$smoke_dir/obsd_flood.json"; exit 1
