@@ -72,16 +72,14 @@ func sweep(rep fleet.Reporter, probes []*fieldsim.Probe) error {
 	return errors.Join(errs...)
 }
 
-// watch checks one device into its agent and reports at simulated
-// hour 1; the rows named by the Xid 63 events in a report are swapped
-// out on the device as it is sent.
+// watch checks one device into its agent and reports what the agent
+// saw at simulated hour 1.
 func watch(rep fleet.Reporter, p *fieldsim.Probe) error {
 	const at = 1
 	a := fleet.NewAgent(p.Node(), fleet.AgentOptions{})
 	p.Check(a, at)
 	var seq uint64
 	return fieldsim.Frames(a, &seq, at, func(req fleet.ReportRequest) error {
-		p.Retire(req.Events)
 		_, err := rep.Report(context.Background(), req)
 		return err
 	})

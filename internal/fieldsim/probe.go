@@ -10,7 +10,6 @@ import (
 	"hbm2ecc/internal/core"
 	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/fleet"
-	"hbm2ecc/internal/fleet/xid"
 	"hbm2ecc/internal/hbm2"
 	"hbm2ecc/internal/microbench"
 )
@@ -24,9 +23,8 @@ import (
 
 // Probe is one simulated device under its own beam, checked with a
 // short microbenchmark. It feeds what each check finds into a
-// fleet.Agent and carries out the agent's row retirements on the
-// device. A Probe is not safe for concurrent use; each device's loop
-// owns one.
+// fleet.Agent. A Probe is not safe for concurrent use; each device's
+// loop owns one.
 type Probe struct {
 	dev    *dram.Device
 	beam   *beam.Beam
@@ -133,19 +131,4 @@ func (p *Probe) Check(a *fleet.Agent, at float64) CheckResult {
 	}
 	res.Damaged = len(damaged)
 	return res
-}
-
-// Retire swaps out every row that an Xid 63 (row remap recorded) event
-// among events names, as the agent's retirement table decided: the
-// row's weak cells and pending corruption leave the address space. It
-// returns the number of rows swapped out.
-func (p *Probe) Retire(events []xid.Event) int {
-	rows := 0
-	for _, e := range events {
-		if e.Code == xid.RowRemapRecorded && e.Row >= 0 {
-			p.dev.RetireEntries(p.dev.Cfg.RowEntries(e.Row))
-			rows++
-		}
-	}
-	return rows
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"hbm2ecc/internal/dram"
 	"hbm2ecc/internal/fleet"
 	"hbm2ecc/internal/fleet/xid"
 )
@@ -67,43 +66,6 @@ func TestProbeFloodNotHealthy(t *testing.T) {
 	}
 	if h, rec := a.Health(1); h == fleet.Healthy {
 		t.Fatalf("flooded device healthy (recommend %s): %+v", rec, res)
-	}
-}
-
-// TestProbeRetiresWeakRow plants a three-entry weak row: one check
-// reports it, the agent's retirement table answers with an Xid 63 for
-// that row, and Retire swaps it out, so no weak cell is left and the
-// next check sees no damaged entry.
-func TestProbeRetiresWeakRow(t *testing.T) {
-	p := NewProbe(0, 13, 5, 1)
-	anchor := int64(4096)
-	for i, e := range p.dev.Cfg.RowEntries(anchor)[:3] {
-		p.dev.AddWeakCell(e, dram.WeakCell{Bit: (i % 4) * 72, Retention: 0.001, LeakTo: 0})
-	}
-	row := p.dev.Cfg.RowKey(anchor)
-
-	a := fleet.NewAgent(p.Node(), fleet.AgentOptions{})
-	if res := p.Check(a, 1); res.Damaged < 2 {
-		t.Fatalf("check saw %d damaged entries, want the planted row", res.Damaged)
-	}
-	events := a.Drain()
-	remapped := false
-	for _, e := range events {
-		if e.Code == xid.RowRemapRecorded && e.Row == row {
-			remapped = true
-		}
-	}
-	if !remapped {
-		t.Fatalf("no Xid 63 for row %d in %+v", row, events)
-	}
-	if n := p.Retire(events); n < 1 {
-		t.Fatalf("Retire swapped out %d rows", n)
-	}
-	if got := p.dev.WeakCellCount(); got != 0 {
-		t.Fatalf("weak cells survived retirement: %d", got)
-	}
-	if res := p.Check(a, 2); res.Damaged != 0 {
-		t.Fatalf("next check still saw %d damaged entries", res.Damaged)
 	}
 }
 

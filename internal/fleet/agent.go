@@ -83,63 +83,158 @@ func (o *AgentOptions) defaults() {
 	}
 }
 
+// codes is the taxonomy in ascending order; a code's index in it is its
+// column in every window and in the policy's weights.
+var codes = xid.Codes()
+
+// columns maps a taxonomy code to its column and any other code to -1.
+var columns = func() []int {
+	t := make([]int, codes[len(codes)-1]+1)
+	for i := range t {
+		t[i] = -1
+	}
+	for col, code := range codes {
+		t[code] = col
+	}
+	return t
+}()
+
+// column returns code's column, or -1 for a code outside the taxonomy.
+func column(code int) int {
+	if code < 0 || code >= len(columns) {
+		return -1
+	}
+	return columns[code]
+}
+
 // window is a fixed ring of per-hour, per-code counts — the bounded
-// rolling state everything else derives from.
+// rolling state everything else derives from — plus every code's
+// running sum over the window ending at a reference hour. add keeps the
+// sums current; a query at another hour moves the reference there one
+// hour at a time and rescans the ring only on a jump of a whole window
+// or more. A query thus costs O(codes) per simulated hour moved, and
+// nothing allocates after newWindow.
 type window struct {
 	hours  int
-	codes  []int
-	index  map[int]int // code -> column
-	bucket []int64     // current bucket's absolute hour
-	counts [][]int     // [hour ring][code]
+	bucket []int64 // absolute hour each ring slot holds
+	counts []int   // [slot*len(codes) + column]
+	ref    int64   // the sums' reference hour
+	sums   []int   // per column: events in hours (ref-hours, ref]
 }
 
 func newWindow(hours int) *window {
-	codes := xid.Codes()
 	w := &window{
 		hours:  hours,
-		codes:  codes,
-		index:  make(map[int]int, len(codes)),
 		bucket: make([]int64, hours),
-		counts: make([][]int, hours),
+		counts: make([]int, hours*len(codes)),
+		sums:   make([]int, len(codes)),
 	}
-	for i, c := range codes {
-		w.index[c] = i
-	}
-	for i := range w.counts {
+	for i := range w.bucket {
 		w.bucket[i] = -1
-		w.counts[i] = make([]int, len(codes))
 	}
 	return w
 }
 
-// add records n events of code at absolute simulated hour h, expiring
-// any ring slot that last held a different hour.
-func (w *window) add(h int64, code, n int) {
-	slot := int(h % int64(w.hours))
+// slot is hour h's ring slot; a negative hour lands in slot 0.
+func (w *window) slot(h int64) int {
 	if h < 0 {
-		slot = 0
+		return 0
 	}
-	if w.bucket[slot] != h {
-		w.bucket[slot] = h
-		for i := range w.counts[slot] {
-			w.counts[slot][i] = 0
+	return int(h % int64(w.hours))
+}
+
+// row returns ring slot s's per-column counts.
+func (w *window) row(s int) []int {
+	n := len(codes)
+	return w.counts[s*n : (s+1)*n]
+}
+
+// covers reports whether hour b lies in the window ending at the
+// reference hour.
+func (w *window) covers(b int64) bool {
+	return b <= w.ref && b > w.ref-int64(w.hours)
+}
+
+// add records n events of code at absolute simulated hour h, expiring
+// the ring slot h maps to if it last held any other hour, even a newer
+// one. A code outside the taxonomy is not recorded.
+func (w *window) add(h int64, code, n int) {
+	col := column(code)
+	if col < 0 {
+		return
+	}
+	s := w.slot(h)
+	row := w.row(s)
+	if w.bucket[s] != h {
+		if w.covers(w.bucket[s]) {
+			for c, k := range row {
+				w.sums[c] -= k
+			}
+		}
+		clear(row)
+		w.bucket[s] = h
+	}
+	row[col] += n
+	if w.covers(h) {
+		w.sums[col] += n
+	}
+}
+
+// at moves the reference hour to h and returns every column's total
+// over the window ending there. The slice is the window's own: callers
+// read it before the next add or at.
+func (w *window) at(h int64) []int {
+	hours := int64(w.hours)
+	// The h-vs-ref comparisons guard the difference against overflow.
+	switch d := h - w.ref; {
+	case d == 0:
+	case h > w.ref && d > 0 && d < hours:
+		for w.ref < h {
+			w.ref++
+			w.shift(w.ref, 1)
+			w.shift(w.ref-hours, -1)
+		}
+	case h < w.ref && d < 0 && d > -hours:
+		for w.ref > h {
+			w.shift(w.ref, -1)
+			w.shift(w.ref-hours, 1)
+			w.ref--
+		}
+	default:
+		w.ref = h
+		clear(w.sums)
+		for s, b := range w.bucket {
+			if w.covers(b) {
+				for c, k := range w.row(s) {
+					w.sums[c] += k
+				}
+			}
 		}
 	}
-	w.counts[slot][w.index[code]] += n
+	return w.sums
+}
+
+// shift adds sign times hour x's counts to the sums. Only x's own slot
+// can hold nonzero counts for x: a slot other than 0 that still holds
+// its initial hour -1 holds no events.
+func (w *window) shift(x int64, sign int) {
+	s := w.slot(x)
+	if w.bucket[s] != x {
+		return
+	}
+	for c, k := range w.row(s) {
+		w.sums[c] += sign * k
+	}
 }
 
 // total sums code's events across ring slots still inside the window
-// ending at hour h.
+// ending at hour h; a code outside the taxonomy has none.
 func (w *window) total(h int64, code int) int {
-	col := w.index[code]
-	lo := h - int64(w.hours) + 1
-	sum := 0
-	for slot := 0; slot < w.hours; slot++ {
-		if b := w.bucket[slot]; b >= lo && b <= h {
-			sum += w.counts[slot][col]
-		}
+	col := column(code)
+	if col < 0 {
+		return 0
 	}
-	return sum
+	return w.at(h)[col]
 }
 
 // Agent is one node's health component. It consumes raw decode
@@ -162,7 +257,7 @@ type Agent struct {
 	// dedup maps DedupKey -> outbox slot for the current reporting
 	// interval; cleared on Drain so its size is bounded by the distinct
 	// event streams between reports.
-	dedup map[string]int
+	dedup map[xid.Key]int
 	// stormHour is the last hour a storm event fired (one per hour max).
 	stormHour int64
 	dead      bool
@@ -177,7 +272,7 @@ func NewAgent(node string, opts AgentOptions) *Agent {
 		win:     newWindow(agentWindowHours),
 		rowErrs: map[int64]int{},
 		retired: map[int64]struct{}{},
-		dedup:   map[string]int{},
+		dedup:   map[xid.Key]int{},
 	}
 }
 
@@ -306,21 +401,22 @@ func (a *Agent) Drain() []xid.Event {
 //   - DUE budget spent => Critical (drain)
 //   - any DUE, a storm, or remap activity in the window => Degraded
 func (a *Agent) Health(at float64) (Health, xid.Remediation) {
-	h := int64(at)
+	if a.dead {
+		return Critical, xid.RemedRetire
+	}
+	n := a.win.at(int64(at))
 	switch {
-	case a.dead:
+	case n[column(xid.RowRemapFailure)] > 0:
 		return Critical, xid.RemedRetire
-	case a.win.total(h, xid.RowRemapFailure) > 0:
-		return Critical, xid.RemedRetire
-	case a.win.total(h, xid.UncontainedECC) > 0:
+	case n[column(xid.UncontainedECC)] > 0:
 		return Critical, xid.RemedDrain
 	case a.dues >= a.opts.DUEBudget:
 		return Critical, xid.RemedDrain
-	case a.win.total(h, xid.DoubleBitECC) > 0:
+	case n[column(xid.DoubleBitECC)] > 0:
 		return Degraded, xid.RemedReset
-	case a.win.total(h, xid.HighSBERate) > 0:
+	case n[column(xid.HighSBERate)] > 0:
 		return Degraded, xid.RemedMonitor
-	case a.win.total(h, xid.RowRemapRecorded) > 0:
+	case n[column(xid.RowRemapRecorded)] > 0:
 		return Degraded, xid.RemedMonitor
 	default:
 		return Healthy, xid.RemedNone
@@ -328,7 +424,8 @@ func (a *Agent) Health(at float64) (Health, xid.Remediation) {
 }
 
 // WindowCount exposes the rolling window total for one code at time
-// at — the agent-side view tests assert against.
+// at — the agent-side view tests assert against. A code outside the
+// taxonomy counts 0.
 func (a *Agent) WindowCount(at float64, code int) int {
 	return a.win.total(int64(at), code)
 }

@@ -195,3 +195,26 @@ func TestWindowRing(t *testing.T) {
 		t.Errorf("stale window total = %d, want 0", got)
 	}
 }
+
+// TestAgentObserveHealthAllocs pins an agent's per-error path
+// allocation-free once its outbox holds the event's stream: dedup keys
+// are structs and Health reads the window's running sums.
+func TestAgentObserveHealthAllocs(t *testing.T) {
+	a := NewAgent("n1", AgentOptions{})
+	at := 1.0
+	var health Health
+	observe := func() {
+		a.ObserveCorrected(at, 7)
+		health, _ = a.Health(at)
+		at += 0.01
+	}
+	for i := 0; i < 2*stormThreshold; i++ {
+		observe() // remaps row 7 and fires hour 1's storm
+	}
+	if health != Degraded {
+		t.Fatalf("warmed-up agent %v, want Degraded", health)
+	}
+	if allocs := testing.AllocsPerRun(200, observe); allocs != 0 {
+		t.Errorf("ObserveCorrected + Health: %v allocations, want 0", allocs)
+	}
+}

@@ -116,8 +116,9 @@ type Coordinator struct {
 	// path; statusGauge caches the handles.
 	statusCount [4]int
 	statusGauge [4]*obs.Gauge
-	// perXid caches counter handles (label resolution off the hot path).
-	perXid map[int]*obs.Counter
+	// perXid caches counter handles by window column (label resolution
+	// off the hot path).
+	perXid []*obs.Counter
 }
 
 // NewCoordinator builds an empty coordinator.
@@ -126,10 +127,10 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:   opts,
 		nodes:  make(map[string]*nodeState),
-		perXid: make(map[int]*obs.Counter, 8),
+		perXid: make([]*obs.Counter, len(codes)),
 	}
-	for _, code := range xid.Codes() {
-		c.perXid[code] = mFleetEvents.With(strconv.Itoa(code))
+	for col, code := range codes {
+		c.perXid[col] = mFleetEvents.With(strconv.Itoa(code))
 	}
 	for s := range c.statusGauge {
 		c.statusGauge[s] = mFleetNodes.With(statusString(s))
@@ -218,7 +219,7 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		e := req.Events[i]
 		n.events += int64(e.N())
 		n.win.add(int64(e.AtHours), e.Code, e.N())
-		c.perXid[e.Code].Add(uint64(e.N()))
+		c.perXid[column(e.Code)].Add(uint64(e.N()))
 	}
 	mFleetReports.Inc()
 
@@ -232,7 +233,7 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		c.setStatusLocked(n, nodeOnline)
 	}
 
-	n.score = policy.Score(c.windowCountsLocked(n))
+	n.score = policy.Score(n.win.at(int64(c.simHours)))
 	if n.status != nodeRetired {
 		rec, _ := remediationFromString(req.Recommend)
 		cmd := policy.Decide(n.score, rec)
@@ -265,12 +266,16 @@ func remediationFromString(s string) (xid.Remediation, bool) {
 	return xid.RemedNone, false
 }
 
-func (c *Coordinator) windowCountsLocked(n *nodeState) map[int]int {
-	h := int64(c.simHours)
-	out := make(map[int]int, len(n.win.codes))
-	for _, code := range n.win.codes {
-		if t := n.win.total(h, code); t > 0 {
-			out[code] = t
+// windowCountsLocked is n's window at the fleet's latest hour as
+// Fleet's JSON map (code -> count, nonzero codes only; nil if none).
+func (c *Coordinator) windowCountsLocked(n *nodeState) map[string]int {
+	var out map[string]int
+	for col, k := range n.win.at(int64(c.simHours)) {
+		if k > 0 {
+			if out == nil {
+				out = make(map[string]int, len(codes))
+			}
+			out[strconv.Itoa(codes[col])] = k
 		}
 	}
 	return out
@@ -344,12 +349,7 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 			Command:       n.command,
 			Events:        n.events,
 		}
-		if w := c.windowCountsLocked(n); len(w) > 0 {
-			s.Window = make(map[string]int, len(w))
-			for code, k := range w {
-				s.Window[strconv.Itoa(code)] = k
-			}
-		}
+		s.Window = c.windowCountsLocked(n)
 		resp.Ranked = append(resp.Ranked, s)
 	}
 	return resp

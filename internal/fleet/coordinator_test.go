@@ -250,3 +250,34 @@ func TestCoordinatorMetricsGaugesTrackStatus(t *testing.T) {
 		}
 	}
 }
+
+// TestReportAllocs pins the report path allocation-free: a heartbeat or
+// a one-event frame from a known node scores from the node's running
+// window sums without building any map.
+func TestReportAllocs(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	if _, err := c.Report(report("n1", 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	seq, at := uint64(1), 0.0
+	events := []xid.Event{{Node: "n1", Code: xid.ContainedECC}}
+	for _, tc := range []struct {
+		name   string
+		events []xid.Event
+	}{{"heartbeat", nil}, {"one event", events}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			seq++
+			at += 0.5
+			events[0].AtHours = at
+			if _, err := c.Report(ReportRequest{NodeID: "n1", Seq: seq, AtHours: at, Health: "ok", Events: tc.events}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s report: %v allocations, want 0", tc.name, allocs)
+		}
+	}
+	if cmd := c.Command("n1"); cmd != "" {
+		t.Errorf("corrected errors alone earned command %q", cmd)
+	}
+}

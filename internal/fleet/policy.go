@@ -9,8 +9,9 @@ import "hbm2ecc/internal/fleet/xid"
 // a log scale (a corrected error is noise; an uncontained error is
 // nearly dispositive).
 type Policy struct {
-	// Weights maps taxonomy code -> per-event score contribution.
-	Weights map[int]float64
+	// Weights is each taxonomy code's per-event score contribution,
+	// by window column (see byColumn).
+	Weights []float64
 	// DrainScore and RetireScore are the action thresholds. A node at
 	// or above DrainScore is drained; at or above RetireScore (or
 	// carrying an event whose remediation is RemedRetire) it is
@@ -28,7 +29,7 @@ type Policy struct {
 
 // policy is the tuned policy every coordinator runs.
 var policy = Policy{
-	Weights: map[int]float64{
+	Weights: byColumn(map[int]float64{
 		xid.ContainedECC:     0.1,
 		xid.RowRemapRecorded: 2,
 		xid.HighSBERate:      5,
@@ -36,19 +37,28 @@ var policy = Policy{
 		xid.UncontainedECC:   50,
 		xid.RowRemapFailure:  200,
 		xid.OffTheBus:        1000,
-	},
+	}),
 	DrainScore:  40,
 	RetireScore: 200,
 	FollowAgent: true,
 	MaxDrains:   3,
 }
 
-// Score computes the predicted-failure score for one window (code ->
-// count).
-func (p *Policy) Score(window map[int]int) float64 {
+// byColumn lays a code -> weight table out by window column.
+func byColumn(weights map[int]float64) []float64 {
+	out := make([]float64, len(codes))
+	for code, w := range weights {
+		out[column(code)] = w
+	}
+	return out
+}
+
+// Score computes the predicted-failure score of one window's
+// per-column counts, summed in column (ascending code) order.
+func (p *Policy) Score(counts []int) float64 {
 	s := 0.0
-	for code, n := range window {
-		s += p.Weights[code] * float64(n)
+	for col, n := range counts {
+		s += p.Weights[col] * float64(n)
 	}
 	return s
 }

@@ -229,14 +229,22 @@ func (e Event) Detail() Detail {
 	return details[e.Code]
 }
 
+// Key identifies an event stream: node and code, plus the row for a
+// row-scoped code (Row is -1 for every other code).
+type Key struct {
+	Node string
+	Code int
+	Row  int64
+}
+
 // DedupKey identifies the stream this event aggregates into: node and
 // code, plus the row for row-scoped codes. Agents collapse same-key
 // events within a reporting interval into one Event with a Count.
-func (e Event) DedupKey() string {
+func (e Event) DedupKey() Key {
+	k := Key{Node: e.Node, Code: e.Code, Row: -1}
 	switch e.Code {
 	case RowRemapRecorded, RowRemapFailure:
-		return fmt.Sprintf("%s/%d/%d", e.Node, e.Code, e.Row)
-	default:
-		return fmt.Sprintf("%s/%d", e.Node, e.Code)
+		k.Row = e.Row
 	}
+	return k
 }

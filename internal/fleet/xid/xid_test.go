@@ -82,12 +82,12 @@ func TestEventDedupKey(t *testing.T) {
 	a := Event{Node: "n1", Code: ContainedECC, Row: 7}
 	b := Event{Node: "n1", Code: ContainedECC, Row: 9}
 	if a.DedupKey() != b.DedupKey() {
-		t.Errorf("contained ECC dedup keys differ by row: %q vs %q", a.DedupKey(), b.DedupKey())
+		t.Errorf("contained ECC dedup keys differ by row: %+v vs %+v", a.DedupKey(), b.DedupKey())
 	}
 	r1 := Event{Node: "n1", Code: RowRemapRecorded, Row: 7}
 	r2 := Event{Node: "n1", Code: RowRemapRecorded, Row: 9}
 	if r1.DedupKey() == r2.DedupKey() {
-		t.Errorf("remap dedup keys must be row-scoped, both %q", r1.DedupKey())
+		t.Errorf("remap dedup keys must be row-scoped, both %+v", r1.DedupKey())
 	}
 	other := Event{Node: "n2", Code: ContainedECC}
 	if a.DedupKey() == other.DedupKey() {

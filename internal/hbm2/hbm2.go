@@ -128,11 +128,6 @@ func (c Config) BankKey(idx int64) int64 {
 	return idx & (1<<(channelBits+stackBits+bankBits) - 1)
 }
 
-// RowEntries returns the 64 entry indices of the row containing idx.
-func (c Config) RowEntries(idx int64) []int64 {
-	return c.SameRowEntries(c.CoordOf(idx))
-}
-
 // SameRowEntries returns the entry indices sharing co's row buffer (all 64
 // columns of the row), the blast radius of subarray- and wordline-level
 // faults.

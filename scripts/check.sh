@@ -49,6 +49,7 @@ go test -run '^$' -fuzz FuzzSynBitRowsVsSyndromes -fuzztime 10s ./internal/rscod
 go test -run '^$' -fuzz FuzzOnDieDecodeVsRef -fuzztime 10s ./internal/ondie/
 go test -run '^$' -fuzz FuzzReadSeriesVsReadWire -fuzztime 10s ./internal/dram/
 go test -run '^$' -fuzz FuzzMemoryVsDevice -fuzztime 10s ./internal/workload/
+go test -run '^$' -fuzz FuzzWindowVsRing -fuzztime 10s ./internal/fleet/
 go test -run '^$' -fuzz FuzzDecideVsSimulate -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz FuzzSourceVsStdlib -fuzztime 10s ./internal/xrand/
 
