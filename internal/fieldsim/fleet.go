@@ -161,6 +161,7 @@ type simNode struct {
 	id     string
 	agent  *fleet.Agent
 	seq    uint64
+	handle int     // the coordinator's handle for the node, once it answered
 	next   float64 // next heartbeat due
 	rate   float64 // events/hour, accelerated
 	retEnd float64 // drained-until; +Inf for retired
@@ -214,6 +215,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 	report := func(n *simNode, at float64) error {
 		return Frames(n.agent, &n.seq, at, func(req fleet.ReportRequest) error {
 			res.Outbox.Enqueued++
+			req.Handle = n.handle
 			resp, err := rep.Report(ctx, req)
 			if err != nil {
 				if ctx.Err() != nil {
@@ -222,6 +224,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 				res.Outbox.Rejected++
 				return nil
 			}
+			n.handle = resp.Handle
 			res.Outbox.Sent++
 			res.Reports++
 			for _, e := range req.Events {

@@ -6,10 +6,10 @@
 // drives drain/retire decisions.
 //
 // The division of labor mirrors leptonai/gpud: the agent is the
-// on-node component (local classification, dedup, health state), the
-// coordinator is the control plane (fleet-wide ranking, remediation
-// commands), and the wire between them is a strict JSON protocol
-// (protocol.go) that rejects unknown fields and trailing data.
+// on-node component (local classification, dedup, health state) and
+// the coordinator is the control plane (fleet-wide ranking, remediation
+// commands). Agents hand the coordinator report frames in-process
+// (protocol.go), which it validates before they touch any state.
 package fleet
 
 import "hbm2ecc/internal/fleet/xid"
@@ -112,14 +112,17 @@ func column(code int) int {
 // running sum over the window ending at a reference hour. add keeps the
 // sums current; a query at another hour moves the reference there one
 // hour at a time and rescans the ring only on a jump of a whole window
-// or more. A query thus costs O(codes) per simulated hour moved, and
-// nothing allocates after newWindow.
+// or more. A quiet window, whose newest add lies a whole window or more
+// behind the reference hour, moves forward in one step: its sums are
+// zero and stay zero. A query thus costs O(codes) per simulated hour
+// moved at most, and nothing allocates after newWindow.
 type window struct {
 	hours  int
 	bucket []int64 // absolute hour each ring slot holds
 	counts []int   // [slot*len(codes) + column]
 	ref    int64   // the sums' reference hour
 	sums   []int   // per column: events in hours (ref-hours, ref]
+	newest int64   // the newest hour any add touched (-1 before any)
 }
 
 func newWindow(hours int) *window {
@@ -128,6 +131,7 @@ func newWindow(hours int) *window {
 		bucket: make([]int64, hours),
 		counts: make([]int, hours*len(codes)),
 		sums:   make([]int, len(codes)),
+		newest: -1,
 	}
 	for i := range w.bucket {
 		w.bucket[i] = -1
@@ -178,6 +182,15 @@ func (w *window) add(h int64, code, n int) {
 	if w.covers(h) {
 		w.sums[col] += n
 	}
+	w.newest = max(w.newest, h)
+}
+
+// quiet reports whether no hour the ring holds can enter a window
+// ending at or after the reference hour. A backward move is never
+// quiet: it can re-enter an old event.
+func (w *window) quiet() bool {
+	// ref-newest is negative only on overflow, which is not quiet.
+	return w.newest < w.ref && w.ref-w.newest >= int64(w.hours)
 }
 
 // at moves the reference hour to h and returns every column's total
@@ -188,6 +201,8 @@ func (w *window) at(h int64) []int {
 	// The h-vs-ref comparisons guard the difference against overflow.
 	switch d := h - w.ref; {
 	case d == 0:
+	case h > w.ref && w.quiet():
+		w.ref = h
 	case h > w.ref && d > 0 && d < hours:
 		for w.ref < h {
 			w.ref++
@@ -256,7 +271,9 @@ type Agent struct {
 	outbox []xid.Event
 	// dedup maps DedupKey -> outbox slot for the current reporting
 	// interval; cleared on Drain so its size is bounded by the distinct
-	// event streams between reports.
+	// event streams between reports. A scan of the outbox would do for
+	// fleetd's few streams, but a flooded device's interval holds
+	// hundreds (Xid 64 is row-scoped): obsd -mtte 0.002 reaches 232.
 	dedup map[xid.Key]int
 	// stormHour is the last hour a storm event fired (one per hour max).
 	stormHour int64

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"hbm2ecc/internal/fleet/xid"
 	"hbm2ecc/internal/obs"
@@ -31,9 +30,6 @@ var (
 		"Remediation commands issued to nodes.", "command")
 	mFleetExpiries = obs.NewCounter("fleet_lease_expiries_total",
 		"Nodes marked offline after their liveness lease expired.").With()
-	mFleetIngest = obs.NewHistogram("fleet_ingest_seconds",
-		"Report ingest latency.", obs.ExpBuckets(1e-6, 2, 18))
-	mFleetIngestH = mFleetIngest.With()
 )
 
 // Node lifecycle states, coordinator view.
@@ -88,6 +84,7 @@ func (o *CoordinatorOptions) defaults() {
 // rolling window and scalars. Nothing here grows with event volume.
 type nodeState struct {
 	id        string
+	handle    int // 1 + the node's index in Coordinator.nodes
 	seq       uint64
 	lastSeen  float64
 	status    int
@@ -107,8 +104,12 @@ type nodeState struct {
 type Coordinator struct {
 	opts CoordinatorOptions
 
-	mu        sync.Mutex
-	nodes     map[string]*nodeState
+	mu sync.Mutex
+	// nodes holds every node in join order: a node's handle is its
+	// index plus one, so the zero handle names none. byID resolves a
+	// node id for a report that carries no valid handle.
+	nodes     []*nodeState
+	byID      map[string]*nodeState
 	simHours  float64
 	lastSweep float64
 	// statusCount tracks nodes per lifecycle state incrementally, so
@@ -126,7 +127,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	opts.defaults()
 	c := &Coordinator{
 		opts:   opts,
-		nodes:  make(map[string]*nodeState),
+		byID:   make(map[string]*nodeState),
 		perXid: make([]*obs.Counter, len(codes)),
 	}
 	for col, code := range codes {
@@ -170,36 +171,27 @@ func (c *Coordinator) Loopback() Reporter { return inprocReporter{c} }
 
 // Report ingests one node report: validation, lease renewal, event
 // ingest into the rolling window, re-scoring, and the policy decision.
-// The returned error means the report was rejected; it changed no
-// node or fleet state.
+// The response carries the node's handle for its later reports. The
+// returned error means the report was rejected; it changed no node or
+// fleet state.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	if err := req.Validate(); err != nil {
 		mFleetRejected.Inc()
 		return ReportResponse{}, err
 	}
-	start := time.Now()
 	c.mu.Lock()
-	defer func() {
-		c.mu.Unlock()
-		mFleetIngestH.Observe(time.Since(start).Seconds())
-	}()
+	defer c.mu.Unlock()
 
-	n := c.nodes[req.NodeID]
-	if n == nil {
-		if len(c.nodes) >= c.opts.MaxNodes {
-			mFleetRejected.Inc()
-			return ReportResponse{}, fmt.Errorf("fleet: node table full (%d nodes)", c.opts.MaxNodes)
-		}
-		n = &nodeState{id: req.NodeID, win: newWindow(coordWindowHours)}
-		c.nodes[req.NodeID] = n
-		c.statusCount[nodeOnline]++
-		c.statusGauge[nodeOnline].Set(float64(c.statusCount[nodeOnline]))
+	n, err := c.nodeLocked(req.Handle, req.NodeID)
+	if err != nil {
+		mFleetRejected.Inc()
+		return ReportResponse{}, err
 	}
 
 	if req.Seq <= n.seq {
 		// Redelivery of an ingested report: acknowledged, not re-applied.
 		mFleetReplays.Inc()
-		return ReportResponse{Duplicate: true, Command: n.command}, nil
+		return ReportResponse{Duplicate: true, Command: n.command, Handle: n.handle}, nil
 	}
 	if req.AtHours > c.simHours {
 		c.simHours = req.AtHours
@@ -254,7 +246,28 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 			}
 		}
 	}
-	return ReportResponse{Command: n.command}, nil
+	return ReportResponse{Command: n.command, Handle: n.handle}, nil
+}
+
+// nodeLocked finds the reporting node: by handle when it names a node
+// with this id, else by id, joining a new node while the table has
+// room.
+func (c *Coordinator) nodeLocked(handle int, id string) (*nodeState, error) {
+	if handle > 0 && handle <= len(c.nodes) && c.nodes[handle-1].id == id {
+		return c.nodes[handle-1], nil
+	}
+	if n := c.byID[id]; n != nil {
+		return n, nil
+	}
+	if len(c.nodes) >= c.opts.MaxNodes {
+		return nil, fmt.Errorf("fleet: node table full (%d nodes)", c.opts.MaxNodes)
+	}
+	n := &nodeState{id: id, handle: len(c.nodes) + 1, win: newWindow(coordWindowHours)}
+	c.nodes = append(c.nodes, n)
+	c.byID[id] = n
+	c.statusCount[nodeOnline]++
+	c.statusGauge[nodeOnline].Set(float64(c.statusCount[nodeOnline]))
+	return n, nil
 }
 
 func remediationFromString(s string) (xid.Remediation, bool) {
@@ -325,10 +338,8 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 		Draining: c.statusCount[nodeDraining],
 		Retired:  c.statusCount[nodeRetired],
 	}
-	ranked := make([]*nodeState, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		ranked = append(ranked, n)
-	}
+	// Ties break by id, so the ranking does not depend on join order.
+	ranked := append([]*nodeState(nil), c.nodes...)
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].score != ranked[j].score {
 			return ranked[i].score > ranked[j].score
@@ -360,7 +371,7 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 func (c *Coordinator) Command(node string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := c.nodes[node]; n != nil {
+	if n := c.byID[node]; n != nil {
 		return n.command
 	}
 	return ""

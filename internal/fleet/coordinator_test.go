@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"hbm2ecc/internal/fleet/xid"
@@ -163,15 +164,20 @@ func TestCoordinatorFollowsAgentRecommendation(t *testing.T) {
 }
 
 // TestCoordinatorNodeTableBounded: an invalid frame is refused before
-// ingest, and a new node past MaxNodes is refused; neither leaves a
-// trace in the fleet.
+// ingest, and a new node past MaxNodes is refused, even when it carries
+// a known node's handle; neither leaves a trace in the fleet, and
+// neither is answered with a handle.
 func TestCoordinatorNodeTableBounded(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{MaxNodes: 2})
 	empty := c.Fleet(0)
 	unknownXid := report("n0", 1, 1, xid.Event{Node: "n0", Code: 13, AtHours: 1})
 	for name, req := range map[string]ReportRequest{"empty node id": report("", 1, 1), "unknown xid": unknownXid} {
-		if _, err := c.Report(req); err == nil {
+		resp, err := c.Report(req)
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+		if resp.Handle != 0 {
+			t.Errorf("%s: refused frame answered with handle %d", name, resp.Handle)
 		}
 		if n := c.NodeCount(); n != 0 {
 			t.Errorf("%s: refused frame created %d nodes", name, n)
@@ -180,13 +186,26 @@ func TestCoordinatorNodeTableBounded(t *testing.T) {
 			t.Errorf("%s: refused frame moved the fleet: %+v", name, f)
 		}
 	}
+	var handle int
 	for i := 0; i < 2; i++ {
-		if _, err := c.Report(report(fmt.Sprintf("n%d", i), 1, 1)); err != nil {
+		resp, err := c.Report(report(fmt.Sprintf("n%d", i), 1, 1))
+		if err != nil {
 			t.Fatal(err)
 		}
+		handle = resp.Handle
 	}
-	if _, err := c.Report(report("n2", 1, 1)); err == nil {
+	full := c.Fleet(2)
+	third := report("n2", 1, 2, due("n2", 2, 1))
+	third.Handle = handle
+	resp, err := c.Report(third)
+	if err == nil {
 		t.Fatal("third node accepted past MaxNodes=2")
+	}
+	if resp.Handle != 0 {
+		t.Errorf("refused third node answered with handle %d", resp.Handle)
+	}
+	if f := c.Fleet(2); !reflect.DeepEqual(f, full) {
+		t.Errorf("refused third node moved the fleet: %+v, was %+v", f, full)
 	}
 	// Known nodes still report fine.
 	if _, err := c.Report(report("n0", 2, 2)); err != nil {
@@ -244,7 +263,7 @@ func TestCoordinatorMetricsGaugesTrackStatus(t *testing.T) {
 		t.Fatal("fleet_nodes gauge family missing from snapshot")
 	}
 	// Every -metrics dump of obs.Default carries the ingest families.
-	for _, fam := range []string{"fleet_events_total", "fleet_reports_total", "fleet_ingest_seconds"} {
+	for _, fam := range []string{"fleet_events_total", "fleet_reports_total"} {
 		if !families[fam] {
 			t.Errorf("%s family missing from snapshot", fam)
 		}
@@ -252,11 +271,12 @@ func TestCoordinatorMetricsGaugesTrackStatus(t *testing.T) {
 }
 
 // TestReportAllocs pins the report path allocation-free: a heartbeat or
-// a one-event frame from a known node scores from the node's running
-// window sums without building any map.
+// a one-event frame from a known node, carrying its handle, scores from
+// the node's running window sums without building any map.
 func TestReportAllocs(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
-	if _, err := c.Report(report("n1", 1, 0)); err != nil {
+	resp, err := c.Report(report("n1", 1, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
 	seq, at := uint64(1), 0.0
@@ -269,7 +289,8 @@ func TestReportAllocs(t *testing.T) {
 			seq++
 			at += 0.5
 			events[0].AtHours = at
-			if _, err := c.Report(ReportRequest{NodeID: "n1", Seq: seq, AtHours: at, Health: "ok", Events: tc.events}); err != nil {
+			req := ReportRequest{NodeID: "n1", Seq: seq, AtHours: at, Health: "ok", Events: tc.events, Handle: resp.Handle}
+			if _, err := c.Report(req); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -279,5 +300,128 @@ func TestReportAllocs(t *testing.T) {
 	}
 	if cmd := c.Command("n1"); cmd != "" {
 		t.Errorf("corrected errors alone earned command %q", cmd)
+	}
+}
+
+// summary returns node id's row of c's ranked fleet.
+func summary(t *testing.T, c *Coordinator, id string) NodeSummary {
+	t.Helper()
+	for _, s := range c.Fleet(c.NodeCount()).Ranked {
+		if s.ID == id {
+			return s
+		}
+	}
+	t.Fatalf("node %q not in the fleet", id)
+	return NodeSummary{}
+}
+
+// TestReportHandle: a frame whose handle is 0, out of range or another
+// node's resolves by NodeID, changes only its own node and is answered
+// with its own node's handle.
+func TestReportHandle(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	joined := map[string]int{}
+	for _, id := range []string{"a", "b"} {
+		resp, err := c.Report(report(id, 1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Handle <= 0 {
+			t.Fatalf("%s joined with handle %d", id, resp.Handle)
+		}
+		joined[id] = resp.Handle
+	}
+	if joined["a"] == joined["b"] {
+		t.Fatalf("a and b share handle %d", joined["a"])
+	}
+	b := summary(t, c, "b")
+	seq, at := uint64(1), 1.0
+	for name, h := range map[string]int{"zero": 0, "out of range": 3, "negative": -1, "other node's": joined["b"]} {
+		seq++
+		at++
+		req := report("a", seq, at, due("a", at, int64(seq)))
+		req.Handle = h
+		resp, err := c.Report(req)
+		if err != nil {
+			t.Fatalf("%s handle: %v", name, err)
+		}
+		if resp.Handle != joined["a"] {
+			t.Errorf("%s handle: answered with handle %d, want a's %d", name, resp.Handle, joined["a"])
+		}
+		if a := summary(t, c, "a"); a.Events != int64(seq-1) || a.LastSeenHours != at {
+			t.Errorf("%s handle: a has %d events, last seen %v; want %d, %v", name, a.Events, a.LastSeenHours, seq-1, at)
+		}
+	}
+	if got := summary(t, c, "b"); !reflect.DeepEqual(got, b) {
+		t.Errorf("frames from a moved b: %+v, was %+v", got, b)
+	}
+	if n := c.NodeCount(); n != 2 {
+		t.Errorf("%d nodes, want 2", n)
+	}
+}
+
+// TestReportConcurrentHandles: nodes that join and report from several
+// goroutines at once, as obsd's devices do, each keep their own handle
+// and every frame lands on its own node.
+func TestReportConcurrentHandles(t *testing.T) {
+	const nodes, reports = 8, 50
+	c := NewCoordinator(CoordinatorOptions{})
+	handles := make([]int, nodes)
+	var wg sync.WaitGroup
+	for i := range handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := fmt.Sprintf("n%d", i)
+			for seq := uint64(1); seq <= reports; seq++ {
+				at := float64(seq)
+				req := report(id, seq, at, due(id, at, int64(seq)))
+				req.Handle = handles[i]
+				resp, err := c.Report(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				handles[i] = resp.Handle
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[int]bool{}
+	for i, h := range handles {
+		if seen[h] {
+			t.Errorf("handle %d handed out twice", h)
+		}
+		seen[h] = true
+		if s := summary(t, c, fmt.Sprintf("n%d", i)); s.Events != reports {
+			t.Errorf("%s ingested %d events, want %d", s.ID, s.Events, reports)
+		}
+	}
+}
+
+// TestFleetRankIgnoresJoinOrder: obsd's devices join concurrently, so
+// Fleet must rank the same nodes the same way whatever order they
+// joined in, ties included.
+func TestFleetRankIgnoresJoinOrder(t *testing.T) {
+	ids := []string{"n3", "n1", "n4", "n2"}
+	fleet := func(order []string) FleetResponse {
+		c := NewCoordinator(CoordinatorOptions{})
+		for _, id := range order {
+			req := report(id, 1, 2)
+			if id == "n4" {
+				req = report(id, 1, 2, due(id, 1, 1))
+			}
+			if _, err := c.Report(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Fleet(len(order))
+	}
+	want := fleet(ids)
+	if got := fleet([]string{"n2", "n4", "n1", "n3"}); !reflect.DeepEqual(got, want) {
+		t.Errorf("ranking depends on join order:\n%+v\n%+v", got, want)
+	}
+	if want.Ranked[0].ID != "n4" || want.Ranked[1].ID != "n1" || want.Ranked[3].ID != "n3" {
+		t.Errorf("ranked %+v, want n4 first, then ties by id", want.Ranked)
 	}
 }

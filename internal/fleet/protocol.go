@@ -41,6 +41,10 @@ type ReportRequest struct {
 	Recommend string `json:"recommend,omitempty"`
 	// Events are the deduplicated events since the last report.
 	Events []xid.Event `json:"events,omitempty"`
+	// Handle is the node's handle from an earlier ReportResponse. It
+	// lets the coordinator find the node without an id lookup; 0, or a
+	// handle that names no node with this NodeID, falls back to one.
+	Handle int `json:"handle,omitempty"`
 }
 
 // Validate checks the report against wire bounds and the taxonomy.
@@ -102,6 +106,9 @@ type ReportResponse struct {
 	// Command is the coordinator's standing remediation order for this
 	// node: "", "drain" or "retire".
 	Command string `json:"command,omitempty"`
+	// Handle names the node in the coordinator's table, for the node's
+	// later reports (ReportRequest.Handle); 0 on a refused report.
+	Handle int `json:"handle,omitempty"`
 }
 
 // Coordinator-issued node commands.

@@ -64,12 +64,22 @@ func (r *ringRef) total(h int64, code int) int {
 // and the code, the second moves the hour by -128..127 from the last
 // op's hour (so hours go negative, queries fall behind the last add, and
 // moves of a whole window or more happen), the third is the add's count.
+// The last four seeds reach the quiet-window jump: an add, then a
+// quiet stretch longer than the window; quiet forward moves shorter than
+// the window and of a whole window or more; a backward query that
+// re-enters the old event (event at hour 10, reference hour 100, query
+// at 55 on a 48-hour window); and an add behind the newest one, which
+// must not make the window look quiet while the newer event is in it.
 func FuzzWindowVsRing(f *testing.F) {
 	f.Add(uint8(0), int16(0), []byte{0, 1, 1, 1, 0, 0, 2, 5, 3, 1, 24, 0})
 	f.Add(uint8(1), int16(-3), []byte{0, 0, 1, 2, 1, 2, 1, 200, 0, 0, 60, 1, 1, 0xd0, 0, 0, 1, 1})
 	f.Add(uint8(2), int16(40), []byte{4, 2, 3, 1, 0xfe, 0, 6, 1, 2, 1, 49, 0, 1, 0x80, 0, 3, 3, 3})
 	f.Add(uint8(3), int16(-1), []byte{0, 0, 0, 2, 0, 1, 0, 1, 1, 1, 0xff, 0, 8, 0xff, 7})
 	f.Add(uint8(4), int16(100), []byte{0, 0, 1, 1, 47, 0, 0, 1, 2, 1, 0x9c, 0, 0, 48, 1, 1, 0, 0})
+	f.Add(uint8(0), int16(0), []byte{0, 0, 1, 1, 10, 0, 1, 30, 0, 1, 5, 0, 1, 100, 0, 2, 0, 2, 1, 1, 0, 1, 30, 0})
+	f.Add(uint8(1), int16(5), []byte{6, 0, 3, 1, 60, 0, 1, 5, 0, 1, 48, 0, 1, 100, 0, 0, 1, 1, 1, 47, 0, 1, 1, 0, 1, 3, 0})
+	f.Add(uint8(1), int16(10), []byte{0, 0, 0, 1, 90, 0, 1, 0xd3, 0, 1, 2, 0})
+	f.Add(uint8(1), int16(50), []byte{0, 0, 0, 0, 0xd8, 0, 1, 60, 0, 1, 30, 0})
 	sizes := []int{24, 48, 1, 2, 3}
 	f.Fuzz(func(t *testing.T, size uint8, start int16, ops []byte) {
 		hours := sizes[int(size)%len(sizes)]

@@ -93,10 +93,20 @@ smoke_dir="$(mktemp -d "${TMPDIR:-/tmp}/hbm2ecc_smoke.XXXXXX")"
 trap 'rm -rf "$smoke_dir"' EXIT
 go build -o "$smoke_dir/" ./cmd/fleetd ./cmd/obsd
 
-echo "== fleetd: deterministic, every frame acknowledged =="
+# pin FILE SHA256: a fleet output must hash to its pinned value, so a
+# change that moves it deterministically fails here too.
+pin() {
+	got="$(sha256sum "$1" | cut -d' ' -f1)"
+	[ "$got" = "$2" ] || { echo "$(basename "$1"): sha256 $got, pinned $2"; exit 1; }
+}
+
+echo "== fleetd: deterministic, pinned, every frame acknowledged =="
 "$smoke_dir/fleetd" -nodes 200 -hours 240 >"$smoke_dir/fleetd_a.json" 2>/dev/null
 "$smoke_dir/fleetd" -nodes 200 -hours 240 >"$smoke_dir/fleetd_b.json" 2>/dev/null
 cmp "$smoke_dir/fleetd_a.json" "$smoke_dir/fleetd_b.json"
+pin "$smoke_dir/fleetd_a.json" 99d63451b71dbb284094846a82e7e8d0743b990d25a9320165a737c327c3e021
+"$smoke_dir/fleetd" -nodes 1000 -hours 720 -accel 10000 >"$smoke_dir/fleetd_month.json" 2>/dev/null
+pin "$smoke_dir/fleetd_month.json" b75200e4128ed4a4fa281c44986d6a3cc135651f075d669dd8fa2f0b3e1fe940
 grep -q '"Rejected": 0,\?$' "$smoke_dir/fleetd_a.json" || { echo "fleetd refused frames"; cat "$smoke_dir/fleetd_a.json"; exit 1; }
 sent="$(sed -n 's/.*"Sent": \([0-9]*\).*/\1/p' "$smoke_dir/fleetd_a.json")"
 enqueued="$(sed -n 's/.*"Enqueued": \([0-9]*\).*/\1/p' "$smoke_dir/fleetd_a.json")"
@@ -106,9 +116,11 @@ echo "== obsd smoke: probes report to the fleet plane, deterministically =="
 "$smoke_dir/obsd" -devices 3 -seed 7 >"$smoke_dir/obsd_a.json"
 "$smoke_dir/obsd" -devices 3 -seed 7 >"$smoke_dir/obsd_b.json"
 cmp "$smoke_dir/obsd_a.json" "$smoke_dir/obsd_b.json"
+pin "$smoke_dir/obsd_a.json" 8c8742c50e55bc4f3f1b316807b60fe3dd9f1e0b45725ce203b24b891b813f05
 grep -q '"total":3' "$smoke_dir/obsd_a.json" || { echo "obsd fleet missing devices"; cat "$smoke_dir/obsd_a.json"; exit 1; }
 # A 2ms-MTTE beam floods the device: its agent must not report ok.
 "$smoke_dir/obsd" -devices 1 -mtte 0.002 >"$smoke_dir/obsd_flood.json"
+pin "$smoke_dir/obsd_flood.json" bb9b6293c9bb0025a073a7620e809257a87d7a2c292ee485e1ca8d7ac9f7d833
 grep -q '"id":"gpu0"' "$smoke_dir/obsd_flood.json" || { echo "obsd ranked no node"; cat "$smoke_dir/obsd_flood.json"; exit 1; }
 if grep -q '"health":"ok"' "$smoke_dir/obsd_flood.json"; then
 	echo "flooded device ranked healthy"; cat "$smoke_dir/obsd_flood.json"; exit 1
