@@ -158,15 +158,15 @@ type FrameLedger struct {
 // simNode is one node's simulation-side state (the agent plus the
 // bookkeeping the agent must not see).
 type simNode struct {
-	id     string
-	agent  *fleet.Agent
-	seq    uint64
-	handle int     // the coordinator's handle for the node, once it answered
-	next   float64 // next heartbeat due
-	rate   float64 // events/hour, accelerated
-	retEnd float64 // drained-until; +Inf for retired
-	out    bool    // currently out of service by policy
-	gone   bool    // crashed (dead regardless of policy)
+	id      string
+	agent   *fleet.Agent
+	seq     uint64
+	handle  int     // the coordinator's handle for the node, once it answered
+	next    float64 // next heartbeat due
+	retEnd  float64 // drained-until; +Inf for retired
+	out     bool    // currently out of service by policy
+	gone    bool    // crashed (dead regardless of policy)
+	pending bool    // observed an event since its last report
 }
 
 // RunFleet plays the fleet forward, handing every agent report frame
@@ -195,24 +195,31 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 	// cumulative class fraction, weights prefix-summed for O(log n)
 	// weighted event placement.
 	baseRate := rawFITPerGPU * 1e-9 * cfg.Accel // events/hour/node at mult 1
-	nodes := make([]*simNode, cfg.Nodes)
+	nodes := make([]simNode, cfg.Nodes)
 	cum := make([]float64, cfg.Nodes) // cumulative event weight
 	total := 0.0
 	for i := range nodes {
-		mult := multFor(i, cfg.Nodes)
-		n := &simNode{
-			id:   fmt.Sprintf("node-%05d", i),
-			rate: baseRate * mult,
-			next: reportEveryHours * (0.5 + 0.5*float64(i)/float64(cfg.Nodes)), // stagger heartbeats
-		}
+		n := &nodes[i]
+		n.id = fmt.Sprintf("node-%05d", i)
+		n.next = reportEveryHours * (0.5 + 0.5*float64(i)/float64(cfg.Nodes)) // stagger heartbeats
 		n.agent = fleet.NewAgent(n.id, cfg.Agent)
-		nodes[i] = n
-		total += n.rate
+		total += baseRate * multFor(i, cfg.Nodes)
 		cum[i] = total
 	}
 	crashRate := cfg.CrashFITPerNode * 1e-9 // events/hour/node, not accelerated
 
-	report := func(n *simNode, at float64) error {
+	// A tick's bookkeeping follows its events, not the fleet size.
+	// inService counts nodes neither crashed nor removed by policy, and
+	// removed those removed by policy but not crashed; both change only
+	// at a command, a repair or a crash. repairs holds drained nodes by
+	// index in drain order, which is retEnd order: frames arrive in time
+	// order and every drain lasts repairHours.
+	inService, removed := cfg.Nodes, 0
+	var repairs []int
+
+	report := func(i int, at float64) error {
+		n := &nodes[i]
+		n.pending = false
 		return Frames(n.agent, &n.seq, at, func(req fleet.ReportRequest) error {
 			res.Outbox.Enqueued++
 			req.Handle = n.handle
@@ -232,16 +239,22 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			}
 			// Follow the coordinator's standing order. Crashed nodes are
 			// dead either way; commanding them costs no capacity.
-			if !n.out && !n.gone {
-				switch resp.Command {
-				case fleet.CommandRetire:
-					n.out, n.retEnd = true, math.Inf(1)
-					res.Quality.Retired++
-				case fleet.CommandDrain:
-					n.out, n.retEnd = true, at+repairHours
-					res.Quality.Drained++
-				}
+			if n.out || n.gone {
+				return nil
 			}
+			switch resp.Command {
+			case fleet.CommandRetire:
+				n.out, n.retEnd = true, math.Inf(1)
+				res.Quality.Retired++
+			case fleet.CommandDrain:
+				n.out, n.retEnd = true, at+repairHours
+				res.Quality.Drained++
+				repairs = append(repairs, i)
+			default:
+				return nil
+			}
+			inService--
+			removed++
 			return nil
 		})
 	}
@@ -252,12 +265,18 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 		}
 		now := t + tickHours
 
-		// Repairs come back online with a fresh (reset) agent.
-		for _, n := range nodes {
-			if n.out && !n.gone && now >= n.retEnd {
-				n.out = false
-				n.agent = fleet.NewAgent(n.id, cfg.Agent)
+		// Repairs come back online with a fresh (reset) agent. A node
+		// that crashed after its drain stays dead.
+		for len(repairs) > 0 && now >= nodes[repairs[0]].retEnd {
+			n := &nodes[repairs[0]]
+			repairs = repairs[1:]
+			if n.gone {
+				continue
 			}
+			n.out = false
+			n.agent = fleet.NewAgent(n.id, cfg.Agent)
+			inService++
+			removed--
 		}
 
 		// Soft-error events, fleet-wide Poisson placed by node weight.
@@ -269,7 +288,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			if i >= len(nodes) {
 				i = len(nodes) - 1
 			}
-			n := nodes[i]
+			n := &nodes[i]
 			if n.gone {
 				continue // dead hardware errors at no one
 			}
@@ -282,11 +301,13 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 				res.DUE++
 				if !n.out {
 					n.agent.ObserveDUE(at, row, rng.Float64() < uncontainedFrac)
+					n.pending = true
 				}
 			case dce:
 				res.DCE++
 				if !n.out {
 					n.agent.ObserveCorrected(at, row)
+					n.pending = true
 				}
 			default:
 				res.SDC++
@@ -300,14 +321,9 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 		}
 
 		// Node crashes (not accelerated, in-service nodes only).
-		inService := 0
-		for _, n := range nodes {
-			if !n.gone && !n.out {
-				inService++
-			}
-		}
 		for k := stats.Poisson(rng, crashRate*tickHours*float64(inService)); k > 0; k-- {
-			n := nodes[rng.Intn(len(nodes))]
+			i := rng.Intn(len(nodes))
+			n := &nodes[i]
 			if n.gone || n.out {
 				continue // thinning; close enough for a rare process
 			}
@@ -315,37 +331,40 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 			n.agent.ObserveCrash(at)
 			res.Crashes++
 			if rng.Float64() < cfg.CrashReportProb {
-				if err := report(n, at); err != nil {
+				if err := report(i, at); err != nil {
 					return res, err
 				}
 			} else {
 				n.agent.Drain() // report lost; lease expiry finds the corpse
 				res.SilentCrashes++
 			}
+			// The crash report's own command may have removed the node.
+			if n.out {
+				removed--
+			} else {
+				inService--
+			}
 			n.gone = true
 		}
 
 		// Heartbeats and event reports for in-service nodes.
-		for _, n := range nodes {
-			if n.gone || n.out {
+		for i := range nodes {
+			n := &nodes[i]
+			if n.gone || n.out || (now < n.next && !n.pending) {
 				continue
 			}
-			if now >= n.next || n.agent.Pending() > 0 {
-				if err := report(n, now); err != nil {
-					return res, err
-				}
-				for n.next <= now {
-					n.next += reportEveryHours
-				}
+			if err := report(i, now); err != nil {
+				return res, err
+			}
+			for n.next <= now {
+				n.next += reportEveryHours
 			}
 		}
 
 		// Capacity accounting: policy-removed, otherwise-alive nodes.
-		for _, n := range nodes {
-			if n.out && !n.gone {
-				res.Quality.LostNodeHours += tickHours
-			}
-		}
+		// The sum stays integer-valued, so adding a tick's count at once
+		// is exact.
+		res.Quality.LostNodeHours += tickHours * float64(removed)
 	}
 
 	res.Quality.Finalize()

@@ -170,3 +170,21 @@ func TestRateClassAssignment(t *testing.T) {
 		t.Errorf("class populations = %v, want 900/70/25/5", counts)
 	}
 }
+
+// BenchmarkRunFleet plays one full-size round per iteration at
+// perfbench's fleet_run config (10k nodes × 720 h at 2000×, every crash
+// silent, seed 2021) against a fresh in-memory coordinator, and reports
+// the coordinator reports each round carries.
+func BenchmarkRunFleet(b *testing.B) {
+	cfg := FleetConfig{Nodes: 10_000, Hours: 720, Accel: 2000, CrashReportProb: 1e-12, Seed: 2021}
+	var reports int64
+	for i := 0; i < b.N; i++ {
+		coord := fleet.NewCoordinator(fleet.CoordinatorOptions{MaxNodes: cfg.Nodes + 64})
+		res, err := RunFleet(context.Background(), cfg, coord.Loopback())
+		if err != nil {
+			b.Fatal(err)
+		}
+		reports += res.Reports
+	}
+	b.ReportMetric(float64(reports)/float64(b.N), "reports/op")
+}

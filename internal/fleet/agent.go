@@ -110,12 +110,16 @@ func column(code int) int {
 // window is a fixed ring of per-hour, per-code counts — the bounded
 // rolling state everything else derives from — plus every code's
 // running sum over the window ending at a reference hour. add keeps the
-// sums current; a query at another hour moves the reference there one
-// hour at a time and rescans the ring only on a jump of a whole window
-// or more. A quiet window, whose newest add lies a whole window or more
+// sums current; a query at another hour moves the reference there and
+// rescans the ring only on a jump of a whole window or more. A shorter
+// move walks the ring one slot per hour moved: the hour entering the
+// window and the hour leaving it share a slot, so a step reads that
+// slot's bucket and adds or subtracts its row only if it holds one of
+// the two. A quiet window, whose newest add lies a whole window or more
 // behind the reference hour, moves forward in one step: its sums are
-// zero and stay zero. A query thus costs O(codes) per simulated hour
-// moved at most, and nothing allocates after newWindow.
+// zero and stay zero. A query thus costs one bucket compare per
+// simulated hour moved plus O(codes) per hour moved that holds events,
+// and nothing allocates after newWindow.
 type window struct {
 	hours  int
 	bucket []int64 // absolute hour each ring slot holds
@@ -153,6 +157,13 @@ func (w *window) row(s int) []int {
 	return w.counts[s*n : (s+1)*n]
 }
 
+// shift adds sign times ring slot s's counts to the sums.
+func (w *window) shift(s, sign int) {
+	for c, k := range w.row(s) {
+		w.sums[c] += sign * k
+	}
+}
+
 // covers reports whether hour b lies in the window ending at the
 // reference hour.
 func (w *window) covers(b int64) bool {
@@ -171,9 +182,7 @@ func (w *window) add(h int64, code, n int) {
 	row := w.row(s)
 	if w.bucket[s] != h {
 		if w.covers(w.bucket[s]) {
-			for c, k := range row {
-				w.sums[c] -= k
-			}
+			w.shift(s, -1)
 		}
 		clear(row)
 		w.bucket[s] = h
@@ -203,43 +212,61 @@ func (w *window) at(h int64) []int {
 	case d == 0:
 	case h > w.ref && w.quiet():
 		w.ref = h
-	case h > w.ref && d > 0 && d < hours:
-		for w.ref < h {
-			w.ref++
-			w.shift(w.ref, 1)
-			w.shift(w.ref-hours, -1)
-		}
-	case h < w.ref && d < 0 && d > -hours:
-		for w.ref > h {
-			w.shift(w.ref, -1)
-			w.shift(w.ref-hours, 1)
-			w.ref--
-		}
+	case h > w.ref && d > 0 && d < hours, h < w.ref && d < 0 && d > -hours:
+		w.walk(h)
 	default:
 		w.ref = h
 		clear(w.sums)
 		for s, b := range w.bucket {
 			if w.covers(b) {
-				for c, k := range w.row(s) {
-					w.sums[c] += k
-				}
+				w.shift(s, 1)
 			}
 		}
 	}
 	return w.sums
 }
 
-// shift adds sign times hour x's counts to the sums. Only x's own slot
-// can hold nonzero counts for x: a slot other than 0 that still holds
-// its initial hour -1 holds no events.
-func (w *window) shift(x int64, sign int) {
+// walk moves the reference hour to h, less than a window away, one
+// hour per step. Each step pairs an hour x with the hour x-hours a whole
+// window earlier: forward, x enters the window and x-hours leaves it;
+// back, x leaves it and x-hours re-enters. Both hours share x's ring
+// slot, so a step reads that one slot, adds or subtracts its row if it
+// holds either hour, and moves to the next slot by increment and wrap.
+// Only negative hours break the pairing: they all live in slot 0, so
+// while x lies in (0, hours) the hour x-hours is looked for there.
+func (w *window) walk(h int64) {
+	hours := int64(w.hours)
+	x, n, dir := w.ref+1, h-w.ref, 1
+	if h < w.ref {
+		x, n, dir = w.ref, w.ref-h, -1
+	}
 	s := w.slot(x)
-	if w.bucket[s] != x {
-		return
+	for ; n > 0; n-- {
+		switch w.bucket[s] {
+		case x:
+			w.shift(s, dir)
+		case x - hours:
+			w.shift(s, -dir)
+		}
+		if x < hours && x > 0 && w.bucket[0] == x-hours {
+			w.shift(0, -dir)
+		}
+		x += int64(dir)
+		switch {
+		case x <= 0:
+			s = 0
+		case dir > 0:
+			if s++; s == w.hours {
+				s = 0
+			}
+		default:
+			if s == 0 {
+				s = w.hours
+			}
+			s--
+		}
 	}
-	for c, k := range w.row(s) {
-		w.sums[c] += sign * k
-	}
+	w.ref = h
 }
 
 // total sums code's events across ring slots still inside the window
@@ -270,10 +297,11 @@ type Agent struct {
 	dues   int
 	outbox []xid.Event
 	// dedup maps DedupKey -> outbox slot for the current reporting
-	// interval; cleared on Drain so its size is bounded by the distinct
-	// event streams between reports. A scan of the outbox would do for
-	// fleetd's few streams, but a flooded device's interval holds
-	// hundreds (Xid 64 is row-scoped): obsd -mtte 0.002 reaches 232.
+	// interval; Drain deletes the drained keys, so its size is bounded
+	// by the distinct event streams between reports. A scan of the
+	// outbox would do for fleetd's few streams, but a flooded device's
+	// interval holds hundreds (Xid 64 is row-scoped): obsd -mtte 0.002
+	// reaches 232.
 	dedup map[xid.Key]int
 	// stormHour is the last hour a storm event fired (one per hour max).
 	stormHour int64
@@ -398,15 +426,16 @@ func (a *Agent) ObserveCrash(at float64) {
 	a.emit(xid.Event{Node: a.node, Code: xid.OffTheBus, AtHours: at, Row: -1})
 }
 
-// Pending returns the number of undrained outbox events.
-func (a *Agent) Pending() int { return len(a.outbox) }
-
 // Drain takes the outbox (ownership transfers to the caller) and
-// resets interval dedup state.
+// resets interval dedup state. The map holds exactly the drained
+// events' keys, so deleting them costs what the interval emitted, not
+// what the map once grew to.
 func (a *Agent) Drain() []xid.Event {
 	out := a.outbox
 	a.outbox = nil
-	clear(a.dedup)
+	for _, e := range out {
+		delete(a.dedup, e.DedupKey())
+	}
 	return out
 }
 

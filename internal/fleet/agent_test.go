@@ -12,8 +12,8 @@ func TestAgentHealthyByDefault(t *testing.T) {
 	if h != Healthy || rec != xid.RemedNone {
 		t.Errorf("fresh agent: %v/%v, want Healthy/none", h, rec)
 	}
-	if a.Pending() != 0 || a.Dead() {
-		t.Errorf("fresh agent has pending=%d dead=%v", a.Pending(), a.Dead())
+	if events := a.Drain(); len(events) != 0 || a.Dead() {
+		t.Errorf("fresh agent drained %d events, dead=%v", len(events), a.Dead())
 	}
 }
 
@@ -38,6 +38,27 @@ func TestAgentCorrectedEmitsAndDedups(t *testing.T) {
 	a.ObserveCorrected(2, 999)
 	if got := a.Drain(); len(got) != 1 || got[0].N() != 1 {
 		t.Errorf("post-drain event stream = %+v", got)
+	}
+}
+
+// TestAgentDrainDeletesDedupKeys: Drain leaves the dedup map empty,
+// also when a collapsed event reports Row -1 and row-scoped Xid 63
+// events carry their rows, and after a crash rebuilt the map.
+func TestAgentDrainDeletesDedupKeys(t *testing.T) {
+	a := NewAgent("n1", AgentOptions{})
+	for row := int64(0); row < 4; row++ {
+		a.ObserveCorrected(1, row)
+		a.ObserveCorrected(1, row) // second error remaps the row: Xid 63
+	}
+	a.ObserveDUE(1.5, 9, false)
+	if events := a.Drain(); len(events) != 6 || len(a.dedup) != 0 {
+		t.Fatalf("drained %d events (want 6), %d dedup keys left", len(events), len(a.dedup))
+	}
+	a.ObserveCorrected(2, 20)
+	a.ObserveDUE(3, 21, false)
+	a.ObserveCrash(2.5) // drops the hour-3 DUE, keeps the hour-2 event
+	if events := a.Drain(); len(events) != 2 || len(a.dedup) != 0 {
+		t.Errorf("crashed agent drained %d events (want 2), %d dedup keys left", len(events), len(a.dedup))
 	}
 }
 

@@ -70,6 +70,17 @@ func (r *ringRef) total(h int64, code int) int {
 // re-enters the old event (event at hour 10, reference hour 100, query
 // at 55 on a 48-hour window); and an add behind the newest one, which
 // must not make the window look quiet while the newer event is in it.
+// Four more walk the ring slot by slot on a 24-hour window: forward
+// moves whose entering and then leaving hours cross the wrap from slot
+// 23 to slot 0 (events at hours 20, 23, 24 and 25); a one-hour move
+// whose leaving hour -4 is negative and so lives in slot 0, not in the
+// entering hour's slot, then the same hour back; a backward move of 23
+// hours that re-enters events at hours 24, 23, 10 and 2, crossing the
+// wrap from slot 0 to slot 23; and the ends of the negative-hour
+// exception, where x is 0 or 24 and shares slot 0 with x-24 as any pair
+// does: a backward walk through hour 0 onto an event at hour -24, then
+// forward walks through hour 0 onto an event there and on through hour
+// 24, where it leaves.
 func FuzzWindowVsRing(f *testing.F) {
 	f.Add(uint8(0), int16(0), []byte{0, 1, 1, 1, 0, 0, 2, 5, 3, 1, 24, 0})
 	f.Add(uint8(1), int16(-3), []byte{0, 0, 1, 2, 1, 2, 1, 200, 0, 0, 60, 1, 1, 0xd0, 0, 0, 1, 1})
@@ -80,6 +91,10 @@ func FuzzWindowVsRing(f *testing.F) {
 	f.Add(uint8(1), int16(5), []byte{6, 0, 3, 1, 60, 0, 1, 5, 0, 1, 48, 0, 1, 100, 0, 0, 1, 1, 1, 47, 0, 1, 1, 0, 1, 3, 0})
 	f.Add(uint8(1), int16(10), []byte{0, 0, 0, 1, 90, 0, 1, 0xd3, 0, 1, 2, 0})
 	f.Add(uint8(1), int16(50), []byte{0, 0, 0, 0, 0xd8, 0, 1, 60, 0, 1, 30, 0})
+	f.Add(uint8(0), int16(20), []byte{0, 0, 0, 0, 3, 1, 2, 1, 2, 0, 1, 0, 1, 0xfd, 0, 1, 8, 0, 1, 15, 0, 1, 3, 0, 1, 1, 0})
+	f.Add(uint8(0), int16(-4), []byte{0, 0, 0, 1, 23, 0, 1, 1, 0, 1, 0xff, 0})
+	f.Add(uint8(0), int16(0), []byte{0, 2, 0, 0, 8, 0, 0, 13, 0, 0, 1, 0, 1, 1, 0, 1, 23, 0, 1, 0xe9, 0})
+	f.Add(uint8(0), int16(-24), []byte{0, 0, 0, 1, 14, 0, 0, 10, 0, 1, 5, 0, 1, 19, 0})
 	sizes := []int{24, 48, 1, 2, 3}
 	f.Fuzz(func(t *testing.T, size uint8, start int16, ops []byte) {
 		hours := sizes[int(size)%len(sizes)]

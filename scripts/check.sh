@@ -54,6 +54,8 @@ go test -run '^$' -fuzz FuzzDecideVsSimulate -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz FuzzSourceVsStdlib -fuzztime 10s ./internal/xrand/
 
 echo "== bench smoke: one iteration of every benchmark =="
+# Among them BenchmarkRunFleet, one full-size fleet round (perfbench's
+# fleet_run config), so the in-tree profile target keeps running.
 HBM2ECC_MC_SAMPLES=2000 HBM2ECC_CAMPAIGN_RUNS=20 \
 	go test -run '^$' -bench . -benchtime 1x ./...
 
