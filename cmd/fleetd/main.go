@@ -11,8 +11,9 @@
 //	fleetd -nodes 1000 -hours 720 -accel 10000
 //
 // The agents report in-process through the coordinator's Loopback,
-// which validates every frame. The fleet picture lives in memory for
-// the one run; the same flags print byte-identical JSON.
+// which checks every frame's events against the Xid taxonomy. The
+// fleet picture lives in memory for the one run; the same flags print
+// byte-identical JSON.
 package main
 
 import (

@@ -78,11 +78,8 @@ func watch(rep fleet.Reporter, p *fieldsim.Probe) error {
 	const at = 1
 	a := fleet.NewAgent(p.Node(), fleet.AgentOptions{})
 	p.Check(a, at)
-	var seq uint64
-	return fieldsim.Frames(a, &seq, at, func(req fleet.ReportRequest) error {
-		_, err := rep.Report(context.Background(), req)
-		return err
-	})
+	_, err := rep.Report(context.Background(), fieldsim.Frame(a, at))
+	return err
 }
 
 // usageError reports an out-of-range flag and exits 2.

@@ -160,7 +160,6 @@ type FrameLedger struct {
 type simNode struct {
 	id      string
 	agent   *fleet.Agent
-	seq     uint64
 	handle  int     // the coordinator's handle for the node, once it answered
 	next    float64 // next heartbeat due
 	retEnd  float64 // drained-until; +Inf for retired
@@ -220,43 +219,42 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 	report := func(i int, at float64) error {
 		n := &nodes[i]
 		n.pending = false
-		return Frames(n.agent, &n.seq, at, func(req fleet.ReportRequest) error {
-			res.Outbox.Enqueued++
-			req.Handle = n.handle
-			resp, err := rep.Report(ctx, req)
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				res.Outbox.Rejected++
-				return nil
+		req := Frame(n.agent, at)
+		req.Handle = n.handle
+		res.Outbox.Enqueued++
+		resp, err := rep.Report(ctx, req)
+		if err != nil {
+			if ctx.Err() != nil {
+				return ctx.Err()
 			}
-			n.handle = resp.Handle
-			res.Outbox.Sent++
-			res.Reports++
-			for _, e := range req.Events {
-				res.XidEvents += int64(e.N())
-			}
-			// Follow the coordinator's standing order. Crashed nodes are
-			// dead either way; commanding them costs no capacity.
-			if n.out || n.gone {
-				return nil
-			}
-			switch resp.Command {
-			case fleet.CommandRetire:
-				n.out, n.retEnd = true, math.Inf(1)
-				res.Quality.Retired++
-			case fleet.CommandDrain:
-				n.out, n.retEnd = true, at+repairHours
-				res.Quality.Drained++
-				repairs = append(repairs, i)
-			default:
-				return nil
-			}
-			inService--
-			removed++
+			res.Outbox.Rejected++
 			return nil
-		})
+		}
+		n.handle = resp.Handle
+		res.Outbox.Sent++
+		res.Reports++
+		for _, e := range req.Events {
+			res.XidEvents += int64(e.N())
+		}
+		// Follow the coordinator's standing order. Crashed nodes are
+		// dead either way; commanding them costs no capacity.
+		if n.out || n.gone {
+			return nil
+		}
+		switch resp.Command {
+		case fleet.CommandRetire:
+			n.out, n.retEnd = true, math.Inf(1)
+			res.Quality.Retired++
+		case fleet.CommandDrain:
+			n.out, n.retEnd = true, at+repairHours
+			res.Quality.Drained++
+			repairs = append(repairs, i)
+		default:
+			return nil
+		}
+		inService--
+		removed++
+		return nil
 	}
 
 	for t := 0.0; t < cfg.Hours; t += tickHours {
@@ -371,36 +369,14 @@ func RunFleet(ctx context.Context, cfg FleetConfig, rep fleet.Reporter) (FleetRe
 	return res, nil
 }
 
-// Frames drains a's outbox into report frames stamped at simulated hour
-// at and hands them to send in order. Every frame carries the agent's
-// health and recommendation at at, the next sequence number from *seq,
-// and at most fleet.MaxEventsPerReport events. At least one frame is
-// always sent: an empty report is the heartbeat that renews the node's
-// liveness lease. Frames stops at the first send error.
-func Frames(a *fleet.Agent, seq *uint64, at float64, send func(fleet.ReportRequest) error) error {
+// Frame drains a's outbox into one report frame stamped at simulated
+// hour at, carrying the agent's health and recommendation at at. An
+// idle agent's frame carries no events: it is the heartbeat that renews
+// the node's liveness lease.
+func Frame(a *fleet.Agent, at float64) fleet.ReportRequest {
 	events := a.Drain()
 	health, rec := a.Health(at)
-	for {
-		batch := events
-		if len(batch) > fleet.MaxEventsPerReport {
-			batch = batch[:fleet.MaxEventsPerReport]
-		}
-		events = events[len(batch):]
-		*seq++
-		if err := send(fleet.ReportRequest{
-			NodeID:    a.Node(),
-			Seq:       *seq,
-			AtHours:   at,
-			Health:    health.String(),
-			Recommend: rec.String(),
-			Events:    batch,
-		}); err != nil {
-			return err
-		}
-		if len(events) == 0 {
-			return nil
-		}
-	}
+	return fleet.ReportRequest{NodeID: a.Node(), AtHours: at, Health: health, Recommend: rec, Events: events}
 }
 
 // multFor deals node i of nodes its rate class by cumulative fraction,

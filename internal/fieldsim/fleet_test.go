@@ -62,11 +62,8 @@ func TestRunFleetInvariants(t *testing.T) {
 					ob.Sent, ob.Enqueued, res.Reports, ob.Rejected)
 			}
 			// The coordinator saw the fleet.
-			if n := coord.NodeCount(); n != 60 {
-				t.Errorf("coordinator tracks %d nodes, want 60", n)
-			}
-			if coord.SimHours() <= 0 {
-				t.Error("coordinator never observed simulated time")
+			if f := coord.Fleet(1); f.Total != 60 || f.SimHours <= 0 {
+				t.Errorf("coordinator tracks %d nodes at hour %v, want 60 at a positive hour", f.Total, f.SimHours)
 			}
 			if tc.name == "crash-heavy" {
 				if res.Crashes < tc.cfg.Nodes/2 || res.SilentCrashes != 0 {

@@ -1,7 +1,6 @@
 package fieldsim
 
 import (
-	"errors"
 	"testing"
 
 	"hbm2ecc/internal/fleet"
@@ -69,55 +68,35 @@ func TestProbeFloodNotHealthy(t *testing.T) {
 	}
 }
 
-// TestFramesSplitsAndHeartbeats: the frame builder sends one empty
-// heartbeat frame for an idle agent, splits a large outbox at
-// MaxEventsPerReport with consecutive sequence numbers, and stops at the
-// first send error.
-func TestFramesSplitsAndHeartbeats(t *testing.T) {
+// TestFrame: an idle agent's frame is an empty heartbeat; a flooded
+// agent's frame carries every drained event with the agent's typed
+// health and recommendation, and passes the coordinator's checks.
+func TestFrame(t *testing.T) {
 	a := fleet.NewAgent("n1", fleet.AgentOptions{})
-	var seq uint64
-	var got []fleet.ReportRequest
-	send := func(req fleet.ReportRequest) error {
-		got = append(got, req)
-		return nil
-	}
-	if err := Frames(a, &seq, 1, send); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || len(got[0].Events) != 0 || got[0].Seq != 1 || got[0].Health != "ok" {
-		t.Fatalf("idle agent frames = %+v, want one empty heartbeat", got)
+	req := Frame(a, 1)
+	if req.NodeID != "n1" || req.AtHours != 1 || len(req.Events) != 0 || req.Health != fleet.Healthy || req.Recommend != xid.RemedNone {
+		t.Fatalf("idle agent frame = %+v, want an empty heartbeat", req)
 	}
 
 	// A row's second DUE retires it (Xid 63) or, once the spares are
 	// gone, fails to (Xid 64). Both codes are row-scoped, so 'rows' rows
 	// give rows+1 deduplicated events: one Xid 48 plus one per row.
-	rows := fleet.MaxEventsPerReport + 10
+	const rows = 600
 	for r := 0; r < rows; r++ {
 		a.ObserveDUE(2, int64(r), false)
 		a.ObserveDUE(2, int64(r), false)
 	}
-	got = nil
-	if err := Frames(a, &seq, 2, send); err != nil {
-		t.Fatal(err)
+	req = Frame(a, 2)
+	if len(req.Events) != rows+1 {
+		t.Errorf("frame carries %d events, want all %d drained", len(req.Events), rows+1)
 	}
-	if len(got) != 2 || len(got[0].Events) != fleet.MaxEventsPerReport {
-		t.Fatalf("frames = %d (first carries %d events), want 2 split at %d",
-			len(got), len(got[0].Events), fleet.MaxEventsPerReport)
+	if req.Health != fleet.Critical || req.Recommend != xid.RemedRetire {
+		t.Errorf("flooded agent frame: health %v, recommend %v; want critical, retire", req.Health, req.Recommend)
 	}
-	for i, req := range got {
-		if req.Seq != uint64(i+2) || req.NodeID != "n1" || req.AtHours != 2 || req.Health != "critical" {
-			t.Errorf("frame %d = seq %d node %q at %v health %q", i, req.Seq, req.NodeID, req.AtHours, req.Health)
-		}
-		if err := req.Validate(); err != nil {
-			t.Errorf("frame %d invalid: %v", i, err)
-		}
+	if _, err := fleet.NewCoordinator(fleet.CoordinatorOptions{}).Report(req); err != nil {
+		t.Errorf("coordinator refused the frame: %v", err)
 	}
-
-	boom := errors.New("boom")
-	a.ObserveDUE(3, 1, false)
-	calls := 0
-	err := Frames(a, &seq, 3, func(fleet.ReportRequest) error { calls++; return boom })
-	if !errors.Is(err, boom) || calls != 1 {
-		t.Fatalf("send error: err %v after %d calls, want boom after 1", err, calls)
+	if again := Frame(a, 3); len(again.Events) != 0 {
+		t.Errorf("second frame carries %d events, want the outbox drained", len(again.Events))
 	}
 }

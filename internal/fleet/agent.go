@@ -9,7 +9,8 @@
 // on-node component (local classification, dedup, health state) and
 // the coordinator is the control plane (fleet-wide ranking, remediation
 // commands). Agents hand the coordinator report frames in-process
-// (protocol.go), which it validates before they touch any state.
+// (protocol.go); it checks a frame's content against the taxonomy
+// before the frame touches any state.
 package fleet
 
 import "hbm2ecc/internal/fleet/xid"
@@ -36,20 +37,6 @@ func (h Health) String() string {
 		return "critical"
 	default:
 		return "unknown"
-	}
-}
-
-// HealthFromString parses the wire form of Health.
-func HealthFromString(s string) (Health, bool) {
-	switch s {
-	case "ok":
-		return Healthy, true
-	case "degraded":
-		return Degraded, true
-	case "critical":
-		return Critical, true
-	default:
-		return Healthy, false
 	}
 }
 

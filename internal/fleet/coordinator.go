@@ -8,28 +8,6 @@ import (
 	"sync"
 
 	"hbm2ecc/internal/fleet/xid"
-	"hbm2ecc/internal/obs"
-)
-
-// Fleet-plane telemetry on the obs Default registry, read by any
-// -metrics dump of it.
-var (
-	mFleetNodes = obs.NewGauge("fleet_nodes",
-		"Tracked nodes by status.", "status")
-	mFleetSimHours = obs.NewGauge("fleet_sim_hours",
-		"Latest simulated fleet time observed in a report.").With()
-	mFleetEvents = obs.NewCounter("fleet_events_total",
-		"Ingested health events by Xid code.", "xid")
-	mFleetReports = obs.NewCounter("fleet_reports_total",
-		"Node reports ingested.").With()
-	mFleetReplays = obs.NewCounter("fleet_report_replays_total",
-		"Replayed (stale-sequence) reports acknowledged without ingest.").With()
-	mFleetRejected = obs.NewCounter("fleet_reports_rejected_total",
-		"Reports rejected (validation failure or node-table overflow).").With()
-	mFleetCommands = obs.NewCounter("fleet_commands_total",
-		"Remediation commands issued to nodes.", "command")
-	mFleetExpiries = obs.NewCounter("fleet_lease_expiries_total",
-		"Nodes marked offline after their liveness lease expired.").With()
 )
 
 // Node lifecycle states, coordinator view.
@@ -85,11 +63,10 @@ func (o *CoordinatorOptions) defaults() {
 type nodeState struct {
 	id        string
 	handle    int // 1 + the node's index in Coordinator.nodes
-	seq       uint64
 	lastSeen  float64
 	status    int
 	health    Health
-	recommend string
+	recommend xid.Remediation
 	command   string
 	score     float64
 	drains    int
@@ -113,44 +90,25 @@ type Coordinator struct {
 	simHours  float64
 	lastSweep float64
 	// statusCount tracks nodes per lifecycle state incrementally, so
-	// the per-status gauges never need an O(nodes) scan on the ingest
-	// path; statusGauge caches the handles.
+	// Fleet's counts need no O(nodes) scan.
 	statusCount [4]int
-	statusGauge [4]*obs.Gauge
-	// perXid caches counter handles by window column (label resolution
-	// off the hot path).
-	perXid []*obs.Counter
 }
 
 // NewCoordinator builds an empty coordinator.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	opts.defaults()
-	c := &Coordinator{
-		opts:   opts,
-		byID:   make(map[string]*nodeState),
-		perXid: make([]*obs.Counter, len(codes)),
-	}
-	for col, code := range codes {
-		c.perXid[col] = mFleetEvents.With(strconv.Itoa(code))
-	}
-	for s := range c.statusGauge {
-		c.statusGauge[s] = mFleetNodes.With(statusString(s))
-		c.statusGauge[s].Set(0)
-	}
-	return c
+	return &Coordinator{opts: opts, byID: make(map[string]*nodeState)}
 }
 
 // setStatusLocked moves a node between lifecycle states, keeping the
-// incremental per-status counts and gauges consistent.
+// per-status counts consistent.
 func (c *Coordinator) setStatusLocked(n *nodeState, status int) {
 	if n.status == status {
 		return
 	}
 	c.statusCount[n.status]--
-	c.statusGauge[n.status].Set(float64(c.statusCount[n.status]))
 	n.status = status
 	c.statusCount[status]++
-	c.statusGauge[status].Set(float64(c.statusCount[status]))
 }
 
 // Reporter is where a node agent's report frames go. Every agent in
@@ -169,14 +127,13 @@ func (r inprocReporter) Report(_ context.Context, req ReportRequest) (ReportResp
 // report comes back with the coordinator's error as is.
 func (c *Coordinator) Loopback() Reporter { return inprocReporter{c} }
 
-// Report ingests one node report: validation, lease renewal, event
+// Report ingests one node report: content checks, lease renewal, event
 // ingest into the rolling window, re-scoring, and the policy decision.
 // The response carries the node's handle for its later reports. The
-// returned error means the report was rejected; it changed no node or
+// returned error means the report was refused; it changed no node or
 // fleet state.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
-	if err := req.Validate(); err != nil {
-		mFleetRejected.Inc()
+	if err := req.validate(); err != nil {
 		return ReportResponse{}, err
 	}
 	c.mu.Lock()
@@ -184,36 +141,26 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 
 	n, err := c.nodeLocked(req.Handle, req.NodeID)
 	if err != nil {
-		mFleetRejected.Inc()
 		return ReportResponse{}, err
 	}
 
-	if req.Seq <= n.seq {
-		// Redelivery of an ingested report: acknowledged, not re-applied.
-		mFleetReplays.Inc()
-		return ReportResponse{Duplicate: true, Command: n.command, Handle: n.handle}, nil
-	}
 	if req.AtHours > c.simHours {
 		c.simHours = req.AtHours
-		mFleetSimHours.Set(c.simHours)
 	}
 	// Periodic lease sweep, amortized over reports: at most one O(nodes)
 	// scan per quarter lease.
 	if c.simHours-c.lastSweep >= c.opts.LeaseHours/4 {
 		c.sweepLocked()
 	}
-	n.seq = req.Seq
 	n.lastSeen = req.AtHours
-	n.health, _ = HealthFromString(req.Health)
+	n.health = req.Health
 	n.recommend = req.Recommend
 
 	for i := range req.Events {
 		e := req.Events[i]
 		n.events += int64(e.N())
 		n.win.add(int64(e.AtHours), e.Code, e.N())
-		c.perXid[column(e.Code)].Add(uint64(e.N()))
 	}
-	mFleetReports.Inc()
 
 	// A draining node reporting again has been repaired and returned to
 	// service; it re-earns its command from a clean slate. Retirement is
@@ -227,8 +174,7 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 
 	n.score = policy.Score(n.win.at(int64(c.simHours)))
 	if n.status != nodeRetired {
-		rec, _ := remediationFromString(req.Recommend)
-		cmd := policy.Decide(n.score, rec)
+		cmd := policy.Decide(n.score, req.Recommend)
 		// Strikes rule: a node that keeps re-earning drains after repair
 		// is not repairable — retire it instead of cycling capacity.
 		if cmd == CommandDrain && n.drains >= policy.MaxDrains {
@@ -236,7 +182,6 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		}
 		if cmd != "" && cmd != n.command {
 			n.command = cmd
-			mFleetCommands.With(cmd).Inc()
 			switch cmd {
 			case CommandRetire:
 				c.setStatusLocked(n, nodeRetired)
@@ -266,17 +211,7 @@ func (c *Coordinator) nodeLocked(handle int, id string) (*nodeState, error) {
 	c.nodes = append(c.nodes, n)
 	c.byID[id] = n
 	c.statusCount[nodeOnline]++
-	c.statusGauge[nodeOnline].Set(float64(c.statusCount[nodeOnline]))
 	return n, nil
-}
-
-func remediationFromString(s string) (xid.Remediation, bool) {
-	for _, r := range [...]xid.Remediation{xid.RemedNone, xid.RemedMonitor, xid.RemedReset, xid.RemedDrain, xid.RemedRetire} {
-		if r.String() == s {
-			return r, true
-		}
-	}
-	return xid.RemedNone, false
 }
 
 // windowCountsLocked is n's window at the fleet's latest hour as
@@ -302,23 +237,8 @@ func (c *Coordinator) sweepLocked() {
 	for _, n := range c.nodes {
 		if n.status == nodeOnline && c.simHours-n.lastSeen > c.opts.LeaseHours {
 			c.setStatusLocked(n, nodeOffline)
-			mFleetExpiries.Inc()
 		}
 	}
-}
-
-// SimHours returns the latest simulated time seen in any report.
-func (c *Coordinator) SimHours() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.simHours
-}
-
-// NodeCount returns the tracked-node total.
-func (c *Coordinator) NodeCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.nodes)
 }
 
 // Fleet returns the ranked fleet snapshot: status counts plus the top
@@ -356,7 +276,7 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 			Health:        n.health.String(),
 			Score:         n.score,
 			LastSeenHours: n.lastSeen,
-			Recommend:     n.recommend,
+			Recommend:     n.recommend.String(),
 			Command:       n.command,
 			Events:        n.events,
 		}
@@ -364,15 +284,4 @@ func (c *Coordinator) Fleet(top int) FleetResponse {
 		resp.Ranked = append(resp.Ranked, s)
 	}
 	return resp
-}
-
-// Command returns the coordinator's standing command for a node ("",
-// "drain", "retire"), for tests and the simulator's bookkeeping.
-func (c *Coordinator) Command(node string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := c.byID[node]; n != nil {
-		return n.command
-	}
-	return ""
 }

@@ -2,16 +2,16 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"hbm2ecc/internal/fleet/xid"
-	"hbm2ecc/internal/obs"
 )
 
-func report(node string, seq uint64, at float64, events ...xid.Event) ReportRequest {
-	return ReportRequest{NodeID: node, Seq: seq, AtHours: at, Health: "ok", Events: events}
+func report(node string, at float64, events ...xid.Event) ReportRequest {
+	return ReportRequest{NodeID: node, AtHours: at, Events: events}
 }
 
 func due(node string, at float64, row int64) xid.Event {
@@ -20,15 +20,15 @@ func due(node string, at float64, row int64) xid.Event {
 
 func TestCoordinatorIngestAndRank(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
-	if _, err := c.Report(report("quiet", 1, 10)); err != nil {
+	if _, err := c.Report(report("quiet", 10)); err != nil {
 		t.Fatal(err)
 	}
 	// One DUE: enough to rank first, below the default drain threshold.
-	resp, err := c.Report(report("noisy", 1, 10, due("noisy", 9, 1)))
+	resp, err := c.Report(report("noisy", 10, due("noisy", 9, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Duplicate || resp.Command != "" {
+	if resp.Command != "" {
 		t.Errorf("ingest response = %+v", resp)
 	}
 	f := c.Fleet(10)
@@ -46,40 +46,18 @@ func TestCoordinatorIngestAndRank(t *testing.T) {
 	}
 }
 
-func TestCoordinatorReplayIdempotent(t *testing.T) {
-	c := NewCoordinator(CoordinatorOptions{})
-	first := report("n1", 5, 10, due("n1", 9, 1))
-	if _, err := c.Report(first); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.Report(first) // retried frame, same seq
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Duplicate {
-		t.Errorf("replay response = %+v, want duplicate", resp)
-	}
-	if got := c.Fleet(1).Ranked[0].Events; got != 1 {
-		t.Errorf("events after replay = %d, want 1 (no double ingest)", got)
-	}
-	// Older seq is also a replay.
-	if resp, _ := c.Report(report("n1", 3, 11)); !resp.Duplicate {
-		t.Error("stale seq not flagged as duplicate")
-	}
-}
-
 func TestCoordinatorLeaseExpiry(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{LeaseHours: 10})
-	if _, err := c.Report(report("gone", 1, 0)); err != nil {
+	if _, err := c.Report(report("gone", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Report(report("alive", 1, 0)); err != nil {
+	if _, err := c.Report(report("alive", 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Time advances via the live node's reports; "gone" stays silent and
 	// the amortized sweep expires it.
-	for seq, at := uint64(2), 5.0; at <= 30; seq, at = seq+1, at+5 {
-		if _, err := c.Report(report("alive", seq, at)); err != nil {
+	for at := 5.0; at <= 30; at += 5 {
+		if _, err := c.Report(report("alive", at)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +66,7 @@ func TestCoordinatorLeaseExpiry(t *testing.T) {
 		t.Errorf("after lease expiry: %+v", f)
 	}
 	// A late report brings the node back online.
-	if _, err := c.Report(report("gone", 2, 31)); err != nil {
+	if _, err := c.Report(report("gone", 31)); err != nil {
 		t.Fatal(err)
 	}
 	if f := c.Fleet(10); f.Online != 2 || f.Offline != 0 {
@@ -101,25 +79,24 @@ func TestCoordinatorPolicyDrainAndStrikes(t *testing.T) {
 	// the retire threshold of 200: only the strikes rule can retire.
 	c := NewCoordinator(CoordinatorOptions{})
 	at := 1.0
-	seq := uint64(1)
+	strike := 0
 	drainOnce := func() {
 		t.Helper()
 		// Two DUEs in-window cross DrainScore.
-		resp, err := c.Report(report("bad", seq, at, due("bad", at-0.5, 1), due("bad", at-0.25, 2)))
+		resp, err := c.Report(report("bad", at, due("bad", at-0.5, 1), due("bad", at-0.25, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq++
+		strike++
 		if resp.Command != CommandDrain {
-			t.Fatalf("strike %d: command = %q, want drain (score path)", seq, resp.Command)
+			t.Fatalf("strike %d: command = %q, want drain (score path)", strike, resp.Command)
 		}
 		// Repair: the node reports again later with a clean window.
 		at += coordWindowHours
-		resp, err = c.Report(report("bad", seq, at))
+		resp, err = c.Report(report("bad", at))
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq++
 		if resp.Command != "" {
 			t.Fatalf("returned node still commanded %q", resp.Command)
 		}
@@ -129,7 +106,7 @@ func TestCoordinatorPolicyDrainAndStrikes(t *testing.T) {
 		drainOnce()
 	}
 	// Next strike: MaxDrains used up, escalate to retire.
-	resp, err := c.Report(report("bad", seq, at, due("bad", at-0.5, 1), due("bad", at-0.25, 2)))
+	resp, err := c.Report(report("bad", at, due("bad", at-0.5, 1), due("bad", at-0.25, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +114,7 @@ func TestCoordinatorPolicyDrainAndStrikes(t *testing.T) {
 		t.Fatalf("third strike command = %q, want retire", resp.Command)
 	}
 	// Retirement is terminal: later reports keep the retire command.
-	resp, err = c.Report(report("bad", seq+1, at+24))
+	resp, err = c.Report(report("bad", at+24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,15 +128,15 @@ func TestCoordinatorPolicyDrainAndStrikes(t *testing.T) {
 
 func TestCoordinatorFollowsAgentRecommendation(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
-	req := report("sick", 1, 5)
-	req.Health = "critical"
-	req.Recommend = xid.RemedRetire.String()
+	req := report("sick", 5)
+	req.Health = Critical
+	req.Recommend = xid.RemedRetire
 	resp, err := c.Report(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Command != CommandRetire {
-		t.Errorf("command = %q, want retire (FollowAgent)", resp.Command)
+		t.Errorf("command = %q, want retire (the agent's recommendation)", resp.Command)
 	}
 }
 
@@ -170,8 +147,8 @@ func TestCoordinatorFollowsAgentRecommendation(t *testing.T) {
 func TestCoordinatorNodeTableBounded(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{MaxNodes: 2})
 	empty := c.Fleet(0)
-	unknownXid := report("n0", 1, 1, xid.Event{Node: "n0", Code: 13, AtHours: 1})
-	for name, req := range map[string]ReportRequest{"empty node id": report("", 1, 1), "unknown xid": unknownXid} {
+	unknownXid := report("n0", 1, xid.Event{Node: "n0", Code: 13, AtHours: 1})
+	for name, req := range map[string]ReportRequest{"empty node id": report("", 1), "unknown xid": unknownXid} {
 		resp, err := c.Report(req)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
@@ -179,23 +156,20 @@ func TestCoordinatorNodeTableBounded(t *testing.T) {
 		if resp.Handle != 0 {
 			t.Errorf("%s: refused frame answered with handle %d", name, resp.Handle)
 		}
-		if n := c.NodeCount(); n != 0 {
-			t.Errorf("%s: refused frame created %d nodes", name, n)
-		}
-		if f := c.Fleet(0); !reflect.DeepEqual(f, empty) {
+		if f := c.Fleet(0); f.Total != 0 || !reflect.DeepEqual(f, empty) {
 			t.Errorf("%s: refused frame moved the fleet: %+v", name, f)
 		}
 	}
 	var handle int
 	for i := 0; i < 2; i++ {
-		resp, err := c.Report(report(fmt.Sprintf("n%d", i), 1, 1))
+		resp, err := c.Report(report(fmt.Sprintf("n%d", i), 1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		handle = resp.Handle
 	}
 	full := c.Fleet(2)
-	third := report("n2", 1, 2, due("n2", 2, 1))
+	third := report("n2", 2, due("n2", 2, 1))
 	third.Handle = handle
 	resp, err := c.Report(third)
 	if err == nil {
@@ -208,7 +182,7 @@ func TestCoordinatorNodeTableBounded(t *testing.T) {
 		t.Errorf("refused third node moved the fleet: %+v, was %+v", f, full)
 	}
 	// Known nodes still report fine.
-	if _, err := c.Report(report("n0", 2, 2)); err != nil {
+	if _, err := c.Report(report("n0", 2)); err != nil {
 		t.Errorf("existing node rejected: %v", err)
 	}
 }
@@ -219,7 +193,7 @@ func TestCoordinatorFleetRanksEveryRequestedNode(t *testing.T) {
 	const n = 1025
 	c := NewCoordinator(CoordinatorOptions{})
 	for i := 0; i < n; i++ {
-		if _, err := c.Report(report(fmt.Sprintf("n%04d", i), 1, 1)); err != nil {
+		if _, err := c.Report(report(fmt.Sprintf("n%04d", i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,64 +206,25 @@ func TestCoordinatorFleetRanksEveryRequestedNode(t *testing.T) {
 	}
 }
 
-func TestCoordinatorMetricsGaugesTrackStatus(t *testing.T) {
-	c := NewCoordinator(CoordinatorOptions{})
-	if _, err := c.Report(report("ok", 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	crash := xid.Event{Node: "dead", Code: xid.OffTheBus, AtHours: 1, Row: -1}
-	if _, err := c.Report(report("dead", 1, 1, crash)); err != nil {
-		t.Fatal(err)
-	}
-	snap := obs.Default.Snapshot()
-	got := map[string]float64{}
-	families := map[string]bool{}
-	for _, fam := range snap.Families {
-		families[fam.Name] = true
-		if fam.Name != "fleet_nodes" {
-			continue
-		}
-		for _, s := range fam.Series {
-			got[s.Labels["status"]] = s.Value
-		}
-	}
-	// Gauges are process-wide (other tests share the registry), so only
-	// sanity-check consistency with this coordinator's own view.
-	f := c.Fleet(0)
-	if f.Online < 1 || f.Retired < 1 {
-		t.Fatalf("fleet view = %+v, want >=1 online and retired", f)
-	}
-	if len(got) == 0 {
-		t.Fatal("fleet_nodes gauge family missing from snapshot")
-	}
-	// Every -metrics dump of obs.Default carries the ingest families.
-	for _, fam := range []string{"fleet_events_total", "fleet_reports_total"} {
-		if !families[fam] {
-			t.Errorf("%s family missing from snapshot", fam)
-		}
-	}
-}
-
 // TestReportAllocs pins the report path allocation-free: a heartbeat or
 // a one-event frame from a known node, carrying its handle, scores from
 // the node's running window sums without building any map.
 func TestReportAllocs(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
-	resp, err := c.Report(report("n1", 1, 0))
+	resp, err := c.Report(report("n1", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, at := uint64(1), 0.0
+	at := 0.0
 	events := []xid.Event{{Node: "n1", Code: xid.ContainedECC}}
 	for _, tc := range []struct {
 		name   string
 		events []xid.Event
 	}{{"heartbeat", nil}, {"one event", events}} {
 		allocs := testing.AllocsPerRun(200, func() {
-			seq++
 			at += 0.5
 			events[0].AtHours = at
-			req := ReportRequest{NodeID: "n1", Seq: seq, AtHours: at, Health: "ok", Events: tc.events, Handle: resp.Handle}
+			req := ReportRequest{NodeID: "n1", AtHours: at, Events: tc.events, Handle: resp.Handle}
 			if _, err := c.Report(req); err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +233,7 @@ func TestReportAllocs(t *testing.T) {
 			t.Errorf("%s report: %v allocations, want 0", tc.name, allocs)
 		}
 	}
-	if cmd := c.Command("n1"); cmd != "" {
+	if cmd := c.Fleet(1).Ranked[0].Command; cmd != "" {
 		t.Errorf("corrected errors alone earned command %q", cmd)
 	}
 }
@@ -306,7 +241,7 @@ func TestReportAllocs(t *testing.T) {
 // summary returns node id's row of c's ranked fleet.
 func summary(t *testing.T, c *Coordinator, id string) NodeSummary {
 	t.Helper()
-	for _, s := range c.Fleet(c.NodeCount()).Ranked {
+	for _, s := range c.Fleet(math.MaxInt).Ranked {
 		if s.ID == id {
 			return s
 		}
@@ -322,7 +257,7 @@ func TestReportHandle(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
 	joined := map[string]int{}
 	for _, id := range []string{"a", "b"} {
-		resp, err := c.Report(report(id, 1, 1))
+		resp, err := c.Report(report(id, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,11 +270,11 @@ func TestReportHandle(t *testing.T) {
 		t.Fatalf("a and b share handle %d", joined["a"])
 	}
 	b := summary(t, c, "b")
-	seq, at := uint64(1), 1.0
+	frames, at := 0, 1.0
 	for name, h := range map[string]int{"zero": 0, "out of range": 3, "negative": -1, "other node's": joined["b"]} {
-		seq++
+		frames++
 		at++
-		req := report("a", seq, at, due("a", at, int64(seq)))
+		req := report("a", at, due("a", at, int64(frames)))
 		req.Handle = h
 		resp, err := c.Report(req)
 		if err != nil {
@@ -348,14 +283,14 @@ func TestReportHandle(t *testing.T) {
 		if resp.Handle != joined["a"] {
 			t.Errorf("%s handle: answered with handle %d, want a's %d", name, resp.Handle, joined["a"])
 		}
-		if a := summary(t, c, "a"); a.Events != int64(seq-1) || a.LastSeenHours != at {
-			t.Errorf("%s handle: a has %d events, last seen %v; want %d, %v", name, a.Events, a.LastSeenHours, seq-1, at)
+		if a := summary(t, c, "a"); a.Events != int64(frames) || a.LastSeenHours != at {
+			t.Errorf("%s handle: a has %d events, last seen %v; want %d, %v", name, a.Events, a.LastSeenHours, frames, at)
 		}
 	}
 	if got := summary(t, c, "b"); !reflect.DeepEqual(got, b) {
 		t.Errorf("frames from a moved b: %+v, was %+v", got, b)
 	}
-	if n := c.NodeCount(); n != 2 {
+	if n := c.Fleet(1).Total; n != 2 {
 		t.Errorf("%d nodes, want 2", n)
 	}
 }
@@ -373,9 +308,9 @@ func TestReportConcurrentHandles(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			id := fmt.Sprintf("n%d", i)
-			for seq := uint64(1); seq <= reports; seq++ {
-				at := float64(seq)
-				req := report(id, seq, at, due(id, at, int64(seq)))
+			for k := 1; k <= reports; k++ {
+				at := float64(k)
+				req := report(id, at, due(id, at, int64(k)))
 				req.Handle = handles[i]
 				resp, err := c.Report(req)
 				if err != nil {
@@ -407,9 +342,9 @@ func TestFleetRankIgnoresJoinOrder(t *testing.T) {
 	fleet := func(order []string) FleetResponse {
 		c := NewCoordinator(CoordinatorOptions{})
 		for _, id := range order {
-			req := report(id, 1, 2)
+			req := report(id, 2)
 			if id == "n4" {
-				req = report(id, 1, 2, due(id, 1, 1))
+				req = report(id, 2, due(id, 1, 1))
 			}
 			if _, err := c.Report(req); err != nil {
 				t.Fatal(err)

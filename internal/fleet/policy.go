@@ -18,9 +18,6 @@ type Policy struct {
 	// retired. Drain < Retire.
 	DrainScore  float64
 	RetireScore float64
-	// FollowAgent, when true, escalates straight to the commanded
-	// action when the agent itself recommends drain or retire.
-	FollowAgent bool
 	// MaxDrains is the strikes rule: a node already drained (and
 	// repaired) this many times is retired on its next strike instead
 	// of drained again — repair clearly is not fixing it.
@@ -40,7 +37,6 @@ var policy = Policy{
 	}),
 	DrainScore:  40,
 	RetireScore: 200,
-	FollowAgent: true,
 	MaxDrains:   3,
 }
 
@@ -65,8 +61,9 @@ func (p *Policy) Score(counts []int) float64 {
 
 // Decide maps a score and the agent's own recommendation to the
 // coordinator command for the node ("", CommandDrain, CommandRetire).
+// An agent that recommends drain or retire gets at least that command.
 func (p *Policy) Decide(score float64, agentRecommend xid.Remediation) string {
-	if p.FollowAgent && agentRecommend == xid.RemedRetire {
+	if agentRecommend == xid.RemedRetire {
 		return CommandRetire
 	}
 	switch {
@@ -74,7 +71,7 @@ func (p *Policy) Decide(score float64, agentRecommend xid.Remediation) string {
 		return CommandRetire
 	case score >= p.DrainScore:
 		return CommandDrain
-	case p.FollowAgent && agentRecommend == xid.RemedDrain:
+	case agentRecommend == xid.RemedDrain:
 		return CommandDrain
 	default:
 		return ""

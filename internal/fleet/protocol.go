@@ -11,58 +11,40 @@ import (
 // Report protocol: an agent hands the coordinator a ReportRequest
 // (Coordinator.Report, or a Reporter such as Loopback) and gets back a
 // ReportResponse carrying its standing command; Coordinator.Fleet
-// answers with a FleetResponse, the ranked fleet. Every frame is
-// validated against the bounds below before it is ingested.
-const (
-	// ProtocolVersion is stamped on every FleetResponse, so a stored
-	// fleet JSON says which protocol produced it.
-	ProtocolVersion = 1
-	// MaxNodeID bounds node identifier length.
-	MaxNodeID = 128
-	// MaxEventsPerReport bounds one report's (deduplicated) event batch.
-	MaxEventsPerReport = 512
-	// MaxEventCount bounds one event's dedup aggregation count.
-	MaxEventCount = 1 << 30
-)
+// answers with a FleetResponse, the ranked fleet. Requests and
+// responses are Go values that never leave the process.
+
+// ProtocolVersion is stamped on every FleetResponse, so a stored fleet
+// JSON says which protocol produced it.
+const ProtocolVersion = 1
 
 // ReportRequest is one node agent's batched health report: a
 // heartbeat (renewing the node's liveness lease) plus the events
 // accumulated since the last report.
 type ReportRequest struct {
-	NodeID string `json:"node_id"`
-	// Seq increments per report per node; the coordinator ignores
-	// replays (seq <= last seen) so retried reports are idempotent.
-	Seq uint64 `json:"seq"`
+	NodeID string
 	// AtHours is the node's simulated clock at report time.
-	AtHours float64 `json:"at_hours"`
-	// Health and Recommend are the agent's self-assessment (wire forms
-	// of Health and xid.Remediation).
-	Health    string `json:"health"`
-	Recommend string `json:"recommend,omitempty"`
+	AtHours float64
+	// Health and Recommend are the agent's self-assessment.
+	Health    Health
+	Recommend xid.Remediation
 	// Events are the deduplicated events since the last report.
-	Events []xid.Event `json:"events,omitempty"`
+	Events []xid.Event
 	// Handle is the node's handle from an earlier ReportResponse. It
 	// lets the coordinator find the node without an id lookup; 0, or a
 	// handle that names no node with this NodeID, falls back to one.
-	Handle int `json:"handle,omitempty"`
+	Handle int
 }
 
-// Validate checks the report against wire bounds and the taxonomy.
-func (r *ReportRequest) Validate() error {
-	if err := validNodeID(r.NodeID); err != nil {
-		return err
-	}
-	if r.Seq == 0 {
-		return errors.New("fleet: report seq must be >= 1")
+// validate checks the report's content: a named node at a finite,
+// non-negative hour, whose events are its own, in the taxonomy, counted
+// non-negatively and no later than the report.
+func (r *ReportRequest) validate() error {
+	if r.NodeID == "" {
+		return errors.New("fleet: empty node id")
 	}
 	if math.IsNaN(r.AtHours) || math.IsInf(r.AtHours, 0) || r.AtHours < 0 {
-		return fmt.Errorf("fleet: at_hours %v out of range", r.AtHours)
-	}
-	if _, ok := HealthFromString(r.Health); !ok {
-		return fmt.Errorf("fleet: unknown health %q", r.Health)
-	}
-	if len(r.Events) > MaxEventsPerReport {
-		return fmt.Errorf("fleet: %d events in one report (max %d)", len(r.Events), MaxEventsPerReport)
+		return fmt.Errorf("fleet: report hour %v out of range", r.AtHours)
 	}
 	for i := range r.Events {
 		e := &r.Events[i]
@@ -72,27 +54,11 @@ func (r *ReportRequest) Validate() error {
 		if !xid.Known(e.Code) {
 			return fmt.Errorf("fleet: event %d has unknown xid %d", i, e.Code)
 		}
-		if e.Count < 0 || e.Count > MaxEventCount {
-			return fmt.Errorf("fleet: event %d count %d out of range", i, e.Count)
+		if e.Count < 0 {
+			return fmt.Errorf("fleet: event %d count %d is negative", i, e.Count)
 		}
-		if math.IsNaN(e.AtHours) || math.IsInf(e.AtHours, 0) || e.AtHours < 0 || e.AtHours > r.AtHours {
-			return fmt.Errorf("fleet: event %d at_hours %v outside [0, %v]", i, e.AtHours, r.AtHours)
-		}
-	}
-	return nil
-}
-
-func validNodeID(id string) error {
-	if id == "" {
-		return errors.New("fleet: empty node id")
-	}
-	if len(id) > MaxNodeID {
-		return fmt.Errorf("fleet: node id longer than %d bytes", MaxNodeID)
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if c < 0x21 || c > 0x7e {
-			return fmt.Errorf("fleet: node id contains byte %#x (printable ASCII only)", c)
+		if math.IsNaN(e.AtHours) || e.AtHours < 0 || e.AtHours > r.AtHours {
+			return fmt.Errorf("fleet: event %d hour %v outside [0, %v]", i, e.AtHours, r.AtHours)
 		}
 	}
 	return nil
@@ -101,14 +67,12 @@ func validNodeID(id string) error {
 // ReportResponse acknowledges a report and carries the coordinator's
 // remediation command for the node, if any.
 type ReportResponse struct {
-	// Duplicate marks a replayed (seq <= last seen) report.
-	Duplicate bool `json:"duplicate,omitempty"`
 	// Command is the coordinator's standing remediation order for this
 	// node: "", "drain" or "retire".
-	Command string `json:"command,omitempty"`
+	Command string
 	// Handle names the node in the coordinator's table, for the node's
 	// later reports (ReportRequest.Handle); 0 on a refused report.
-	Handle int `json:"handle,omitempty"`
+	Handle int
 }
 
 // Coordinator-issued node commands.

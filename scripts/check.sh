@@ -26,9 +26,11 @@ if go list -deps ./... | grep -qx 'net/http'; then
 	go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w 'net/http'
 	exit 1
 fi
-# The fleet write-ahead log is gone as well.
-if grep -rlE 'fleet_wal_|fleet_compaction' --include='*.go' --exclude='*_test.go' .; then
-	echo "non-test code still carries fleet_wal_*/fleet_compaction* families"; exit 1
+# The fleet write-ahead log is gone as well, and so are the
+# coordinator's telemetry families, which no command ever dumped.
+fleet_families='fleet_wal_|fleet_compaction|fleet_nodes|fleet_sim_hours|fleet_events_total|fleet_reports_total|fleet_report_replays_total|fleet_reports_rejected_total|fleet_commands_total|fleet_lease_expiries_total'
+if grep -rlE "$fleet_families" --include='*.go' --exclude='*_test.go' .; then
+	echo "non-test code still carries deleted fleet_* metric families"; exit 1
 fi
 
 echo "== perfbench: go vet + build (its own module, over this tree) =="
